@@ -4,7 +4,7 @@ Subcommands: ``solve`` (one run, trajectory export), ``weak-scaling``
 (two-level sweep at fixed local size), ``three-level`` (multilevel run),
 ``figure`` (tidy CSV plus plot script for the built-in figure setups) and
 ``verify`` (oracle suite). Exit codes: 0 success, 1 failed verification,
-2 validation error, 3 solver nonconvergence.
+2 validation error, 3 solver nonconvergence, 4 singular step matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import bench
-from .errors import NonconvergenceError, ValidationError
+from .errors import NonconvergenceError, SingularStepError, ValidationError
 from .problems import default_t_end
 from .runtime import available_workers
 
@@ -220,6 +220,9 @@ def main(argv: list[str] | None = None) -> int:
     except NonconvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except SingularStepError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

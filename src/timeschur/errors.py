@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every type pickles with its constructor arguments, so an error raised inside
+a pool worker reaches the parent process intact.
+"""
 
 
 class TimeSchurError(Exception):
@@ -20,9 +24,12 @@ class SingularStepError(TimeSchurError):
         self.t_start = t_start
         self.t_end = t_end
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.t_start, self.t_end)
+
 
 class NonconvergenceError(TimeSchurError):
-    """An iterative solve exceeded its iteration budget.
+    """An iterative solve exceeded its iteration budget or hit a non-finite residual.
 
     Attributes
     ----------
@@ -32,16 +39,25 @@ class NonconvergenceError(TimeSchurError):
         Iterations performed before giving up.
     residual_norm : float
         Last residual norm observed.
+    reason : str or None
+        Why the solve stopped early (``"non-finite residual"``); None when the
+        budget ran out.
     """
 
-    def __init__(self, where: str, iterations: int, residual_norm: float):
+    def __init__(self, where: str, iterations: int, residual_norm: float,
+                 reason: str | None = None):
+        because = f": {reason}" if reason else ""
         super().__init__(
-            f"no convergence at {where} after {iterations} iterations "
+            f"no convergence at {where} after {iterations} iterations{because} "
             f"(last residual norm {residual_norm:.3e})"
         )
         self.where = where
         self.iterations = iterations
         self.residual_norm = residual_norm
+        self.reason = reason
+
+    def __reduce__(self):
+        return type(self), (self.where, self.iterations, self.residual_norm, self.reason)
 
 
 class TaskError(TimeSchurError):
@@ -51,3 +67,6 @@ class TaskError(TimeSchurError):
         super().__init__(f"task {index} failed: {original!r}")
         self.index = index
         self.original = original
+
+    def __reduce__(self):
+        return type(self), (self.index, self.original)

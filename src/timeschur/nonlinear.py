@@ -12,25 +12,33 @@ Two strategies around the linear multilevel direct solver:
   function theorem), again solved by the direct multilevel method over
   levels k..top.
 
-Local nonlinear solves march element by element (the local systems are lower
-block-bidiagonal, so stepwise solving is exact), with per-step Picard/Newton
-inner iterations.
+Level-0 extensions march all windows of a task in lockstep: per local step,
+one batched problem call and one batched solve serve every window still
+iterating. The local systems are lower block-bidiagonal, so stepwise solving
+is exact, and each window's Picard/Newton inner iteration does the same
+arithmetic as the one-step ``_implicit_step`` of time-marching, so iterates do
+not depend on how windows are grouped. Higher-level extensions run a nested
+interface loop whose children march in lockstep the same way. The Schur rows
+of the interface system come from one batched linearization per task.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonconvergenceError, SingularStepError, ValidationError
+from .errors import (NonconvergenceError, SingularStepError, TaskError, TimeSchurError,
+                     ValidationError)
 from .integrators import Scheme
 from .partition import MultilevelPartition
 from .problems import OdeProblem, jacobian_batch, kappa_batch, picard_batch
 from .runtime import SolverReport, WorkerPool
 from .schur import LevelSystem, cost_model, ml_solve
 
+NON_FINITE = "non-finite residual"  # NonconvergenceError reason: the iteration stopped at once
 
 @dataclass(frozen=True)
 class LinearizationPolicy:
@@ -139,7 +147,8 @@ def _first_singular(mats: np.ndarray) -> int:
 def _implicit_step(problem, t_start, t_end, u_prev, guess, th, policy, tol):
     """Solve one implicit step residual for its unknown endpoint value.
 
-    Returns ``(u, picard_iters, newton_iters)``; raises on budget exhaustion.
+    Returns ``(u, picard_iters, newton_iters)``; raises on budget exhaustion,
+    on a non-finite residual and on a singular step matrix.
     """
     dt = t_end - t_start
     m = problem.m_unk
@@ -153,6 +162,9 @@ def _implicit_step(problem, t_start, t_end, u_prev, guess, th, policy, tol):
         norm = float(np.linalg.norm(r))
         if norm < tol:
             return u, picard, newton
+        if not math.isfinite(norm):
+            raise NonconvergenceError(f"implicit step ending at t={t_end:g}", it, norm,
+                                      NON_FINITE)
         if it == policy.max_inner:
             break
         if policy.pick_mode(norm) == "picard":
@@ -165,7 +177,13 @@ def _implicit_step(problem, t_start, t_end, u_prev, guess, th, policy, tol):
         else:
             mat = np.asarray(problem.jacobian(t_end, u), dtype=float)
             newton += 1
-        u = u + np.linalg.solve(eye + dt * th * mat, -r)
+        try:
+            u = u + np.linalg.solve(eye + dt * th * mat, -r)
+        except np.linalg.LinAlgError as exc:
+            raise SingularStepError(
+                f"singular step matrix on element ({t_start:g}, {t_end:g})",
+                float(t_start), float(t_end),
+            ) from exc
     raise NonconvergenceError(
         f"implicit step ending at t={t_end:g}", policy.max_inner, norm
     )
@@ -198,7 +216,7 @@ def sequential_nonlinear_solve(
             )
         except NonconvergenceError as exc:
             raise NonconvergenceError(
-                f"time step {i} (t={grid[i]:g})", exc.iterations, exc.residual_norm
+                f"time step {i} (t={grid[i]:g})", exc.iterations, exc.residual_norm, exc.reason
             ) from exc
         picard += p
         newton += nw
@@ -290,6 +308,14 @@ def _initial_trajectory(problem, partition, initial):
 
 
 # Nonlinear harmonic extension -------------------------------------------------
+#
+# An extension task sees a run of consecutive windows through its slice of the
+# fine grid. ``ts`` holds the fine node times from the first window's left
+# interface up to, not including, the last window's right interface, and
+# ``nodes[l]`` the run-local fine indices of the level-(l+1) nodes, from 0 to
+# ``len(ts)``. The windows are the elements between consecutive entries of
+# ``nodes[-1]``, extended at level ``len(nodes) - 1``; ``firsts[l]`` is the
+# global index of the run's first level-(l+1) element, for error messages.
 
 
 @dataclass
@@ -303,6 +329,22 @@ class ExtensionResult:
     values: np.ndarray
     picard: int
     newton: int
+
+
+def _window_run(partition: MultilevelPartition, k: int, lo: int, hi: int):
+    """``(f_lo, f_hi, nodes, firsts)`` of the level-k elements ``lo..hi-1``.
+
+    ``f_lo..f_hi`` is the run's span of fine node indices.
+    """
+    fine_k = partition.fine_nodes(k)
+    f_lo, f_hi = int(fine_k[lo]), int(fine_k[hi])
+    nodes, firsts = [], []
+    for level in range(1, k + 1):
+        fine = partition.fine_nodes(level)
+        first, last = np.searchsorted(fine, [f_lo, f_hi])
+        nodes.append(fine[first:last + 1] - f_lo)
+        firsts.append(int(first))
+    return f_lo, f_hi, nodes, firsts
 
 
 def nonlinear_harmonic_extension(
@@ -319,68 +361,178 @@ def nonlinear_harmonic_extension(
 
     ``level == 0`` marches the local nonlinear problem over the element's
     fine steps from the inflow (per-step solves to ``tol_local``). Higher
-    levels run a nested interface loop: extend recursively into every child
-    element, assemble the child-chain update system, and sweep it, until the
+    levels run a nested interface loop: extend into every child element,
+    assemble the child-chain update system, and sweep it, until the
     window's own interface residual drops below ``tol_schur``. ``warm`` holds
-    fine values over the element's window as initial guesses.
+    fine values over the element's window as initial guesses. This is the
+    one-window call of the extension task that solvers run over many windows.
     """
     th = scheme.effective_theta()
-    bounds = partition.subdomain_bounds(level)
-    a, b = int(bounds[index]), int(bounds[index + 1])
-    fine = partition.fine_nodes(level)
-    f_lo, f_hi = int(fine[a]), int(fine[b])
-    grid0 = partition.grids[0]
-    m = problem.m_unk
-    if warm.shape != (f_hi - f_lo, m):
+    f_lo, f_hi, nodes, firsts = _window_run(partition, level + 1, index, index + 1)
+    if warm.shape != (f_hi - f_lo, problem.m_unk):
         raise ValidationError("warm start does not match the element's fine window")
+    values, picard, newton = _extension_task(
+        problem, partition.grids[0][f_lo:f_hi], nodes, firsts,
+        np.asarray(inflow, dtype=float)[None, :], warm, th, policy,
+    )
+    return ExtensionResult(values, picard, newton)
 
-    if level == 0:
-        values = np.empty((f_hi - f_lo, m))
-        values[0] = inflow
-        picard = newton = 0
-        for node in range(f_lo + 1, f_hi):
-            loc = node - f_lo
-            try:
-                values[loc], p, nw = _implicit_step(
-                    problem, grid0[node - 1], grid0[node], values[loc - 1],
-                    warm[loc], th, policy, policy.tol_local,
-                )
-            except NonconvergenceError as exc:
-                raise NonconvergenceError(
-                    f"nonlinear extension (level 0, element {index}, t={grid0[node]:g})",
-                    exc.iterations, exc.residual_norm,
-                ) from exc
-            picard += p
-            newton += nw
-        return ExtensionResult(values, picard, newton)
 
-    fine_lvl = partition.fine_nodes(level)
-    loc = fine_lvl - f_lo  # window-local offsets of level-`level` nodes
+def _extension_task(problem, ts, nodes, firsts, inflows, warm, th, policy):
+    """Extend every window of a run; returns ``(values, picard, newton)``.
+
+    ``values`` covers the run's fine nodes like ``warm`` does, with window
+    ``j`` starting at ``inflows[j]``. Level-0 windows march in lockstep;
+    higher-level windows run their nested loops one after another.
+    """
+    if len(nodes) == 1:
+        return _march(problem, ts, nodes[0], inflows, warm, th, policy, firsts[0])
+    level = len(nodes) - 1
+    bounds = nodes[-1]
+    values = np.empty((len(ts), problem.m_unk))
+    picard = newton = 0
+    for j in range(len(bounds) - 1):
+        lo, hi = int(bounds[j]), int(bounds[j + 1])
+        # The window's children, as a run of their own.
+        cuts = [np.searchsorted(n, [lo, hi]) for n in nodes[:-1]]
+        sub_nodes = [n[a:b + 1] - lo for n, (a, b) in zip(nodes[:-1], cuts)]
+        sub_firsts = [f + int(a) for f, (a, _) in zip(firsts[:-1], cuts)]
+        values[lo:hi], p, nw = _nested_extension(
+            problem, ts[lo:hi], sub_nodes, sub_firsts, inflows[j], warm[lo:hi], th, policy,
+            f"nonlinear extension (level {level}, element {firsts[-1] + j}, "
+            f"from t={ts[lo]:g})",
+        )
+        picard += p
+        newton += nw
+    return values, picard, newton
+
+
+def _march(problem, ts, bounds, inflows, warm, th, policy, first):
+    """Level-0 extensions of the windows between consecutive ``bounds``, in lockstep.
+
+    Window ``j`` pins its first value to ``inflows[j]`` and solves each later
+    step to ``tol_local`` from the guess in ``warm``, by the inner iteration of
+    ``_implicit_step`` with the same arithmetic. Per local step, one
+    ``kappa_batch`` call gives every window's tail; per inner iteration, the
+    windows not yet converged share one ``kappa_batch`` call, one Picard or
+    Jacobian call per mode (picked on each window's own norm) and one batched
+    solve. ``first`` is the global index of window 0.
+    """
+    m = problem.m_unk
+    eye = np.eye(m)
+    starts = bounds[:-1]
+    lengths = np.diff(bounds)
+    values = np.empty((len(ts), m))
+    values[starts] = inflows
+    picard = newton = 0
+    for step in range(1, int(lengths.max())):
+        windows = np.flatnonzero(lengths > step)
+        nodes = starts[windows] + step
+        t_start, t_end = ts[nodes - 1], ts[nodes]
+
+        def where(row):  # a row of this step's arrays
+            return f"nonlinear extension (level 0, element {first + windows[row]}, " \
+                   f"t={t_end[row]:g})"
+
+        dt = (t_end - t_start)[:, None]
+        u_prev = values[nodes - 1]
+        tail = dt * (1.0 - th) * kappa_batch(problem, t_start, u_prev) - u_prev
+        u = np.asarray(warm[nodes], dtype=float)
+        # The rows of this step's arrays still iterating, and their slices.
+        live = np.arange(len(nodes))
+        u_l, t_l, dt_l, tail_l = u, t_end, dt, tail
+        for it in range(policy.max_inner + 1):
+            r = u_l + tail_l + dt_l * th * kappa_batch(problem, t_l, u_l)
+            # Row-wise dot products, as np.linalg.norm takes them for one row.
+            norms = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
+            done = norms < policy.tol_local
+            if done.any():
+                u[live[done]] = u_l[done]
+                if done.all():
+                    break
+                keep = ~done
+                live, u_l, t_l, dt_l, tail_l, r, norms = (
+                    live[keep], u_l[keep], t_l[keep], dt_l[keep], tail_l[keep],
+                    r[keep], norms[keep])
+            finite = np.isfinite(norms)
+            if not finite.all():
+                bad = int(np.argmin(finite))
+                raise NonconvergenceError(where(live[bad]), it, float(norms[bad]), NON_FINITE)
+            if it == policy.max_inner:
+                raise NonconvergenceError(where(live[0]), policy.max_inner, float(norms[0]))
+            picks = np.array([policy.pick_mode(norm) == "picard" for norm in norms])
+            n_picard = int(np.count_nonzero(picks))
+            picard += n_picard
+            newton += len(picks) - n_picard
+            mats = _step_matrices(problem, t_l, u_l, picks, n_picard)
+            u_l = u_l + _step_solve(
+                eye + dt_l[:, :, None] * th * mats, -r, t_start[live], t_l,
+                lambda i: where(live[i]),
+            )
+        values[nodes] = u
+    return values, picard, newton
+
+
+def _step_matrices(problem, ts, us, picks, n_picard):
+    """Picard matrices of the rows in ``picks``, Jacobians of the others.
+
+    One batched call per mode in use.
+    """
+    if n_picard == len(picks):
+        return picard_batch(problem, ts, us)[0]
+    if n_picard == 0:
+        return jacobian_batch(problem, ts, us)
+    mats = np.empty((len(ts), problem.m_unk, problem.m_unk))
+    mats[picks] = picard_batch(problem, ts[picks], us[picks])[0]
+    mats[~picks] = jacobian_batch(problem, ts[~picks], us[~picks])
+    return mats
+
+
+def _step_solve(mats, rhs, t_start, t_end, where):
+    """``np.linalg.solve`` over stacked step matrices; vector or matrix right-hand sides.
+
+    A singular matrix raises ``SingularStepError`` with the times of its
+    element; ``where(i)`` names the location of row ``i``.
+    """
+    vector = rhs.ndim == mats.ndim - 1
+    try:
+        out = np.linalg.solve(mats, rhs[..., None] if vector else rhs)
+    except np.linalg.LinAlgError as exc:
+        bad = _first_singular(mats)
+        raise SingularStepError(
+            f"singular step matrix in {where(bad)} on element "
+            f"({t_start[bad]:g}, {t_end[bad]:g})", float(t_start[bad]), float(t_end[bad])
+        ) from exc
+    return out[..., 0] if vector else out
+
+
+def _nested_extension(problem, ts, nodes, firsts, inflow, warm, th, policy, where):
+    """The nested interface loop of one window at level >= 1.
+
+    ``ts``, ``nodes`` and ``firsts`` describe the window's children as a run
+    (see the section comment above); ``where`` names the window in errors.
+    """
+    m = problem.m_unk
+    loc = nodes[-1]  # window-local offsets of the children's interfaces
+    inner = loc[1:-1]
     wvals = np.array(warm, dtype=float)
     wvals[0] = inflow
     picard = newton = 0
     norm = np.inf
     for it in range(policy.max_inner + 1):
-        for e in range(a, b):
-            child = nonlinear_harmonic_extension(
-                problem, partition, level - 1, e, wvals[loc[e]],
-                wvals[loc[e]:loc[e + 1]], scheme, policy,
-            )
-            wvals[loc[e]:loc[e + 1]] = child.values
-            picard += child.picard
-            newton += child.newton
-        if b - a == 1:
-            return ExtensionResult(wvals, picard, newton)
-        rows = np.empty((b - a - 1, m))
-        for p in range(a + 1, b):
-            node = fine_lvl[p]
-            rows[p - a - 1] = _step_residual(
-                problem, grid0[node - 1], grid0[node],
-                wvals[loc[p] - 1], wvals[loc[p]], th,
-            )
+        wvals, p, nw = _extension_task(problem, ts, nodes, firsts, wvals[loc[:-1]], wvals,
+                                       th, policy)
+        picard += p
+        newton += nw
+        if len(inner) == 0:
+            return wvals, picard, newton
+        rows = _step_residuals(problem, ts[inner - 1], ts[inner], wvals[inner - 1],
+                               wvals[inner], th)
         norm = float(np.sqrt(np.sum(rows * rows)))
         if norm < policy.tol_schur:
-            return ExtensionResult(wvals, picard, newton)
+            return wvals, picard, newton
+        if not math.isfinite(norm):
+            raise NonconvergenceError(where, it, norm, NON_FINITE)
         if it == policy.max_inner:
             break
         use_picard = policy.pick_mode(norm) == "picard"
@@ -389,68 +541,54 @@ def nonlinear_harmonic_extension(
         else:
             newton += 1
         # Linearize every block row at the frozen extended state, then sweep.
-        blocks = [
-            _schur_rows(
-                problem, grid0[fine_lvl[p - 1]:fine_lvl[p] + 1],
-                wvals[loc[p - 1]:loc[p]], wvals[loc[p]], th, use_picard,
-            )
-            for p in range(a + 1, b)
-        ]
+        blocks, rhs = _schur_row_task(problem, ts[:loc[-2] + 1], wvals[:loc[-2] + 1],
+                                      loc[:-1], firsts[-1], th, use_picard)
         delta = np.zeros(m)
-        for p, (block, rhs) in zip(range(a + 1, b), blocks):
-            delta = block @ delta + rhs
-            wvals[loc[p]] = wvals[loc[p]] + delta
-    raise NonconvergenceError(
-        f"nonlinear extension (level {level}, element {index})", policy.max_inner, norm
-    )
+        for node, block, g in zip(inner, blocks, rhs):
+            delta = block @ delta + g
+            wvals[node] = wvals[node] + delta
+    raise NonconvergenceError(where, policy.max_inner, norm)
 
 
-def _step_residual(problem, t_start, t_end, u_in, u_out, th):
-    dt = t_end - t_start
+def _step_residuals(problem, t_in, t_out, u_in, u_out, th):
+    """One-step residuals of the rows' steps ``(t_in, u_in) -> (t_out, u_out)``."""
+    dt = (t_out - t_in)[:, None]
     return u_out - u_in + dt * (
-        th * np.asarray(problem.kappa(t_end, u_out), dtype=float)
-        + (1.0 - th) * np.asarray(problem.kappa(t_start, u_in), dtype=float)
+        th * kappa_batch(problem, t_out, u_out)
+        + (1.0 - th) * kappa_batch(problem, t_in, u_in)
     )
 
 
-def _schur_rows(problem, ts, us, u_end, th, use_picard):
-    """One subdomain's interface block row of the level-up Schur system.
+def _schur_row_task(problem, ts, us, bounds, first, th, use_picard):
+    """Interface block rows of the level-up Schur system for consecutive windows.
 
-    ``ts`` holds the subdomain's fine node times (both interfaces included),
-    ``us`` the extended values up to but excluding the right interface, and
-    ``u_end`` the right-interface value. Returns the normalized coarse
-    propagator (closing step chained through the interior linearization) and
-    the normalized negative interface residual.
+    Window ``j`` (global index ``first + j``) spans nodes
+    ``bounds[j]..bounds[j+1]`` of ``ts`` (times) and ``us`` (extended values,
+    both interfaces included). Returns, stacked over windows, the normalized
+    coarse propagators (closing step chained through the interior
+    linearization) and the normalized negative interface residuals. One
+    batched linearization serves every window, and their chain products
+    advance in lockstep.
     """
     m = problem.m_unk
-    size = len(us)
-    us_full = np.vstack([us, u_end[None, :]])
-    mats = _linearization_matrices(problem, ts, us_full, use_picard)
-    dt = np.diff(ts)[:, None, None]
     eye = np.eye(m)
+    mats = _linearization_matrices(problem, ts, us, use_picard)
+    dt = np.diff(ts)[:, None, None]
     diag = eye + dt * th * mats[1:]
     off = eye - dt * (1.0 - th) * mats[:-1]
-    try:
-        phis = np.linalg.solve(diag, off)
-    except np.linalg.LinAlgError as exc:
-        raise SingularStepError("singular linearized step inside a subdomain") from exc
-    chain = eye
-    for j in range(size - 1):
-        chain = phis[j] @ chain
-    r_close = _step_residual(problem, ts[-2], ts[-1], us_full[-2], us_full[-1], th)
-    rhs = np.linalg.solve(diag[-1], -r_close)
-    return phis[-1] @ chain, rhs
-
-
-def _extension_task(problem, partition, level, index, inflow, warm, scheme, policy):
-    res = nonlinear_harmonic_extension(
-        problem, partition, level, index, inflow, warm, scheme, policy
+    phis = _step_solve(
+        diag, off, ts[:-1], ts[1:],
+        lambda i: f"linearized window {first + np.searchsorted(bounds, i, 'right') - 1}",
     )
-    return res.values, res.picard, res.newton
-
-
-def _schur_row_task(problem, ts, us, u_end, th, use_picard):
-    return _schur_rows(problem, ts, us, u_end, th, use_picard)
+    starts, last = bounds[:-1], bounds[1:] - 1
+    interior = last - starts  # steps chained before each window's closing step
+    chains = np.broadcast_to(eye, (len(starts), m, m)).copy()
+    for j in range(int(interior.max())):
+        act = np.flatnonzero(interior > j)
+        chains[act] = np.matmul(phis[starts[act] + j], chains[act])
+    r_close = _step_residuals(problem, ts[last], ts[last + 1], us[last], us[last + 1], th)
+    rhs = np.linalg.solve(diag[last], -r_close[:, :, None])[:, :, 0]
+    return np.matmul(phis[last], chains), rhs
 
 
 def nonlinear_schur_newton_solve(
@@ -468,14 +606,15 @@ def nonlinear_schur_newton_solve(
     global fine residual, assemble the level-k Schur system of the fine
     linearization at the extended state, solve the interface update with the
     direct multilevel method over levels k..top, and update. The final
-    trajectory is the extensions plus the interface values.
+    trajectory is the extensions plus the interface values. Each pool task
+    takes one contiguous run of elements. A ``TimeSchurError`` raised in a
+    task re-raises as itself; its message names the element and time.
     """
     policy = policy or LinearizationPolicy()
     th = scheme.effective_theta()
     if not 1 <= k <= partition.top_level:
         raise ValidationError(f"level k={k} outside 1..{partition.top_level}")
     grid = partition.grids[0]
-    n_k = partition.counts[k]
     fine_k = partition.fine_nodes(k)
     traj = _initial_trajectory(problem, partition, initial)
     z = traj[fine_k].copy()
@@ -483,60 +622,69 @@ def nonlinear_schur_newton_solve(
     report = SolverReport(solver=f"nlschur:{k}", workers=workers)
     start = time.perf_counter()
     norm = np.inf
-    with WorkerPool(workers) as pool:
-        w = _extend_all(problem, partition, k, z, traj, scheme, policy, pool, report)
-        for it in range(policy.max_iters + 1):
-            res, norm = global_residual(problem, w, grid, scheme)
-            report.residual_history.append(norm)
-            report.interior_residual_history.append(_residual_stats(res, interior_mask))
-            if norm < policy.tol_global:
-                report.converged = True
-                break
-            if it == policy.max_iters:
-                raise NonconvergenceError(
-                    f"nonlinear Schur loop at level {k}", policy.max_iters, norm
+    try:
+        with WorkerPool(workers) as pool:
+            runs = _runs(partition, k, pool.processes)
+            w = _extend_all(problem, runs, grid, z, traj, th, policy, pool, report)
+            for it in range(policy.max_iters + 1):
+                res, norm = global_residual(problem, w, grid, scheme)
+                report.residual_history.append(norm)
+                report.interior_residual_history.append(_residual_stats(res, interior_mask))
+                if norm < policy.tol_global:
+                    report.converged = True
+                    break
+                if it == policy.max_iters:
+                    raise NonconvergenceError(
+                        f"nonlinear Schur loop at level {k}", policy.max_iters, norm
+                    )
+                mode = policy.pick_mode(norm)
+                report.mode_history.append(mode)
+                if mode == "picard":
+                    report.picard_iterations += 1
+                else:
+                    report.newton_iterations += 1
+                args = [(problem, grid[f_lo:f_hi + 1], w[f_lo:f_hi + 1], nodes[-1], lo, th,
+                         mode == "picard")
+                        for lo, _, f_lo, f_hi, nodes, _ in runs]
+                rows, seconds, _ = pool.map(_schur_row_task, args)
+                report.add_level_tasks(0, seconds)
+                system = LevelSystem(
+                    level=k,
+                    phis=np.concatenate([r[0] for r in rows]),
+                    gs=np.concatenate([r[1] for r in rows]),
+                    u_init=np.zeros(problem.m_unk),
                 )
-            mode = policy.pick_mode(norm)
-            report.mode_history.append(mode)
-            if mode == "picard":
-                report.picard_iterations += 1
-            else:
-                report.newton_iterations += 1
-            args = [
-                (problem, grid[fine_k[i]:fine_k[i + 1] + 1],
-                 w[fine_k[i]:fine_k[i + 1]], z[i + 1], th, mode == "picard")
-                for i in range(n_k)
-            ]
-            rows, seconds, _ = pool.map(_schur_row_task, args)
-            report.add_level_tasks(0, seconds)
-            system = LevelSystem(
-                level=k,
-                phis=np.stack([r[0] for r in rows]),
-                gs=np.stack([r[1] for r in rows]),
-                u_init=np.zeros(problem.m_unk),
-            )
-            z = z + ml_solve(system, partition, pool=pool, report=report)
-            report.outer_iterations += 1
-            w = _extend_all(problem, partition, k, z, w, scheme, policy, pool, report)
+                z = z + ml_solve(system, partition, pool=pool, report=report)
+                report.outer_iterations += 1
+                w = _extend_all(problem, runs, grid, z, w, th, policy, pool, report)
+    except TaskError as exc:
+        if isinstance(exc.original, TimeSchurError):
+            raise exc.original from None
+        raise
     report.wall_seconds = time.perf_counter() - start
     report.cost_estimate = cost_model(partition, problem.m_unk)
     return w, report
 
 
-def _extend_all(problem, partition, k, z, warm_traj, scheme, policy, pool, report):
-    fine_k = partition.fine_nodes(k)
+def _runs(partition, k, parts):
+    """The level-k elements in at most ``parts`` runs of consecutive elements.
+
+    Each run is ``(lo, hi) + _window_run(partition, k, lo, hi)``.
+    """
     n_k = partition.counts[k]
-    args = [
-        (problem, partition, k - 1, i, z[i],
-         warm_traj[fine_k[i]:fine_k[i + 1]].copy(), scheme, policy)
-        for i in range(n_k)
-    ]
+    parts = min(parts, n_k)
+    cuts = [n_k * i // parts for i in range(parts + 1)]
+    return [(lo, hi) + _window_run(partition, k, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _extend_all(problem, runs, grid, z, warm_traj, th, policy, pool, report):
+    """Extend the interface values ``z`` over every run in one pool region."""
+    args = [(problem, grid[f_lo:f_hi], nodes, firsts, z[lo:hi], warm_traj[f_lo:f_hi], th,
+             policy)
+            for lo, hi, f_lo, f_hi, nodes, firsts in runs]
     results, seconds, _ = pool.map(_extension_task, args)
     report.add_level_tasks(0, seconds)
-    w = np.empty_like(warm_traj)
-    for i, (values, picard, newton) in enumerate(results):
-        w[fine_k[i]:fine_k[i + 1]] = values
+    for _, picard, newton in results:
         report.inner_picard += picard
         report.inner_newton += newton
-    w[-1] = z[-1]
-    return w
+    return np.concatenate([values for values, _, _ in results] + [z[-1:]])

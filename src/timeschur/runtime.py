@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -23,20 +24,57 @@ def available_workers() -> int:
     return os.cpu_count() or 1
 
 
+# Keyed by native thread id, not thread-local: a forked worker inherits the
+# parent's thread-locals, but not the thread the descriptor was opened for.
+_SCHEDSTAT: dict[int, int] = {}  # thread id -> schedstat descriptor, -1 if unreadable
+
+
+def _queued_seconds() -> float:
+    """Seconds the calling thread has spent runnable but waiting for a core.
+
+    Linux reports this in ``/proc/thread-self/schedstat``. Where that cannot
+    be read it stays 0.0, and ``task_clock`` is the plain wall clock.
+    """
+    tid = threading.get_native_id()
+    fd = _SCHEDSTAT.get(tid)
+    if fd is None:
+        try:
+            fd = os.open("/proc/thread-self/schedstat", os.O_RDONLY)
+        except OSError:
+            fd = -1
+        _SCHEDSTAT[tid] = fd
+    if fd < 0:
+        return 0.0
+    try:
+        return int(os.pread(fd, 64, 0).split()[1]) * 1e-9
+    except (OSError, IndexError, ValueError):
+        return 0.0
+
+
+def task_clock() -> float:
+    """Monotonic wall clock minus the time the calling thread sat preempted.
+
+    Level timings use it, so that a task's clock counts its own work and
+    sleeps but not the time other processes held its core. Thread CPU clocks
+    would drop the sleeps, and tick too coarsely on some kernels to resolve
+    sub-millisecond tasks.
+    """
+    return time.perf_counter() - _queued_seconds()
+
+
 def _noop(_):
     return None
 
 
 def _run_task(fn, index, args):
     # Executed inside the worker so pool dispatch overhead never lands in the
-    # level timings. Monotonic wall clock: thread CPU clocks tick too coarsely
-    # on some kernels to resolve sub-millisecond tasks.
-    start = time.perf_counter()
+    # level timings.
+    start = task_clock()
     try:
         result = fn(*args)
     except BaseException as exc:  # propagated with the task index by the caller
-        return index, None, time.perf_counter() - start, exc
-    return index, result, time.perf_counter() - start, None
+        return index, None, task_clock() - start, exc
+    return index, result, task_clock() - start, None
 
 
 class WorkerPool:
@@ -83,7 +121,8 @@ class WorkerPool:
         """Run ``fn(*args)`` for each args tuple; order of results == order of tasks.
 
         Returns ``(results, task_seconds, elapsed)`` where ``task_seconds[i]``
-        is task i's own wall clock and ``elapsed`` is the whole region's.
+        is task i's own ``task_clock`` time and ``elapsed`` is the whole
+        region's wall clock.
         Task exceptions re-raise as ``TaskError`` carrying the task index.
         """
         args_list = list(args_list)

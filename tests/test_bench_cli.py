@@ -282,3 +282,17 @@ class TestCli:
         code = cli.main(["solve", "--problem", "lotka-volterra", "--nsteps", "100",
                         "--subdomains", "5", "--max-iters", "1"])
         assert code == 3
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_nonconvergent_extension_exits_3(self, workers, capsys):
+        code = cli.main(["solve", "--problem", "lotka-volterra", "--nsteps", "40",
+                        "--subdomains", "4", "--t-end", "30", "--solver", "nlschur:1",
+                        "--workers", workers])
+        assert code == 3
+        assert "nonlinear extension (level 0, element" in capsys.readouterr().err
+
+    def test_singular_step_exits_4(self, capsys):
+        code = cli.main(["solve", "--problem", "decay", "--lam=-10", "--t-end", "1",
+                        "--nsteps", "10", "--subdomains", "2", "--solver", "sequential"])
+        assert code == 4
+        assert "singular step matrix on element (0, 0.1)" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from timeschur import (
     LinearizationPolicy,
     NonconvergenceError,
     Scheme,
+    SingularStepError,
     ValidationError,
     build_explicit,
     build_linear_system,
@@ -21,7 +24,8 @@ from timeschur import (
     sequential_nonlinear_solve,
     sequential_solve,
 )
-from timeschur.nonlinear import _schur_rows
+from timeschur.nonlinear import (NON_FINITE, _extension_task, _implicit_step, _schur_row_task,
+                                 _window_run)
 
 LV_BENCH = dict(alpha=3.0, beta=0.2, gamma=2.0, delta=0.1, u0=10.0, v0=40.0)
 BE = Scheme.backward_euler()
@@ -83,6 +87,18 @@ class TestSequentialSolve:
         assert np.max(coarse) < 100.0
         rel = np.linalg.norm(coarse - fine[::10]) / np.linalg.norm(fine[::10])
         assert rel < 0.02
+
+    def test_non_finite_residual_stops_at_once(self):
+        prob = replace(benchmark_lv(), u0=np.array([np.nan, 40.0]))
+        with pytest.raises(NonconvergenceError) as err:
+            sequential_nonlinear_solve(prob, np.linspace(0.0, 3.0, 11), BE)
+        assert err.value.reason == NON_FINITE and err.value.iterations == 0
+        assert "time step 1" in str(err.value) and NON_FINITE in str(err.value)
+
+    def test_singular_step_raises_typed_error_with_times(self):
+        with pytest.raises(SingularStepError) as err:
+            sequential_nonlinear_solve(linear_decay(-10.0), np.linspace(0.0, 1.0, 11), BE)
+        assert (err.value.t_start, err.value.t_end) == (0.0, 0.1)
 
     def test_nonconvergence_names_the_step(self):
         prob = benchmark_lv()
@@ -222,6 +238,86 @@ class TestHarmonicExtension:
         assert np.max(row_norms[interior[1:]]) <= policy.tol_local
 
 
+class TestLockstepExtension:
+    """A run of windows marched in lockstep against one window at a time."""
+
+    @staticmethod
+    def _run_against_single_windows(prob, part, inflows, warm, policy):
+        f_lo, f_hi, nodes, firsts = _window_run(part, 1, 0, part.counts[1])
+        values, picard, newton = _extension_task(prob, part.grids[0][f_lo:f_hi], nodes,
+                                                 firsts, inflows, warm, 1.0, policy)
+        grid = part.grids[0]
+        counts = []
+        for i, (a, b) in enumerate(zip(nodes[0], nodes[0][1:])):
+            ext = nonlinear_harmonic_extension(prob, part, 0, i, inflows[i], warm[a:b],
+                                               BE, policy)
+            assert np.array_equal(values[a:b], ext.values)
+            counts.append((ext.picard, ext.newton))
+            # Time-marching's one-step solver gives the same iterates.
+            stepwise = [inflows[i]]
+            for j in range(a + 1, b):
+                u, _, _ = _implicit_step(prob, grid[j - 1], grid[j], stepwise[-1], warm[j],
+                                         1.0, policy, policy.tol_local)
+                stepwise.append(u)
+            assert np.array_equal(values[a:b], np.stack(stepwise))
+        assert (picard, newton) == tuple(map(sum, zip(*counts)))
+        return counts
+
+    def test_lotka_volterra_windows_mixing_picard_and_newton(self):
+        prob = benchmark_lv()
+        part = build_explicit([43, 4], t_end=3.0)  # windows of 10, 10, 10 and 13 steps
+        bounds = part.subdomain_bounds(0)
+        inflows = np.array([[10.0, 40.0], [30.0, 5.0], [8.0, 20.0], [2.0, 9.0]])
+        # Far guesses put windows 1 and 3 above the Picard switch.
+        warm = np.concatenate([np.tile(g, (b - a, 1)) for g, a, b in zip(
+            [inflows[0], [400.0, 900.0], inflows[2], [300.0, 200.0]], bounds, bounds[1:])])
+        counts = self._run_against_single_windows(prob, part, inflows, warm,
+                                                  LinearizationPolicy())
+        assert counts[0][0] == 0 and counts[1][0] > 0 and counts[3][0] > 0
+        assert len(set(counts)) == len(counts)
+
+    def test_riccati_windows_with_different_inner_counts(self):
+        prob = forced_riccati()
+        part = build_explicit([43, 4], t_end=2 * np.pi)
+        bounds = part.subdomain_bounds(0)
+        inflows = np.array([[0.0], [0.9], [-0.4], [-0.8]])
+        warm = np.concatenate([np.full((b - a, 1), g)
+                               for g, a, b in zip([0.0, 3.0, -0.4, 2.0], bounds, bounds[1:])])
+        counts = self._run_against_single_windows(prob, part, inflows, warm,
+                                                  LinearizationPolicy())
+        assert len(set(counts)) > 1
+
+    def test_schur_rows_of_a_run_equal_single_window_rows(self):
+        prob = benchmark_lv()
+        part = build_explicit([43, 4], t_end=3.0)
+        grid = part.grids[0]
+        fine = part.fine_nodes(1)
+        traj, _ = sequential_nonlinear_solve(prob, grid, BE)
+        blocks, rhs = _schur_row_task(prob, grid, traj, fine, 0, 1.0, False)
+        for i, (a, b) in enumerate(zip(fine, fine[1:])):
+            one_blocks, one_rhs = _schur_row_task(prob, grid[a:b + 1], traj[a:b + 1],
+                                                  np.array([0, b - a]), i, 1.0, False)
+            assert np.array_equal(blocks[i], one_blocks[0])
+            assert np.array_equal(rhs[i], one_rhs[0])
+
+    def test_non_finite_inflow_stops_at_once(self):
+        prob = benchmark_lv()
+        part = build_explicit([40, 4], t_end=3.0)
+        warm = np.tile(prob.u0, (10, 1))
+        with pytest.raises(NonconvergenceError) as err:
+            nonlinear_harmonic_extension(prob, part, 0, 2, np.array([np.nan, 1.0]), warm, BE,
+                                         LinearizationPolicy())
+        assert err.value.reason == NON_FINITE and err.value.iterations == 0
+        assert "element 2" in str(err.value)
+
+    def test_singular_step_carries_the_element_times(self):
+        part = build_explicit([10, 2], t_end=1.0)
+        with pytest.raises(SingularStepError) as err:
+            nonlinear_harmonic_extension(linear_decay(-10.0), part, 0, 0, np.ones(1),
+                                         np.ones((5, 1)), BE, LinearizationPolicy())
+        assert (err.value.t_start, err.value.t_end) == (0.0, 0.1)
+
+
 class TestNonlinearSchurNewton:
     def test_linear_problem_converges_in_one_outer_iteration(self):
         prob = random_stable_linear(2, seed=6)
@@ -276,6 +372,16 @@ class TestNonlinearSchurNewton:
         with pytest.raises(ValidationError):
             nonlinear_schur_newton_solve(prob, part, 0, BE)
 
+    def test_non_vectorized_problem_gives_the_same_trajectory(self):
+        prob = benchmark_lv()
+        part = build_explicit([300, 7], t_end=3.0)
+        a, rep_a = nonlinear_schur_newton_solve(prob, part, 1, BE)
+        b, rep_b = nonlinear_schur_newton_solve(replace(prob, vectorized=False), part, 1, BE)
+        assert np.array_equal(a, b)
+        assert rep_a.residual_history == rep_b.residual_history
+        assert (rep_a.inner_picard, rep_a.inner_newton) == (rep_b.inner_picard,
+                                                            rep_b.inner_newton)
+
     def test_lotka_volterra_benchmark_instance_converges(self):
         prob = benchmark_lv()
         part = build_explicit([1000, 20], t_end=3.0)
@@ -317,9 +423,10 @@ class TestSchurJacobianConsistency:
         blocks = []
         for i in range(6):
             a, b = fine[i], fine[i + 1]
-            blk, _ = _schur_rows(prob, grid[a:b + 1], state[a:b], z[i + 1],
-                                 1.0, use_picard=False)
-            # De-normalize: _schur_rows returns D^{-1}-scaled blocks.
+            blks, _ = _schur_row_task(prob, grid[a:b + 1], np.vstack([state[a:b], z[i + 1]]),
+                                      np.array([0, b - a]), i, 1.0, use_picard=False)
+            blk = blks[0]
+            # De-normalize: _schur_row_task returns D^{-1}-scaled blocks.
             dt = grid[b] - grid[b - 1]
             d_close = np.eye(1) + dt * prob.jacobian(grid[b], z[i + 1])
             blocks.append((d_close, blk))

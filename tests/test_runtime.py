@@ -14,9 +14,10 @@ from timeschur import (
     lotka_volterra,
     ml_solve,
     newton_schur_solve,
+    nonlinear_schur_newton_solve,
     parallel_map,
 )
-from timeschur.runtime import critical_path_seconds
+from timeschur.runtime import critical_path_seconds, task_clock
 from timeschur.schur import _subdomain_setup
 
 
@@ -64,6 +65,15 @@ class TestParallelMap:
         assert elapsed >= ideal * 0.9
         assert elapsed <= 2 * ideal
         assert all(s >= naptime * 0.9 for s in seconds)
+
+
+class TestTaskClock:
+    def test_counts_sleeps_and_never_exceeds_the_wall_clock(self):
+        naptime = 0.02
+        wall, clock = time.perf_counter(), task_clock()
+        time.sleep(naptime)
+        clock, wall = task_clock() - clock, time.perf_counter() - wall
+        assert naptime * 0.9 <= clock <= wall
 
 
 class TestCriticalPath:
@@ -119,6 +129,20 @@ class TestSolverDeterminism:
         assert r1.outer_iterations == r4.outer_iterations
         assert r1.residual_history == r4.residual_history
         assert r1.mode_history == r4.mode_history
+
+    def test_nlschur_bitwise_equal_across_worker_counts(self):
+        prob = lotka_volterra(3.0, 0.2, 2.0, 0.1, 10.0, 40.0)
+        part = build_explicit([307, 7], t_end=3.0)  # ragged last subdomain
+        t1, r1 = nonlinear_schur_newton_solve(prob, part, 1, Scheme.backward_euler(),
+                                              workers=1)
+        t2, r2 = nonlinear_schur_newton_solve(prob, part, 1, Scheme.backward_euler(),
+                                              workers=2)
+        assert np.array_equal(t1, t2)
+        assert r1.residual_history == r2.residual_history
+        assert r1.interior_residual_history == r2.interior_residual_history
+        assert r1.mode_history == r2.mode_history
+        assert (r1.outer_iterations, r1.inner_picard, r1.inner_newton) == \
+            (r2.outer_iterations, r2.inner_picard, r2.inner_newton)
 
 
 @pytest.mark.slow
