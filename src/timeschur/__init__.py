@@ -1,12 +1,14 @@
 """Parallel-in-time multilevel Schur-complement solvers for ODE systems.
 
-The linear path is a direct method: per-subdomain interior corrections and
-harmonic extensions reduce the block-bidiagonal time system level by level,
-the coarsest level is solved sequentially, and reconstruction is exact. Two
-nonlinear strategies wrap it: a global Newton/Picard loop with the direct
-solver per iteration, and a nonlinear Schur loop on a chosen level's
-interface values with nonlinear harmonic extensions. A benchmark CLI
-(``timeschur``) runs weak-scaling experiments at desk scale.
+The linear path is a direct method: per subdomain, the prefix products of
+the augmented step maps ``[[phi, g], [0, 1]]`` give the harmonic extension
+and the interior correction at once and reduce the block-bidiagonal time
+system level by level; the coarsest level is solved sequentially, and
+reconstruction is exact. Two nonlinear strategies wrap it: a global
+Newton/Picard loop with the direct solver per iteration, and a nonlinear
+Schur loop on a chosen level's interface values with nonlinear harmonic
+extensions. A benchmark CLI (``timeschur``) runs weak-scaling experiments at
+desk scale.
 """
 
 from .errors import (
@@ -26,7 +28,6 @@ from .integrators import (
     parse_scheme,
 )
 from .nonlinear import (
-    ExtensionResult,
     LinearizationPolicy,
     global_residual,
     linearize_global,
@@ -57,15 +58,13 @@ from .runtime import (
     Timings,
     WorkerPool,
     available_workers,
-    parallel_map,
 )
 from .schur import (
     LevelSystem,
     assemble_schur,
     build_linear_system,
     cost_model,
-    extension_operator,
-    interior_correction,
+    level_maps,
     ml_solve,
     petrov_galerkin_assemble,
     restriction_operator,
@@ -77,7 +76,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AffinePropagator",
     "CostEstimate",
-    "ExtensionResult",
     "LevelSystem",
     "LinearizationPolicy",
     "MultilevelPartition",
@@ -102,10 +100,9 @@ __all__ = [
     "cosine_drive",
     "cost_model",
     "dg_element_system",
-    "extension_operator",
     "forced_riccati",
     "global_residual",
-    "interior_correction",
+    "level_maps",
     "linear_decay",
     "linear_propagator",
     "linearize_global",
@@ -115,7 +112,6 @@ __all__ = [
     "nonlinear_harmonic_extension",
     "nonlinear_schur_newton_solve",
     "nonlinear_step_residual",
-    "parallel_map",
     "parse_scheme",
     "petrov_galerkin_assemble",
     "random_stable_linear",

@@ -33,7 +33,6 @@ from .problems import (
     default_t_end,
     forced_riccati,
     linear_decay,
-    lotka_volterra,
     random_stable_linear,
     zero_operator,
 )
@@ -42,8 +41,7 @@ from .schur import (
     LevelSystem,
     assemble_schur,
     build_linear_system,
-    extension_operator,
-    interior_correction,
+    level_maps,
     ml_solve,
     petrov_galerkin_assemble,
     restriction_operator,
@@ -233,23 +231,40 @@ def _run_with_reps(spec: ExperimentSpec, partition: MultilevelPartition, workers
     return traj, report, timing_max, timing_sum
 
 
-def _sequential_baseline(spec: ExperimentSpec, partition: MultilevelPartition) -> dict:
+def _rows_or_failure(base: dict, run) -> list[dict]:
+    """The rows ``run()`` returns, or one ``status=failed`` row if the solve fails."""
+    try:
+        return run()
+    except TimeSchurError as exc:
+        return [{**base, "status": "failed", "message": str(exc)}]
+
+
+def _solver_rows(spec: ExperimentSpec, base: dict, partition: MultilevelPartition,
+                 workers: int) -> list[dict]:
+    return _rows_or_failure(
+        base, lambda: _report_rows(base, *_run_with_reps(spec, partition, workers)[1:]))
+
+
+def _sequential_baseline(spec: ExperimentSpec, partition: MultilevelPartition) -> list[dict]:
     seq_spec = ExperimentSpec(**{**asdict(spec), "solver": "sequential"})
-    base = _base_row(seq_spec, "weak-scaling", "seq", partition, 1)
-    best = math.inf
-    report = None
-    for _ in range(spec.reps):
-        _, report = run_solver(seq_spec, partition, workers=1)
-        best = min(best, report.wall_seconds)
-    base["level"] = "seq"
-    base["outer_iters"] = report.outer_iterations
-    base["picard_iters"] = report.inner_picard
-    base["newton_iters"] = report.inner_newton
-    base["avg_step_iters"] = f"{report.avg_iterations_per_step:.6g}"
-    base["residual_final"] = f"{report.residual_final:.17g}"
-    base["wall_s_max"] = f"{best:.9f}"
-    base["wall_s_sum"] = f"{best:.9f}"
-    return base
+    base = {**_base_row(seq_spec, "weak-scaling", "seq", partition, 1), "level": "seq"}
+
+    def run():
+        best = math.inf
+        for _ in range(spec.reps):
+            _, report = run_solver(seq_spec, partition, workers=1)
+            best = min(best, report.wall_seconds)
+        return [{
+            **base,
+            "outer_iters": report.outer_iterations,
+            "picard_iters": report.inner_picard,
+            "newton_iters": report.inner_newton,
+            "avg_step_iters": f"{report.avg_iterations_per_step:.6g}",
+            "residual_final": f"{report.residual_final:.17g}",
+            "wall_s_max": f"{best:.9f}",
+            "wall_s_sum": f"{best:.9f}",
+        }]
+    return _rows_or_failure(base, run)
 
 
 def run_weak_scaling(spec: ExperimentSpec, n1_list: list[int],
@@ -258,8 +273,8 @@ def run_weak_scaling(spec: ExperimentSpec, n1_list: list[int],
 
     Each sweep point solves ``n0 = local_size * n1`` fine steps on a two-level
     partition with ``min(n1, spec workers)`` workers, plus a sequential
-    baseline row. Solver failures become ``status=failed`` rows; the sweep
-    continues.
+    baseline row. Solver failures, the baseline's included, become
+    ``status=failed`` rows; the sweep continues.
     """
     if any(b <= a for a, b in zip(n1_list, n1_list[1:])):
         raise ValidationError("n1 list must be strictly ascending")
@@ -273,15 +288,8 @@ def run_weak_scaling(spec: ExperimentSpec, n1_list: list[int],
         # One modeled worker per subdomain (actual processes cap at the cores).
         workers = n1 if spec.workers is None else min(n1, spec.workers)
         base = _base_row(point, "weak-scaling", "parallel", partition, workers)
-        try:
-            _, report, tmax, tsum = _run_with_reps(point, partition, workers)
-            rows.extend(_report_rows(base, report, tmax, tsum))
-        except TimeSchurError as exc:
-            failed = dict(base)
-            failed["status"] = "failed"
-            failed["message"] = str(exc)
-            rows.append(failed)
-        rows.append(_sequential_baseline(point, partition))
+        rows.extend(_solver_rows(point, base, partition, workers))
+        rows.extend(_sequential_baseline(point, partition))
     return rows
 
 
@@ -302,27 +310,12 @@ def run_three_level(spec: ExperimentSpec, compare_two_level: bool = False) -> li
             raise ValidationError("three-level runs require n2 < n1 < n0")
         partition = build_explicit([spec.n0, spec.n1, spec.n2], t_end=t_end)
     workers = spec.n1 if spec.workers is None else min(spec.n1, spec.workers)
-    rows = []
     base = _base_row(spec, "three-level", "three-level", partition, workers)
-    try:
-        _, report, tmax, tsum = _run_with_reps(spec, partition, workers)
-        rows.extend(_report_rows(base, report, tmax, tsum))
-    except TimeSchurError as exc:
-        failed = dict(base)
-        failed["status"] = "failed"
-        failed["message"] = str(exc)
-        rows.append(failed)
+    rows = _solver_rows(spec, base, partition, workers)
     if compare_two_level:
         two = build_explicit([spec.n0, spec.n1], t_end=t_end)
         base2 = _base_row(spec, "three-level", "two-level", two, workers)
-        try:
-            _, report2, tmax2, tsum2 = _run_with_reps(spec, two, workers)
-            rows.extend(_report_rows(base2, report2, tmax2, tsum2))
-        except TimeSchurError as exc:
-            failed = dict(base2)
-            failed["status"] = "failed"
-            failed["message"] = str(exc)
-            rows.append(failed)
+        rows.extend(_solver_rows(spec, base2, two, workers))
     return rows
 
 
@@ -469,13 +462,13 @@ def _coarse_shape_rows(scheme: Scheme):
     problem = zero_operator(1)
     sys0 = build_linear_system(problem, partition.grids[0], scheme)
     bounds = partition.subdomain_bounds(0)
-    ext = extension_operator(sys0, bounds)
+    maps = level_maps(sys0, bounds)
     restr = restriction_operator(sys0, bounds)
     grid = partition.grids[0]
     n0 = partition.counts[0]
     e_vals = np.zeros(n0 + 1)
     a, b = bounds[1], bounds[2]
-    e_vals[a:b] = ext[1][:, 0, 0]
+    e_vals[a:b] = maps[a:b, 0, 0]
     f_vals = np.zeros(n0 + 1)
     a0, b0 = bounds[0], bounds[1]
     f_vals[a0 + 1:b0 + 1] = restr[0][:, 0, 0]
@@ -492,29 +485,22 @@ def _decomposition_rows(scheme: Scheme):
     problem = cosine_drive()
     sys0 = build_linear_system(problem, partition.grids[0], scheme)
     bounds = partition.subdomain_bounds(0)
-    v = interior_correction(sys0, bounds)
-    ext = extension_operator(sys0, bounds)
-    coarse = assemble_schur(sys0, v, ext, bounds)
-    u1 = sequential_solve(coarse)
-    n0 = partition.counts[0]
-    coarse_part = np.empty((n0 + 1, 1))
-    for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-        coarse_part[a:b] = ext[i] @ u1[i]
-    coarse_part[-1] = u1[-1]
-    full = v + coarse_part
-    grid = partition.grids[0]
+    maps = level_maps(sys0, bounds)
+    u1 = sequential_solve(assemble_schur(sys0, maps, bounds))
+    # Scalar problem: maps[:, 0] is [E, v] at every node but the last.
+    inflow = np.repeat(u1[:-1, 0], np.diff(bounds))
+    coarse = np.append(maps[:, 0, 0] * inflow, u1[-1, 0])
+    fine = np.append(maps[:, 0, 1], 0.0)
     rows = []
-    for j in range(n0 + 1):
-        rows.append((grid[j], "full", full[j, 0]))
-        rows.append((grid[j], "coarse", coarse_part[j, 0]))
-        rows.append((grid[j], "fine", v[j, 0]))
+    for t, c, v in zip(partition.grids[0], coarse, fine):
+        rows.append((t, "full", v + c))
+        rows.append((t, "coarse", c))
+        rows.append((t, "fine", v))
     return rows
 
 
 def _lv_phase_rows(spec: ExperimentSpec):
-    params = dict(alpha=3.0, beta=0.2, gamma=2.0, delta=0.1, u0=10.0, v0=40.0)
-    params.update({k: v for k, v in spec.problem_params.items() if k in params})
-    problem = lotka_volterra(**params)
+    problem = by_name("lotka-volterra", **spec.problem_params)
     t_end = spec.t_end if spec.t_end is not None else 3.0
     n0 = spec.n0
     grid = np.linspace(0.0, t_end, n0 + 1)
@@ -574,11 +560,9 @@ def verify(workers: int = 1) -> list[CheckResult]:
         sys0 = _random_system(20, 2, rng)
         partition = build_explicit([20, 4], t_end=1.0)
         bounds = partition.subdomain_bounds(0)
-        v = interior_correction(sys0, bounds)
-        ext = extension_operator(sys0, bounds)
-        restr = restriction_operator(sys0, bounds)
-        direct = assemble_schur(sys0, v, ext, bounds)
-        pg = petrov_galerkin_assemble(sys0, ext, restr, bounds)
+        maps = level_maps(sys0, bounds)
+        direct = assemble_schur(sys0, maps, bounds)
+        pg = petrov_galerkin_assemble(sys0, maps, restriction_operator(sys0, bounds), bounds)
         scale = float(np.max(np.abs(direct.phis))) + 1e-30
         worst = max(worst, float(np.max(np.abs(direct.phis - pg.phis))) / scale)
         worst = max(worst, float(np.max(np.abs(direct.gs - pg.gs)))

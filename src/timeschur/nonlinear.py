@@ -318,19 +318,6 @@ def _initial_trajectory(problem, partition, initial):
 # global index of the run's first level-(l+1) element, for error messages.
 
 
-@dataclass
-class ExtensionResult:
-    """Extended values over an element's fine window plus inner-loop counts.
-
-    ``values`` covers the fine nodes from the element's left interface
-    (inclusive, pinned to the inflow) up to its right interface (exclusive).
-    """
-
-    values: np.ndarray
-    picard: int
-    newton: int
-
-
 def _window_run(partition: MultilevelPartition, k: int, lo: int, hi: int):
     """``(f_lo, f_hi, nodes, firsts)`` of the level-k elements ``lo..hi-1``.
 
@@ -356,7 +343,7 @@ def nonlinear_harmonic_extension(
     warm: np.ndarray,
     scheme: Scheme,
     policy: LinearizationPolicy,
-) -> ExtensionResult:
+) -> tuple[np.ndarray, int, int]:
     """Extend one interface value into element ``index`` of level ``level + 1``.
 
     ``level == 0`` marches the local nonlinear problem over the element's
@@ -364,18 +351,20 @@ def nonlinear_harmonic_extension(
     levels run a nested interface loop: extend into every child element,
     assemble the child-chain update system, and sweep it, until the
     window's own interface residual drops below ``tol_schur``. ``warm`` holds
-    fine values over the element's window as initial guesses. This is the
-    one-window call of the extension task that solvers run over many windows.
+    fine values over the element's window as initial guesses. Returns
+    ``(values, picard, newton)``: ``values`` covers the window's fine nodes
+    from the left interface (pinned to the inflow) up to, not including, the
+    right one; the counts are inner iterations. This is the one-window call
+    of the extension task that solvers run over many windows.
     """
     th = scheme.effective_theta()
     f_lo, f_hi, nodes, firsts = _window_run(partition, level + 1, index, index + 1)
     if warm.shape != (f_hi - f_lo, problem.m_unk):
         raise ValidationError("warm start does not match the element's fine window")
-    values, picard, newton = _extension_task(
+    return _extension_task(
         problem, partition.grids[0][f_lo:f_hi], nodes, firsts,
         np.asarray(inflow, dtype=float)[None, :], warm, th, policy,
     )
-    return ExtensionResult(values, picard, newton)
 
 
 def _extension_task(problem, ts, nodes, firsts, inflows, warm, th, policy):

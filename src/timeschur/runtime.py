@@ -145,12 +145,6 @@ class WorkerPool:
         return results, seconds, elapsed
 
 
-def parallel_map(fn, args_list, workers: int = 1):
-    """One-shot convenience wrapper around ``WorkerPool.map``."""
-    with WorkerPool(workers) as pool:
-        return pool.map(fn, args_list)
-
-
 def critical_path_seconds(task_seconds: list[float], workers: int) -> float:
     """Max-over-workers wall clock under round-robin task assignment.
 
@@ -202,7 +196,6 @@ class CostEstimate:
 
     flop_sequential: float
     flop_parallel_bound: float
-    cpu_sequential: float
     cpu_parallel: float
     speedup: float
     processors: int

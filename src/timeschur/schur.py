@@ -4,13 +4,17 @@ A level system is the unit-diagonal lower block-bidiagonal problem
 
     u^0 = u_init,    u^i = phi^i @ u^{i-1} + g^i    (i = 1..n),
 
-stored as stacked propagator arrays. One reduction step solves, per
-subdomain, the interior correction (zero inflow) and the harmonic extension
-(identity inflow), then chains the subdomain's closing step into a coarse
-propagator: the Schur complement on the interface nodes has the same
-structure one level up. The full solve reduces level by level, solves the
-coarsest system by forward substitution, and reconstructs downwards via
-``u = v + E @ u_coarse`` with interface values copied verbatim.
+stored as stacked propagator arrays. Each step is the affine map
+``[[phi, g], [0, 1]]`` on ``[u; 1]``, so the whole solver is one recurrence of
+augmented maps. One reduction step takes, per subdomain, the prefix products
+of its steps from the inflow node. Their top rows ``[E | v]`` hold the
+harmonic extension ``E`` (identity inflow) and the interior correction ``v``
+(zero inflow) at once. The subdomain's closing step applied to its last
+prefix is the coarse step: the Schur complement on the interface nodes has
+the same structure one level up. The full solve reduces level by level,
+solves the coarsest system by forward substitution, and reconstructs
+downwards as ``u = [E | v] @ [u_inflow; 1]`` with interface values copied
+verbatim.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .integrators import AffinePropagator, Scheme, linear_propagator
+from .integrators import Scheme, linear_propagator
 from .partition import MultilevelPartition
 from .problems import OdeProblem
 from .runtime import CostEstimate, SolverReport, WorkerPool, task_clock
@@ -54,10 +58,6 @@ class LevelSystem:
     @property
     def m_unk(self) -> int:
         return self.gs.shape[1]
-
-    def propagators(self) -> list[AffinePropagator]:
-        """Per-element view as affine propagators."""
-        return [AffinePropagator(self.phis[i], self.gs[i]) for i in range(self.n_elements)]
 
 
 def build_linear_system(problem: OdeProblem, grid: np.ndarray, scheme: Scheme) -> LevelSystem:
@@ -94,126 +94,76 @@ def sequential_solve(sys: LevelSystem) -> np.ndarray:
     return u
 
 
-def _subdomain_setup(phis: np.ndarray, gs: np.ndarray):
-    """Interior correction and extension blocks of one subdomain.
+def _subdomain_setup(phis: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    """Prefix products ``[E | v]`` of one subdomain's augmented steps.
 
-    Inputs are the subdomain's element blocks (size s). Outputs cover the
-    subdomain's nodes *excluding* its right interface: ``v`` from zero inflow,
-    ``e`` from identity inflow (1 + m_unk local forward solves).
+    Inputs are the subdomain's ``s`` element blocks. Entry ``j`` of the
+    result, shape ``(s, m, m+1)``, is the top of the product of the first
+    ``j`` maps ``[[phi, g], [0, 1]]``: it takes ``[u_inflow; 1]`` to the
+    subdomain's node ``j``, from the inflow node (``[I | 0]``) up to, not
+    including, the right interface.
     """
     s, m = gs.shape
-    v = np.zeros((s, m))
-    e = np.empty((s, m, m))
-    e[0] = np.eye(m)
+    steps = np.concatenate([phis, gs[:, :, None]], axis=2)
+    prefix = np.zeros((s, m + 1, m + 1))
+    prefix[:, m, m] = 1.0
+    prefix[0] = np.eye(m + 1)
     for j in range(1, s):
-        v[j] = phis[j - 1] @ v[j - 1] + gs[j - 1]
-        e[j] = phis[j - 1] @ e[j - 1]
-    return v, e
+        np.matmul(steps[j - 1], prefix[j - 1], out=prefix[j, :m])
+    return prefix[:, :m].copy()  # frees the constant bottom rows
 
 
-def _restriction_task(phis: np.ndarray):
-    """Backward (transposed) solves of one subdomain.
+def level_maps(
+    sys: LevelSystem,
+    bounds: np.ndarray,
+    pool: WorkerPool | None = None,
+    report: SolverReport | None = None,
+) -> np.ndarray:
+    """``[E | v]`` of every node but the last, shape ``(n, m, m+1)``.
 
-    Covers nodes ``a+1 .. b`` of a subdomain spanning nodes ``a .. b``; block
-    at the right interface is the identity.
+    Row ``j`` maps ``[u_a; 1]``, with ``u_a`` the value at the inflow node of
+    ``j``'s subdomain, to node ``j``: ``E`` is the harmonic extension
+    (identity inflow) and ``v`` the interior correction (zero inflow), which
+    vanishes at the inflow nodes. One task per subdomain.
     """
-    s = phis.shape[0]
-    m = phis.shape[1]
-    f = np.empty((s, m, m))
-    f[s - 1] = np.eye(m)
-    for j in range(s - 2, -1, -1):
-        f[j] = phis[j + 1].T @ f[j + 1]
-    return (f,)
-
-
-def _setup_level(sys: LevelSystem, bounds: np.ndarray, pool: WorkerPool | None,
-                 report: SolverReport | None):
     args = [(sys.phis[a:b], sys.gs[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
     if pool is None:
-        results = [_subdomain_setup(*a) for a in args]
-        seconds = []
+        blocks = [_subdomain_setup(*a) for a in args]
     else:
-        results, seconds, _ = pool.map(_subdomain_setup, args)
-    if report is not None and seconds:
-        report.add_level_tasks(sys.level, seconds)
-    vs = [r[0] for r in results]
-    es = [r[1] for r in results]
-    return vs, es
+        blocks, seconds, _ = pool.map(_subdomain_setup, args)
+        if report is not None:
+            report.add_level_tasks(sys.level, seconds)
+    return np.concatenate(blocks)
 
 
-def interior_correction(
-    sys: LevelSystem,
-    bounds: np.ndarray,
-    pool: WorkerPool | None = None,
-) -> np.ndarray:
-    """Solution with zero values pinned at the interface nodes.
-
-    One independent forward solve per subdomain; the returned array covers all
-    nodes, vanishing at every interface.
-    """
-    vs, _ = _setup_level(sys, bounds, pool, None)
-    v = np.zeros((sys.n_elements + 1, sys.m_unk))
-    for (a, b), block in zip(zip(bounds[:-1], bounds[1:]), vs):
-        v[a:b] = block
-    return v
-
-
-def extension_operator(
-    sys: LevelSystem,
-    bounds: np.ndarray,
-    pool: WorkerPool | None = None,
-) -> list[np.ndarray]:
-    """Harmonic-extension trajectory blocks, one ``(size, m, m)`` stack per subdomain.
-
-    Block ``i`` maps the subdomain's inflow value to its nodes
-    ``bounds[i] .. bounds[i+1]-1`` (identity at the inflow node).
-    """
-    _, es = _setup_level(sys, bounds, pool, None)
-    return es
-
-
-def restriction_operator(
-    sys: LevelSystem,
-    bounds: np.ndarray,
-    pool: WorkerPool | None = None,
-) -> list[np.ndarray]:
+def restriction_operator(sys: LevelSystem, bounds: np.ndarray) -> list[np.ndarray]:
     """Transposed-backward analogue of the extension, one stack per subdomain.
 
     Block ``i`` covers nodes ``bounds[i]+1 .. bounds[i+1]`` (identity at the
     right interface); entry ``j`` is the transposed product of the remaining
     propagators of the subdomain.
     """
-    args = [(sys.phis[a:b],) for a, b in zip(bounds[:-1], bounds[1:])]
-    if pool is None:
-        results = [_restriction_task(*a) for a in args]
-    else:
-        results, _, _ = pool.map(_restriction_task, args)
-    return [r[0] for r in results]
+    blocks = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        f = np.empty((b - a, sys.m_unk, sys.m_unk))
+        f[-1] = np.eye(sys.m_unk)
+        for j in range(b - a - 2, -1, -1):
+            f[j] = sys.phis[a + j + 1].T @ f[j + 1]
+        blocks.append(f)
+    return blocks
 
 
-def assemble_schur(
-    sys: LevelSystem,
-    v: np.ndarray,
-    extension: list[np.ndarray],
-    bounds: np.ndarray,
-) -> LevelSystem:
+def assemble_schur(sys: LevelSystem, maps: np.ndarray, bounds: np.ndarray) -> LevelSystem:
     """Coarse system on the interface nodes.
 
-    Per subdomain, the closing propagator chained through the extension gives
-    the coarse propagator, and the interior correction propagated through the
-    closing step augments the coarse right-hand side; single-element
-    subdomains reduce to the closing blocks themselves.
+    Each subdomain's closing step applied to its last prefix ``[E | v]`` is
+    the coarse step ``[phi | g]``; one batched product covers all subdomains.
     """
-    n1 = len(bounds) - 1
-    m = sys.m_unk
-    phis = np.empty((n1, m, m))
-    gs = np.empty((n1, m))
-    for i in range(n1):
-        a, b = bounds[i], bounds[i + 1]
-        phi_close = sys.phis[b - 1]
-        phis[i] = phi_close @ extension[i][-1]
-        gs[i] = sys.gs[b - 1] + phi_close @ v[b - 1]
-    return LevelSystem(level=sys.level + 1, phis=phis, gs=gs, u_init=sys.u_init.copy())
+    last = bounds[1:] - 1
+    coarse = sys.phis[last] @ maps[last]
+    coarse[:, :, -1] += sys.gs[last]
+    return LevelSystem(level=sys.level + 1, phis=coarse[:, :, :-1], gs=coarse[:, :, -1],
+                       u_init=sys.u_init.copy())
 
 
 def ml_solve(
@@ -226,8 +176,8 @@ def ml_solve(
 
     Reduces from ``sys.level`` to the partition's top level, solves the
     coarsest system sequentially, then reconstructs each level as
-    ``u = v + E @ u_coarse`` with interface values copied from the coarser
-    solution, never recomputed.
+    ``u = [E | v] @ [u_inflow; 1]`` with interface values copied from the
+    coarser solution, never recomputed.
     """
     if sys.n_elements != partition.counts[sys.level]:
         raise ValidationError(
@@ -235,37 +185,25 @@ def ml_solve(
             f"of the partition has {partition.counts[sys.level]}"
         )
     systems = [sys]
-    vs_per_level: list[np.ndarray] = []
-    es_per_level: list[np.ndarray] = []
+    maps_per_level = []
     for level in range(sys.level, partition.top_level):
         bounds = partition.subdomain_bounds(level)
-        current = systems[-1]
-        vs, es = _setup_level(current, bounds, pool, report)
-        m = current.m_unk
-        v = np.zeros((current.n_elements + 1, m))
-        e = np.empty((current.n_elements, m, m))
-        for (a, b), v_block, e_block in zip(zip(bounds[:-1], bounds[1:]), vs, es):
-            v[a:b] = v_block
-            e[a:b] = e_block
-        vs_per_level.append(v)
-        es_per_level.append(e)
-        systems.append(assemble_schur(current, v, es, bounds))
+        maps_per_level.append(level_maps(systems[-1], bounds, pool, report))
+        systems.append(assemble_schur(systems[-1], maps_per_level[-1], bounds))
 
     start = task_clock()
     u = sequential_solve(systems[-1])
     if report is not None:
         report.add_level_serial(partition.top_level, task_clock() - start)
 
-    for idx in range(len(vs_per_level) - 1, -1, -1):
-        level = sys.level + idx
+    for level in range(partition.top_level - 1, sys.level - 1, -1):
         start = task_clock()
         bounds = partition.subdomain_bounds(level)
-        # One batched product over all subdomains, in place of the interior
-        # correction: each node gets its extension block applied to the
-        # coarse value at its subdomain's inflow.
-        inflow = np.repeat(u[:-1], np.diff(bounds), axis=0)[:, :, None]
-        fine = vs_per_level[idx]
-        fine[:-1] += (es_per_level[idx] @ inflow)[:, :, 0]
+        maps = maps_per_level[level - sys.level]
+        inflow = np.repeat(np.column_stack([u[:-1], np.ones(len(u) - 1)]),
+                           np.diff(bounds), axis=0)
+        fine = np.empty((len(maps) + 1, u.shape[1]))
+        fine[:-1] = (maps @ inflow[:, :, None])[:, :, 0]
         fine[bounds] = u  # interface values are copied, not recomputed
         u = fine
         if report is not None:
@@ -290,56 +228,48 @@ def dense_rhs(sys: LevelSystem) -> np.ndarray:
     return np.concatenate([sys.u_init] + [sys.gs[i] for i in range(sys.n_elements)])
 
 
-def dense_extension(extension: list[np.ndarray], bounds: np.ndarray, m: int) -> np.ndarray:
-    """Extension blocks as the dense map from interface nodes to all nodes."""
+def dense_extension(maps: np.ndarray, bounds: np.ndarray, m: int) -> np.ndarray:
+    """Extension blocks of ``level_maps`` as the dense map from interface nodes to all nodes."""
     n = bounds[-1]
     n1 = len(bounds) - 1
-    e = np.zeros(((n + 1) * m, (n1 + 1) * m))
-    for i in range(n1):
-        a, b = bounds[i], bounds[i + 1]
-        for j in range(b - a):
-            e[(a + j) * m:(a + j + 1) * m, i * m:(i + 1) * m] = extension[i][j]
-    e[n * m:, n1 * m:] = np.eye(m)
-    return e
+    e = np.zeros((n + 1, m, n1 + 1, m))
+    e[np.arange(n), :, np.repeat(np.arange(n1), np.diff(bounds)), :] = maps[:, :, :m]
+    e[n, :, n1, :] = np.eye(m)
+    return e.reshape((n + 1) * m, (n1 + 1) * m)
 
 
 def dense_restriction(restriction: list[np.ndarray], bounds: np.ndarray, m: int) -> np.ndarray:
     """Restriction blocks as the dense map from all nodes to interface nodes."""
     n = bounds[-1]
     n1 = len(bounds) - 1
-    f = np.zeros(((n1 + 1) * m, (n + 1) * m))
-    f[:m, :m] = np.eye(m)
-    for i in range(n1):
-        a, b = bounds[i], bounds[i + 1]
-        for j in range(b - a):
-            node = a + 1 + j
-            f[(i + 1) * m:(i + 2) * m, node * m:(node + 1) * m] = restriction[i][j].T
-    return f
+    f = np.zeros((n1 + 1, m, n + 1, m))
+    f[0, :, 0, :] = np.eye(m)
+    owner = np.repeat(np.arange(n1), np.diff(bounds))
+    f[owner + 1, :, np.arange(1, n + 1), :] = np.concatenate(restriction).transpose(0, 2, 1)
+    return f.reshape((n1 + 1) * m, (n + 1) * m)
 
 
 def petrov_galerkin_assemble(
     sys: LevelSystem,
-    extension: list[np.ndarray],
+    maps: np.ndarray,
     restriction: list[np.ndarray],
     bounds: np.ndarray,
 ) -> LevelSystem:
     """Coarse system by the dense triple product (restriction @ K @ extension).
 
     Verification oracle only: algebraically equivalent to ``assemble_schur``
-    but assembled through an entirely different route.
+    but assembled through an entirely different route. ``maps`` comes from
+    ``level_maps``; only its extension blocks are used.
     """
     m = sys.m_unk
     n1 = len(bounds) - 1
-    e = dense_extension(extension, bounds, m)
     f = dense_restriction(restriction, bounds, m)
-    k_coarse = f @ dense_matrix(sys) @ e
+    k_coarse = f @ dense_matrix(sys) @ dense_extension(maps, bounds, m)
     g_coarse = f @ dense_rhs(sys)
-    phis = np.empty((n1, m, m))
-    gs = np.empty((n1, m))
-    for i in range(n1):
-        phis[i] = -k_coarse[(i + 1) * m:(i + 2) * m, i * m:(i + 1) * m]
-        gs[i] = g_coarse[(i + 1) * m:(i + 2) * m]
-    return LevelSystem(level=sys.level + 1, phis=phis, gs=gs, u_init=g_coarse[:m])
+    i = np.arange(n1)
+    phis = -k_coarse.reshape(n1 + 1, m, n1 + 1, m)[i + 1, :, i, :]
+    return LevelSystem(level=sys.level + 1, phis=phis, gs=g_coarse[m:].reshape(n1, m),
+                       u_init=g_coarse[:m])
 
 
 def cost_model(partition: MultilevelPartition, m_unk: int) -> CostEstimate:
@@ -359,7 +289,6 @@ def cost_model(partition: MultilevelPartition, m_unk: int) -> CostEstimate:
         return CostEstimate(
             flop_sequential=flop_seq,
             flop_parallel_bound=flop_seq,
-            cpu_sequential=flop_seq,
             cpu_parallel=flop_seq,
             speedup=1.0,
             processors=1,
@@ -376,7 +305,6 @@ def cost_model(partition: MultilevelPartition, m_unk: int) -> CostEstimate:
     return CostEstimate(
         flop_sequential=flop_seq,
         flop_parallel_bound=flop_par,
-        cpu_sequential=flop_seq,
         cpu_parallel=cpu_par,
         speedup=n1 / (levels * (1.0 + m_unk)),
         processors=n1,

@@ -17,10 +17,9 @@ from timeschur import (
     build_linear_system,
     build_uniform,
     cost_model,
-    extension_operator,
     forced_riccati,
     global_residual,
-    interior_correction,
+    level_maps,
     linear_decay,
     lotka_volterra,
     ml_solve,
@@ -77,11 +76,10 @@ def test_02_petrov_galerkin_equivalence():
         sys0 = LevelSystem(0, phis, gs, rng.normal(size=m))
         partition = build_explicit([n0, n1], t_end=1.0)
         bounds = partition.subdomain_bounds(0)
-        v = interior_correction(sys0, bounds)
-        ext = extension_operator(sys0, bounds)
+        maps = level_maps(sys0, bounds)
         restr = restriction_operator(sys0, bounds)
-        direct = assemble_schur(sys0, v, ext, bounds)
-        pg = petrov_galerkin_assemble(sys0, ext, restr, bounds)
+        direct = assemble_schur(sys0, maps, bounds)
+        pg = petrov_galerkin_assemble(sys0, maps, restr, bounds)
         scale = np.max(np.abs(direct.phis)) + 1e-30
         worst = max(worst, float(np.max(np.abs(direct.phis - pg.phis)) / scale))
         gscale = np.max(np.abs(direct.gs)) + 1e-30

@@ -84,6 +84,19 @@ class TestWeakScaling:
         # sequential baselines still present for every sweep point
         assert sum(1 for r in rows if r["level"] == "seq") == 2
 
+    def test_failing_baseline_becomes_row_and_run_continues(self):
+        # dt = 0.1 makes the backward-Euler step of du/dt = 10 u singular at
+        # n1 = 2, for the parallel solve and the sequential baseline alike.
+        spec = ExperimentSpec(problem="decay", problem_params={"lam": -10.0},
+                              solver="newton-schur", t_end=1.0, reps=1, workers=1)
+        rows = run_weak_scaling(spec, [2, 4], 5)
+        by_point = {n1: [r for r in rows if r["n1"] == n1] for n1 in (2, 4)}
+        assert [r["level"] for r in by_point[2]] == ["", "seq"]
+        assert all(r["status"] == "failed" for r in by_point[2])
+        assert all("singular" in r["message"] for r in by_point[2])
+        assert all(r["status"] == "ok" for r in by_point[4])
+        assert [r["level"] for r in by_point[4]][-1] == "seq"
+
     def test_wall_columns_report_min_over_reps(self, monkeypatch):
         from timeschur import bench, SolverReport
 
@@ -202,8 +215,8 @@ class TestVerify:
 
         real = schur.assemble_schur
 
-        def broken(sys, v, extension, bounds):
-            out = real(sys, v, extension, bounds)
+        def broken(sys, maps, bounds):
+            out = real(sys, maps, bounds)
             out.phis = -out.phis
             return out
 

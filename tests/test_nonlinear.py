@@ -202,8 +202,9 @@ class TestHarmonicExtension:
         for i in range(4):
             a, b = bounds[i], bounds[i + 1]
             warm = np.tile(prob.u0, (b - a, 1))
-            ext = nonlinear_harmonic_extension(prob, part, 0, i, direct[a], warm, BE, policy)
-            assert np.allclose(ext.values, direct[a:b], atol=1e-10)
+            values, _, _ = nonlinear_harmonic_extension(prob, part, 0, i, direct[a], warm, BE,
+                                                        policy)
+            assert np.allclose(values, direct[a:b], atol=1e-10)
 
     def test_matches_standalone_window_solve(self):
         from dataclasses import replace
@@ -212,12 +213,12 @@ class TestHarmonicExtension:
         policy = LinearizationPolicy()
         inflow = np.array([0.5])
         warm = np.tile(inflow, (10, 1))
-        ext = nonlinear_harmonic_extension(prob, part, 0, 2, inflow, warm, BE, policy)
+        values, _, _ = nonlinear_harmonic_extension(prob, part, 0, 2, inflow, warm, BE, policy)
         window = part.grids[0][20:31]
         standalone = replace(prob, u0=inflow)
         tight = LinearizationPolicy(tol_global=1e-12)
         ref, _ = sequential_nonlinear_solve(standalone, window, BE, tight)
-        assert np.max(np.abs(ext.values - ref[:10])) <= 1e-8
+        assert np.max(np.abs(values - ref[:10])) <= 1e-8
 
     def test_interior_rows_meet_local_tolerance(self):
         prob = forced_riccati()
@@ -228,9 +229,8 @@ class TestHarmonicExtension:
         state = np.tile(prob.u0, (61, 1))
         for i in range(6):
             a, b = fine[i], fine[i + 1]
-            ext = nonlinear_harmonic_extension(prob, part, 0, i, state[a],
-                                               state[a:b].copy(), BE, policy)
-            state[a:b] = ext.values
+            state[a:b], _, _ = nonlinear_harmonic_extension(prob, part, 0, i, state[a],
+                                                            state[a:b].copy(), BE, policy)
         res, _ = global_residual(prob, state, grid, BE)
         row_norms = np.linalg.norm(res, axis=1)
         interior = np.ones(61, dtype=bool)
@@ -249,10 +249,10 @@ class TestLockstepExtension:
         grid = part.grids[0]
         counts = []
         for i, (a, b) in enumerate(zip(nodes[0], nodes[0][1:])):
-            ext = nonlinear_harmonic_extension(prob, part, 0, i, inflows[i], warm[a:b],
-                                               BE, policy)
-            assert np.array_equal(values[a:b], ext.values)
-            counts.append((ext.picard, ext.newton))
+            one, one_picard, one_newton = nonlinear_harmonic_extension(
+                prob, part, 0, i, inflows[i], warm[a:b], BE, policy)
+            assert np.array_equal(values[a:b], one)
+            counts.append((one_picard, one_newton))
             # Time-marching's one-step solver gives the same iterates.
             stepwise = [inflows[i]]
             for j in range(a + 1, b):
@@ -412,9 +412,8 @@ class TestSchurJacobianConsistency:
             for i in range(6):
                 a, b = fine[i], fine[i + 1]
                 warm = np.tile(zvals[i], (b - a, 1))
-                ext = nonlinear_harmonic_extension(prob, part, 0, i, zvals[i],
-                                                   warm, BE, policy)
-                state[a:b] = ext.values
+                state[a:b], _, _ = nonlinear_harmonic_extension(prob, part, 0, i, zvals[i],
+                                                                warm, BE, policy)
             state[-1] = zvals[-1]
             res, _ = global_residual(prob, state, grid, BE)
             return res[fine[1:] - 1].copy(), state

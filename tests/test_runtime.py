@@ -15,7 +15,6 @@ from timeschur import (
     ml_solve,
     newton_schur_solve,
     nonlinear_schur_newton_solve,
-    parallel_map,
 )
 from timeschur.runtime import critical_path_seconds, task_clock
 from timeschur.schur import _subdomain_setup
@@ -38,20 +37,22 @@ class TestParallelMap:
     def test_results_identical_across_worker_counts(self, rng):
         args = [(rng.normal(size=(30, 2, 2)) * 0.4, rng.normal(size=(30, 2)))
                 for _ in range(12)]
-        serial, _, _ = parallel_map(_chain, args, workers=1)
-        parallel, _, _ = parallel_map(_chain, args, workers=8)
-        for (v1, e1), (v2, e2) in zip(serial, parallel):
-            assert np.array_equal(v1, v2)
-            assert np.array_equal(e1, e2)
+        with WorkerPool(1) as pool:
+            serial, _, _ = pool.map(_chain, args)
+        with WorkerPool(8) as pool:
+            parallel, _, _ = pool.map(_chain, args)
+        for maps1, maps2 in zip(serial, parallel):
+            assert np.array_equal(maps1, maps2)
 
     def test_empty_task_list(self):
-        results, seconds, elapsed = parallel_map(_chain, [], workers=4)
+        with WorkerPool(4) as pool:
+            results, seconds, elapsed = pool.map(_chain, [])
         assert results == [] and seconds == []
         assert elapsed < 0.05
 
     def test_exception_carries_task_index(self):
-        with pytest.raises(TaskError) as err:
-            parallel_map(_boom, [(1,), (2,), (3,)], workers=2)
+        with pytest.raises(TaskError) as err, WorkerPool(2) as pool:
+            pool.map(_boom, [(1,), (2,), (3,)])
         assert err.value.index in (0, 1, 2)
         assert isinstance(err.value.original, RuntimeError)
 

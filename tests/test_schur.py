@@ -7,14 +7,14 @@ from conftest import forward_substitution_oracle, random_system
 from timeschur import (
     LevelSystem,
     Scheme,
+    WorkerPool,
     assemble_schur,
     build_explicit,
     build_linear_system,
     build_uniform,
     cosine_drive,
     cost_model,
-    extension_operator,
-    interior_correction,
+    level_maps,
     linear_decay,
     lotka_volterra,
     ml_solve,
@@ -37,23 +37,23 @@ class TestInteriorCorrection:
         phis, _, u_init = random_system(12, 2, seed=1)
         sys0 = LevelSystem(level=0, phis=phis, gs=np.zeros((12, 2)), u_init=u_init)
         part = build_explicit([12, 3], t_end=1.0)
-        v = interior_correction(sys0, part.subdomain_bounds(0))
+        v = level_maps(sys0, part.subdomain_bounds(0))[:, :, -1]
         assert np.allclose(v, 0.0)
 
     def test_vanishes_at_interfaces(self):
         sys0 = make_system(20, 2, seed=2)
         part = build_explicit([20, 4], t_end=1.0)
         bounds = part.subdomain_bounds(0)
-        v = interior_correction(sys0, bounds)
-        assert np.allclose(v[bounds], 0.0)
-        assert np.allclose(v[-1], 0.0)
+        v = level_maps(sys0, bounds)[:, :, -1]
+        assert len(v) == 20  # every node but the last, which is an interface
+        assert np.allclose(v[bounds[:-1]], 0.0)
 
     def test_matches_zero_inflow_sequential_solve(self):
         # One subdomain of five cosine-forced steps: the interior correction is
         # the plain march started from zero at the subdomain inflow.
         part = build_explicit([5, 1], t_end=1.0)
         sys0 = build_linear_system(cosine_drive(), part.grids[0], Scheme.backward_euler())
-        v = interior_correction(sys0, part.subdomain_bounds(0))
+        v = level_maps(sys0, part.subdomain_bounds(0))[:, :, -1]
         oracle = forward_substitution_oracle(sys0.phis[:-1], sys0.gs[:-1], np.zeros(1))
         assert np.allclose(v[:5], oracle, atol=1e-15)
 
@@ -62,28 +62,45 @@ class TestExtensionOperator:
     def test_zero_operator_gives_identity_blocks(self):
         part = build_explicit([15, 3], t_end=np.pi)
         sys0 = build_linear_system(zero_operator(1), part.grids[0], Scheme.dg(0))
-        ext = extension_operator(sys0, part.subdomain_bounds(0))
-        for block in ext:
-            assert np.allclose(block, 1.0)
+        ext = level_maps(sys0, part.subdomain_bounds(0))[:, :, :1]
+        assert np.allclose(ext, 1.0)
 
     def test_decay_blocks_are_powers(self):
         part = build_explicit([4, 2], t_end=1.0)
         sys0 = build_linear_system(linear_decay(1.0), part.grids[0], Scheme.backward_euler())
-        ext = extension_operator(sys0, part.subdomain_bounds(0))
-        for block in ext:
-            assert block[0, 0, 0] == pytest.approx(1.0)
-            assert block[1, 0, 0] == pytest.approx(0.8)
+        bounds = part.subdomain_bounds(0)
+        ext = level_maps(sys0, bounds)[:, :, :1]
+        for a in bounds[:-1]:
+            assert ext[a, 0, 0] == pytest.approx(1.0)
+            assert ext[a + 1, 0, 0] == pytest.approx(0.8)
 
     def test_last_block_is_the_propagator_product(self):
         sys0 = make_system(14, 2, seed=3)
         part = build_explicit([14, 2], t_end=1.0)
         bounds = part.subdomain_bounds(0)
-        ext = extension_operator(sys0, bounds)
-        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        ext = level_maps(sys0, bounds)[:, :, :2]
+        for a, b in zip(bounds[:-1], bounds[1:]):
             product = np.eye(2)
             for j in range(a, b - 1):
                 product = sys0.phis[j] @ product
-            assert np.allclose(ext[i][-1], product, atol=1e-13)
+            assert np.allclose(ext[b - 1], product, atol=1e-13)
+
+
+class TestLevelMaps:
+    @pytest.mark.parametrize("counts,m", [([23, 4], 2), ([7, 7], 3), ([10, 3], 1)])
+    def test_matches_zero_and_identity_inflow_solves(self, counts, m):
+        # Ragged last subdomain, one-element subdomains, scalar: [E | v] against
+        # the two forward substitutions it replaces.
+        sys0 = make_system(counts[0], m, seed=13)
+        bounds = build_explicit(counts, t_end=1.0).subdomain_bounds(0)
+        maps = level_maps(sys0, bounds)
+        assert maps.shape == (counts[0], m, m + 1)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            phis = sys0.phis[a:b - 1]
+            v = forward_substitution_oracle(phis, sys0.gs[a:b - 1], np.zeros(m))
+            e = forward_substitution_oracle(phis, np.zeros((b - a - 1, m, m)), np.eye(m))
+            assert np.max(np.abs(maps[a:b, :, m] - v)) <= 1e-14 * np.max(np.abs(v))
+            assert np.max(np.abs(maps[a:b, :, :m] - e)) <= 1e-14 * np.max(np.abs(e))
 
 
 class TestAssembleSchur:
@@ -91,9 +108,7 @@ class TestAssembleSchur:
         part = build_explicit([4, 2], t_end=1.0)
         sys0 = build_linear_system(linear_decay(1.0), part.grids[0], Scheme.backward_euler())
         bounds = part.subdomain_bounds(0)
-        v = interior_correction(sys0, bounds)
-        ext = extension_operator(sys0, bounds)
-        coarse = assemble_schur(sys0, v, ext, bounds)
+        coarse = assemble_schur(sys0, level_maps(sys0, bounds), bounds)
         assert coarse.level == 1
         assert np.allclose(coarse.phis.ravel(), [0.64, 0.64], atol=1e-15)
         coarse_traj = sequential_solve(coarse)
@@ -104,9 +119,7 @@ class TestAssembleSchur:
         sys0 = LevelSystem(level=0, phis=phis, gs=np.zeros((12, 2)), u_init=np.zeros(2))
         part = build_explicit([12, 4], t_end=1.0)
         bounds = part.subdomain_bounds(0)
-        v = interior_correction(sys0, bounds)
-        ext = extension_operator(sys0, bounds)
-        coarse = assemble_schur(sys0, v, ext, bounds)
+        coarse = assemble_schur(sys0, level_maps(sys0, bounds), bounds)
         assert np.allclose(coarse.gs, 0.0)
         assert np.allclose(sequential_solve(coarse), 0.0)
 
@@ -122,9 +135,7 @@ class TestAssembleSchur:
                            gs=np.zeros((100, 2)), u_init=lv.u0.copy())
         part = build_explicit([100, 10], t_end=3.0)
         bounds = part.subdomain_bounds(0)
-        v = interior_correction(sys0, bounds)
-        ext = extension_operator(sys0, bounds)
-        coarse = assemble_schur(sys0, v, ext, bounds)
+        coarse = assemble_schur(sys0, level_maps(sys0, bounds), bounds)
         oracle = forward_substitution_oracle(sys0.phis, sys0.gs, sys0.u_init)
         interfaces = oracle[part.fine_nodes(1)]
         coarse_traj = sequential_solve(coarse)
@@ -135,9 +146,7 @@ class TestAssembleSchur:
         sys0 = make_system(30, 3, seed=5)
         part = build_explicit([30, 5], t_end=1.0)
         bounds = part.subdomain_bounds(0)
-        v = interior_correction(sys0, bounds)
-        ext = extension_operator(sys0, bounds)
-        coarse = assemble_schur(sys0, v, ext, bounds)
+        coarse = assemble_schur(sys0, level_maps(sys0, bounds), bounds)
         assert coarse.phis.shape == (5, 3, 3)
         assert coarse.gs.shape == (5, 3)
         assert np.array_equal(coarse.u_init, sys0.u_init)
@@ -170,9 +179,7 @@ class TestMlSolve:
         sys0 = make_system(24, 2, seed=7)
         part = build_explicit([24, 4], t_end=1.0)
         bounds = part.subdomain_bounds(0)
-        v = interior_correction(sys0, bounds)
-        ext = extension_operator(sys0, bounds)
-        coarse = assemble_schur(sys0, v, ext, bounds)
+        coarse = assemble_schur(sys0, level_maps(sys0, bounds), bounds)
         coarse_traj = sequential_solve(coarse)
         fine_traj = ml_solve(sys0, part)
         assert np.array_equal(fine_traj[part.fine_nodes(1)], coarse_traj)
@@ -230,11 +237,10 @@ class TestPetrovGalerkin:
         sys0 = make_system(20, 2, seed=11)
         part = build_explicit([20, 4], t_end=1.0)
         bounds = part.subdomain_bounds(0)
-        v = interior_correction(sys0, bounds)
-        ext = extension_operator(sys0, bounds)
+        maps = level_maps(sys0, bounds)
         restr = restriction_operator(sys0, bounds)
-        direct = assemble_schur(sys0, v, ext, bounds)
-        pg = petrov_galerkin_assemble(sys0, ext, restr, bounds)
+        direct = assemble_schur(sys0, maps, bounds)
+        pg = petrov_galerkin_assemble(sys0, maps, restr, bounds)
         scale = np.max(np.abs(direct.phis)) + 1e-30
         assert np.max(np.abs(direct.phis - pg.phis)) / scale <= 1e-12
         gscale = np.max(np.abs(direct.gs)) + 1e-30
@@ -245,18 +251,18 @@ class TestPetrovGalerkin:
         part = build_explicit([4, 2], t_end=1.0)
         sys0 = build_linear_system(linear_decay(1.0), part.grids[0], Scheme.backward_euler())
         bounds = part.subdomain_bounds(0)
-        ext = extension_operator(sys0, bounds)
+        maps = level_maps(sys0, bounds)
         restr = restriction_operator(sys0, bounds)
-        pg = petrov_galerkin_assemble(sys0, ext, restr, bounds)
+        pg = petrov_galerkin_assemble(sys0, maps, restr, bounds)
         assert np.allclose(pg.phis.ravel(), [0.64, 0.64], atol=1e-14)
 
     def test_zero_operator_coarsens_to_identity_chain(self):
         part = build_explicit([12, 3], t_end=1.0)
         sys0 = build_linear_system(zero_operator(2), part.grids[0], Scheme.backward_euler())
         bounds = part.subdomain_bounds(0)
-        ext = extension_operator(sys0, bounds)
+        maps = level_maps(sys0, bounds)
         restr = restriction_operator(sys0, bounds)
-        pg = petrov_galerkin_assemble(sys0, ext, restr, bounds)
+        pg = petrov_galerkin_assemble(sys0, maps, restr, bounds)
         for i in range(3):
             assert np.allclose(pg.phis[i], np.eye(2), atol=1e-14)
         assert np.allclose(pg.gs, 0.0, atol=1e-14)
@@ -280,23 +286,53 @@ class TestCostModel:
     def test_single_level_degenerates_to_sequential(self):
         part = build_uniform(1.0, 1, 2)
         est = cost_model(part, 3)
-        assert est.cpu_parallel == est.cpu_sequential
+        assert est.cpu_parallel == est.flop_sequential
         assert est.flop_parallel_bound == est.flop_sequential
         assert est.speedup == 1.0
 
 
-@settings(max_examples=25, deadline=None)
+@st.composite
+def partition_counts(draw):
+    """Two or three levels; ragged last subdomains and one-element subdomains."""
+    n1 = draw(st.integers(min_value=1, max_value=8))
+    local = draw(st.integers(min_value=1, max_value=9))
+    n0 = n1 * local + draw(st.integers(min_value=0, max_value=n1 - 1))
+    counts = [n0, n1]
+    if draw(st.booleans()):
+        counts.append(draw(st.integers(min_value=1, max_value=n1)))
+    return counts
+
+
+@settings(max_examples=40, deadline=None)
 @given(
-    n1=st.integers(min_value=1, max_value=8),
-    local=st.integers(min_value=1, max_value=9),
+    counts=partition_counts(),
     m=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=10**6),
 )
-def test_ml_solve_is_exact_on_random_systems(n1, local, m, seed):
-    n0 = n1 * local
-    sys0 = LevelSystem(0, *random_system(n0, m, seed))
-    part = build_explicit([n0, n1], t_end=1.0)
+def test_ml_solve_is_exact_on_random_systems(counts, m, seed):
+    sys0 = LevelSystem(0, *random_system(counts[0], m, seed))
+    part = build_explicit(counts, t_end=1.0)
     exact = forward_substitution_oracle(sys0.phis, sys0.gs, sys0.u_init)
     ml = ml_solve(sys0, part)
     scale = np.max(np.abs(exact)) + 1e-30
     assert np.max(np.abs(ml - exact)) / scale <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def two_workers():
+    with WorkerPool(2) as pool:
+        yield pool
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    counts=partition_counts(),
+    m=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_ml_solve_bitwise_equal_across_worker_counts(two_workers, counts, m, seed):
+    sys0 = LevelSystem(0, *random_system(counts[0], m, seed))
+    part = build_explicit(counts, t_end=1.0)
+    with WorkerPool(1) as one_worker:
+        serial = ml_solve(sys0, part, pool=one_worker)
+    assert np.array_equal(serial, ml_solve(sys0, part, pool=two_workers))
