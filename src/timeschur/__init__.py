@@ -19,12 +19,9 @@ from .errors import (
     ValidationError,
 )
 from .integrators import (
-    AffinePropagator,
     Scheme,
-    condense_dg_element,
     dg_element_system,
     linear_propagator,
-    nonlinear_step_residual,
     parse_scheme,
 )
 from .nonlinear import (
@@ -55,7 +52,6 @@ from .problems import (
 from .runtime import (
     CostEstimate,
     SolverReport,
-    Timings,
     WorkerPool,
     available_workers,
 )
@@ -74,7 +70,6 @@ from .schur import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffinePropagator",
     "CostEstimate",
     "LevelSystem",
     "LinearizationPolicy",
@@ -86,7 +81,6 @@ __all__ = [
     "SolverReport",
     "TaskError",
     "TimeSchurError",
-    "Timings",
     "ValidationError",
     "WorkerPool",
     "assemble_schur",
@@ -96,7 +90,6 @@ __all__ = [
     "build_linear_system",
     "build_uniform",
     "by_name",
-    "condense_dg_element",
     "cosine_drive",
     "cost_model",
     "dg_element_system",
@@ -111,7 +104,6 @@ __all__ = [
     "newton_schur_solve",
     "nonlinear_harmonic_extension",
     "nonlinear_schur_newton_solve",
-    "nonlinear_step_residual",
     "parse_scheme",
     "petrov_galerkin_assemble",
     "random_stable_linear",

@@ -346,8 +346,8 @@ def write_trajectory(traj: np.ndarray, grid: np.ndarray, path: str | Path) -> Pa
 
 FIGURE_KINDS = ("coarse_shapes", "decomposition", "lv_phase", "convergence")
 
-_PLOT_TEMPLATES = {
-    "coarse_shapes": """\
+# Every script reads the tidy CSV into sorted ``(t, value)`` points per series.
+_PLOT_PRELUDE = """\
 import csv
 import matplotlib.pyplot as plt
 
@@ -355,43 +355,30 @@ series = {}
 with open("__CSV__") as handle:
     for row in csv.DictReader(handle):
         series.setdefault(row["series"], []).append((float(row["t"]), float(row["value"])))
+series = {name: sorted(pts) for name, pts in series.items()}
+"""
+
+_PLOT_TEMPLATES = {
+    "coarse_shapes": """\
 fig, axes = plt.subplots(1, 2, figsize=(9, 3.2), sharey=True)
 for ax, name in zip(axes, ["extension", "restriction"]):
-    pts = sorted(series[name])
+    pts = series[name]
     ax.step([p[0] for p in pts], [p[1] for p in pts], where="post", marker=".")
     ax.set_title(name)
     ax.set_xlabel("t")
-fig.tight_layout()
-fig.savefig("__PNG__", dpi=150)
 """,
     "decomposition": """\
-import csv
-import matplotlib.pyplot as plt
-
-series = {}
-with open("__CSV__") as handle:
-    for row in csv.DictReader(handle):
-        series.setdefault(row["series"], []).append((float(row["t"]), float(row["value"])))
 fig, ax = plt.subplots(figsize=(6, 3.6))
 for name, style in [("full", "-"), ("coarse", "--"), ("fine", ":")]:
-    pts = sorted(series[name])
+    pts = series[name]
     ax.plot([p[0] for p in pts], [p[1] for p in pts], style, label=name)
 ax.set_xlabel("t")
 ax.legend()
-fig.tight_layout()
-fig.savefig("__PNG__", dpi=150)
 """,
     "lv_phase": """\
-import csv
-import matplotlib.pyplot as plt
-
-series = {}
-with open("__CSV__") as handle:
-    for row in csv.DictReader(handle):
-        series.setdefault(row["series"], []).append((float(row["t"]), float(row["value"])))
-prey = [p[1] for p in sorted(series["prey"])]
-pred = [p[1] for p in sorted(series["predator"])]
-ts = [p[0] for p in sorted(series["prey"])]
+prey = [p[1] for p in series["prey"]]
+pred = [p[1] for p in series["predator"]]
+ts = [p[0] for p in series["prey"]]
 fig, axes = plt.subplots(1, 2, figsize=(9, 3.6))
 axes[0].plot(ts, prey, label="prey")
 axes[0].plot(ts, pred, label="predator")
@@ -400,26 +387,20 @@ axes[0].legend()
 axes[1].plot(prey, pred)
 axes[1].set_xlabel("prey")
 axes[1].set_ylabel("predator")
-fig.tight_layout()
-fig.savefig("__PNG__", dpi=150)
 """,
     "convergence": """\
-import csv
-import matplotlib.pyplot as plt
-
-pts = []
-with open("__CSV__") as handle:
-    for row in csv.DictReader(handle):
-        pts.append((float(row["t"]), float(row["value"])))
-pts.sort()
+pts = series["residual"]
 fig, ax = plt.subplots(figsize=(5, 3.6))
 ax.semilogy([p[0] for p in pts], [p[1] for p in pts], marker="o")
 ax.set_xlabel("iteration")
 ax.set_ylabel("residual norm")
-fig.tight_layout()
-fig.savefig("__PNG__", dpi=150)
 """,
 }
+
+_PLOT_EPILOGUE = """\
+fig.tight_layout()
+fig.savefig("__PNG__", dpi=150)
+"""
 
 
 def emit_figure_data(kind: str, spec: ExperimentSpec, out: str | Path):
@@ -438,7 +419,8 @@ def emit_figure_data(kind: str, spec: ExperimentSpec, out: str | Path):
         for t, series, value in rows:
             writer.writerow([f"{t:.17g}", series, f"{value:.17g}"])
     script_path = out.with_name(out.stem + "_plot.py")
-    script = _PLOT_TEMPLATES[kind].replace("__CSV__", out.name)
+    script = _PLOT_PRELUDE + _PLOT_TEMPLATES[kind] + _PLOT_EPILOGUE
+    script = script.replace("__CSV__", out.name)
     script = script.replace("__PNG__", out.stem + ".png")
     script_path.write_text(script, encoding="utf-8")
     return rows, out, script_path

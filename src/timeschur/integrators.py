@@ -2,10 +2,13 @@
 
 A single implicit step over an element ``(t_start, t_end)`` of a linear ODE
 ``du/dt + A(t) u + c(t) = 0`` is the affine map ``u_out = phi @ u_in + g``.
-theta-methods give ``phi`` and ``g`` directly; DG(q) assembles a
-``(q+1)*m_unk`` element system on right-Radau nodes and statically condenses
-every stage onto the element endpoint. For nonlinear problems the module
-evaluates one-step residuals and their partial Jacobians instead.
+``linear_propagator`` builds the maps of every element of a grid at once: the
+problem callbacks run once over all evaluation times, and one batched solve
+over the stacked step matrices gives every ``[phi | g]``. theta-methods
+evaluate at the grid nodes. DG(q) assembles a ``(q+1)*m_unk`` element system
+on right-Radau nodes and keeps the endpoint-stage rows of its solution.
+``step_solve`` is the one guarded batched solve of step matrices, shared with
+the nonlinear solvers.
 """
 
 from __future__ import annotations
@@ -16,22 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularStepError, ValidationError
-from .problems import OdeProblem, linear_parts
-
-
-@dataclass(frozen=True)
-class AffinePropagator:
-    """One element's map ``u_in -> phi @ u_in + g``."""
-
-    phi: np.ndarray
-    g: np.ndarray
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.phi @ u + self.g
-
-    @classmethod
-    def identity(cls, m_unk: int) -> "AffinePropagator":
-        return cls(np.eye(m_unk), np.zeros(m_unk))
+from .problems import OdeProblem, jacobian_batch, kappa_batch
 
 
 @dataclass(frozen=True)
@@ -119,129 +107,111 @@ def _lagrange_basis(nodes: np.ndarray):
     return polys
 
 
-def dg_element_system(problem: OdeProblem, t_start: float, t_end: float, order: int):
-    """Assemble the uncondensed DG(q) element system ``K U = inflow @ u_in + forcing``.
+def dg_element_system(problem: OdeProblem, grid: np.ndarray, order: int):
+    """Assemble the uncondensed DG(q) systems ``K U = inflow @ u_in + forcing`` of every element.
 
     Nodal Lagrange basis at the (q+1) right-Radau points, quadrature at the
-    same points. Returns ``(K, inflow, forcing, stage_times)`` with ``K`` of
-    shape ``(s*m, s*m)``, ``inflow`` of shape ``(s*m, m)`` and ``forcing`` of
-    shape ``(s*m,)``, ``s = q + 1``.
+    same points; the problem callbacks run once over all stage times. Returns
+    ``(K, inflow, forcing, stage_times)`` with ``K`` of shape
+    ``(n, s*m, s*m)``, ``inflow`` of shape ``(s*m, m)`` (shared by all
+    elements), ``forcing`` of shape ``(n, s*m)`` and ``stage_times`` of shape
+    ``(n, s)``, ``s = q + 1``, for the ``n`` elements of ``grid``.
     """
     if not problem.is_linear:
         raise ValidationError("dg_element_system requires a linear problem")
     m = problem.m_unk
-    dt = t_end - t_start
-    nodes, weights = _RADAU[order + 1]
+    s = order + 1
+    half = np.diff(grid) / 2.0
+    n = len(half)
+    nodes, weights = _RADAU[s]
     basis = _lagrange_basis(nodes)
     ell0 = np.array([p(-1.0) for p in basis])  # basis values at the element inflow
     dmat = np.array([[p.deriv()(x) for p in basis] for x in nodes])
 
+    stage_times = grid[:-1, None] + (nodes + 1.0) * half[:, None]
+    zero = np.broadcast_to(0.0, (n * s, m))
+    mats = jacobian_batch(problem, stage_times.ravel(), zero).reshape(n, s, m, m)
+    kappas = kappa_batch(problem, stage_times.ravel(), zero).reshape(n, s, m)
+    scale = half[:, None] * weights  # (dt/2) * w_a per element and stage
     scalar = weights[:, None] * dmat + np.outer(ell0, ell0)
-    k_mat = np.kron(scalar, np.eye(m))
-    forcing = np.empty((order + 1) * m)
-    stage_times = t_start + (nodes + 1.0) * (dt / 2.0)
-    for a, (t_a, w_a) in enumerate(zip(stage_times, weights)):
-        a_mat, c_vec = linear_parts(problem, t_a)
-        k_mat[a * m:(a + 1) * m, a * m:(a + 1) * m] += (dt / 2.0) * w_a * a_mat
-        forcing[a * m:(a + 1) * m] = -(dt / 2.0) * w_a * c_vec
+    k_mat = np.broadcast_to(np.kron(scalar, np.eye(m)), (n, s * m, s * m)).copy()
+    blocks = k_mat.reshape(n, s, m, s, m)
+    for a in range(s):
+        blocks[:, a, :, a, :] += scale[:, a, None, None] * mats[:, a]
+    forcing = -(scale[:, :, None] * kappas).reshape(n, s * m)
     inflow = np.kron(ell0[:, None], np.eye(m))
     return k_mat, inflow, forcing, stage_times
 
 
-def condense_dg_element(
-    k_mat: np.ndarray,
-    inflow: np.ndarray,
-    forcing: np.ndarray,
-    keep_index: int,
-    m_unk: int,
-) -> AffinePropagator:
-    """Eliminate all stages but ``keep_index``, returning the element propagator.
+def linear_propagator(problem: OdeProblem, grid: np.ndarray, scheme: Scheme):
+    """``(phis, gs)`` of one implicit step per element of ``grid`` for a linear problem.
 
-    Performed as a Schur complement on the kept block; interior stages remain
-    recoverable by back-substitution of the eliminated block.
+    ``phis[i]`` (shape ``(m, m)``) and ``gs[i]`` (shape ``(m,)``) map the value
+    at ``grid[i]`` to the value at ``grid[i + 1]``. One batched solve covers
+    every element; a singular element raises ``SingularStepError`` with its
+    times.
     """
-    size = k_mat.shape[0]
-    stages = size // m_unk
-    keep = np.arange(keep_index * m_unk, (keep_index + 1) * m_unk)
-    rest = np.setdiff1d(np.arange(size), keep)
-    try:
-        if rest.size == 0:
-            sol = np.linalg.solve(k_mat, np.column_stack([inflow, forcing]))
-            return AffinePropagator(sol[:, :m_unk], sol[:, m_unk])
-        k_ii = k_mat[np.ix_(rest, rest)]
-        k_ik = k_mat[np.ix_(rest, keep)]
-        k_ki = k_mat[np.ix_(keep, rest)]
-        k_kk = k_mat[np.ix_(keep, keep)]
-        x = np.linalg.solve(k_ii, np.column_stack([k_ik, inflow[rest], forcing[rest]]))
-        schur = k_kk - k_ki @ x[:, :m_unk]
-        rhs_phi = inflow[keep] - k_ki @ x[:, m_unk:2 * m_unk]
-        rhs_g = forcing[keep] - k_ki @ x[:, 2 * m_unk]
-        phi = np.linalg.solve(schur, rhs_phi)
-        g = np.linalg.solve(schur, rhs_g)
-    except np.linalg.LinAlgError as exc:
-        raise SingularStepError(
-            f"singular DG element block ({stages} stages, keep {keep_index})"
-        ) from exc
-    return AffinePropagator(phi, g)
-
-
-def linear_propagator(
-    problem: OdeProblem,
-    t_start: float,
-    t_end: float,
-    scheme: Scheme,
-) -> AffinePropagator:
-    """Explicit ``(phi, g)`` of one implicit step of a linear problem."""
     if not problem.is_linear:
         raise ValidationError("linear_propagator requires a linear problem")
-    if not t_end > t_start:
-        raise ValidationError("element must have positive width")
+    grid = np.asarray(grid, dtype=float)
+    if len(grid) < 2 or not np.all(np.diff(grid) > 0):
+        raise ValidationError("elements must have positive width")
     m = problem.m_unk
-    dt = t_end - t_start
     if scheme.kind == "theta":
-        th = scheme.theta
-        a1, c1 = linear_parts(problem, t_end)
-        a0, c0 = linear_parts(problem, t_start)
-        lhs = np.eye(m) + th * dt * a1
-        rhs = np.column_stack([np.eye(m) - (1.0 - th) * dt * a0,
-                               -dt * (th * c1 + (1.0 - th) * c0)])
-        try:
-            sol = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularStepError(
-                f"singular step matrix on element ({t_start:g}, {t_end:g})",
-                t_start, t_end,
-            ) from exc
-        return AffinePropagator(sol[:, :m], sol[:, m])
-    k_mat, inflow, forcing, _ = dg_element_system(problem, t_start, t_end, scheme.order)
-    try:
-        return condense_dg_element(k_mat, inflow, forcing, scheme.order, m)
-    except SingularStepError as exc:
-        raise SingularStepError(
-            f"singular step matrix on element ({t_start:g}, {t_end:g})", t_start, t_end
-        ) from exc
+        lhs, rhs = _theta_steps(problem, grid, scheme.theta)
+    else:
+        lhs, inflow, forcing, _ = dg_element_system(problem, grid, scheme.order)
+        rhs = np.empty(forcing.shape + (m + 1,))
+        rhs[:, :, :m] = inflow
+        rhs[:, :, m] = forcing
+    sol = step_solve(lhs, rhs, grid[:-1], grid[1:])[:, -m:]  # DG: the endpoint stage
+    return sol[:, :, :m], sol[:, :, m]
 
 
-def nonlinear_step_residual(
-    problem: OdeProblem,
-    t_start: float,
-    t_end: float,
-    u_in: np.ndarray,
-    u_out: np.ndarray,
-    scheme: Scheme,
-):
-    """Residual of one implicit step plus both partial Jacobians.
+def _theta_steps(problem: OdeProblem, grid: np.ndarray, th: float):
+    """Step matrices ``I + th*dt*A(t_end)`` and right-hand sides
+    ``[I - (1-th)*dt*A(t_start) | -dt*(th*c(t_end) + (1-th)*c(t_start))]`` of every element.
 
-    ``r = u_out - u_in + dt*(th*kappa(t_end, u_out) + (1-th)*kappa(t_start, u_in))``
-    for the scheme's effective theta. Returns ``(r, dr/du_out, dr/du_in)``.
+    The callbacks run once over the grid nodes, at ``u = 0`` as a read-only
+    broadcast. Both outputs are built in place, the step matrices in the
+    Jacobian stack itself, so the build's peak memory is its inputs and the
+    solution of the solve.
     """
-    th = scheme.effective_theta()
-    dt = t_end - t_start
-    m = problem.m_unk
-    r = u_out - u_in + dt * (
-        th * np.asarray(problem.kappa(t_end, u_out), dtype=float)
-        + (1.0 - th) * np.asarray(problem.kappa(t_start, u_in), dtype=float)
-    )
-    j_out = np.eye(m) + dt * th * np.asarray(problem.jacobian(t_end, u_out), dtype=float)
-    j_in = -np.eye(m) + dt * (1.0 - th) * np.asarray(problem.jacobian(t_start, u_in), dtype=float)
-    return r, j_out, j_in
+    dt = np.diff(grid)
+    n, m = len(dt), problem.m_unk
+    zero = np.broadcast_to(0.0, (n + 1, m))
+    rhs = np.empty((n, m, m + 1))
+    kappas = kappa_batch(problem, grid, zero)
+    g = rhs[:, :, m]
+    np.multiply(kappas[1:], th, out=g)
+    g += (1.0 - th) * kappas[:-1]
+    g *= -dt[:, None]
+    del kappas
+    mats = jacobian_batch(problem, grid, zero)
+    diag = np.arange(m)
+    np.multiply(mats[:-1], -((1.0 - th) * dt)[:, None, None], out=rhs[:, :, :m])
+    rhs[:, diag, diag] += 1.0
+    lhs = mats[1:]
+    lhs *= (th * dt)[:, None, None]
+    lhs[:, diag, diag] += 1.0
+    return lhs, rhs
+
+
+def step_solve(mats, rhs, t_start, t_end, where=None):
+    """``np.linalg.solve`` over stacked step matrices; vector or matrix right-hand sides.
+
+    A singular matrix raises ``SingularStepError`` with the times of its
+    element; ``where(i)``, if given, names the location of row ``i``.
+    """
+    vector = rhs.ndim == mats.ndim - 1
+    try:
+        out = np.linalg.solve(mats, rhs[..., None] if vector else rhs)
+    except np.linalg.LinAlgError as exc:
+        bad = int(np.argmax((np.linalg.det(mats) == 0.0)
+                            | ~np.isfinite(mats).all(axis=(-2, -1))))
+        place = f" in {where(bad)}" if where else ""
+        raise SingularStepError(
+            f"singular step matrix{place} on element ({t_start[bad]:g}, {t_end[bad]:g})",
+            float(t_start[bad]), float(t_end[bad])
+        ) from exc
+    return out[..., 0] if vector else out

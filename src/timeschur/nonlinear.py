@@ -30,9 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NonconvergenceError, SingularStepError, TaskError, TimeSchurError,
-                     ValidationError)
-from .integrators import Scheme
+from .errors import NonconvergenceError, SingularStepError, ValidationError
+from .integrators import Scheme, step_solve
 from .partition import MultilevelPartition
 from .problems import OdeProblem, jacobian_batch, kappa_batch, picard_batch
 from .runtime import SolverReport, WorkerPool
@@ -125,23 +124,9 @@ def linearize_global(
     diag = eye + dt * th * mats[1:]
     off = eye - dt * (1.0 - th) * mats[:-1]
     stacked = np.concatenate([off, -residual[:, :, None]], axis=2)
-    try:
-        solved = np.linalg.solve(diag, stacked)
-    except np.linalg.LinAlgError as exc:
-        bad = _first_singular(diag)
-        raise SingularStepError(
-            f"singular linearized step matrix on element {bad + 1} "
-            f"({grid[bad]:g}, {grid[bad + 1]:g})", grid[bad], grid[bad + 1]
-        ) from exc
+    solved = step_solve(diag, stacked, grid[:-1], grid[1:], lambda i: "the linearization")
     return LevelSystem(level=0, phis=solved[:, :, :m], gs=solved[:, :, m],
                        u_init=np.zeros(m))
-
-
-def _first_singular(mats: np.ndarray) -> int:
-    for i, mat in enumerate(mats):
-        if abs(np.linalg.det(mat)) == 0.0 or not np.all(np.isfinite(mat)):
-            return i
-    return 0
 
 
 def _implicit_step(problem, t_start, t_end, u_prev, guess, th, policy, tol):
@@ -454,7 +439,7 @@ def _march(problem, ts, bounds, inflows, warm, th, policy, first):
             picard += n_picard
             newton += len(picks) - n_picard
             mats = _step_matrices(problem, t_l, u_l, picks, n_picard)
-            u_l = u_l + _step_solve(
+            u_l = u_l + step_solve(
                 eye + dt_l[:, :, None] * th * mats, -r, t_start[live], t_l,
                 lambda i: where(live[i]),
             )
@@ -475,24 +460,6 @@ def _step_matrices(problem, ts, us, picks, n_picard):
     mats[picks] = picard_batch(problem, ts[picks], us[picks])[0]
     mats[~picks] = jacobian_batch(problem, ts[~picks], us[~picks])
     return mats
-
-
-def _step_solve(mats, rhs, t_start, t_end, where):
-    """``np.linalg.solve`` over stacked step matrices; vector or matrix right-hand sides.
-
-    A singular matrix raises ``SingularStepError`` with the times of its
-    element; ``where(i)`` names the location of row ``i``.
-    """
-    vector = rhs.ndim == mats.ndim - 1
-    try:
-        out = np.linalg.solve(mats, rhs[..., None] if vector else rhs)
-    except np.linalg.LinAlgError as exc:
-        bad = _first_singular(mats)
-        raise SingularStepError(
-            f"singular step matrix in {where(bad)} on element "
-            f"({t_start[bad]:g}, {t_end[bad]:g})", float(t_start[bad]), float(t_end[bad])
-        ) from exc
-    return out[..., 0] if vector else out
 
 
 def _nested_extension(problem, ts, nodes, firsts, inflow, warm, th, policy, where):
@@ -565,7 +532,7 @@ def _schur_row_task(problem, ts, us, bounds, first, th, use_picard):
     dt = np.diff(ts)[:, None, None]
     diag = eye + dt * th * mats[1:]
     off = eye - dt * (1.0 - th) * mats[:-1]
-    phis = _step_solve(
+    phis = step_solve(
         diag, off, ts[:-1], ts[1:],
         lambda i: f"linearized window {first + np.searchsorted(bounds, i, 'right') - 1}",
     )
@@ -611,45 +578,40 @@ def nonlinear_schur_newton_solve(
     report = SolverReport(solver=f"nlschur:{k}", workers=workers)
     start = time.perf_counter()
     norm = np.inf
-    try:
-        with WorkerPool(workers) as pool:
-            runs = _runs(partition, k, pool.processes)
-            w = _extend_all(problem, runs, grid, z, traj, th, policy, pool, report)
-            for it in range(policy.max_iters + 1):
-                res, norm = global_residual(problem, w, grid, scheme)
-                report.residual_history.append(norm)
-                report.interior_residual_history.append(_residual_stats(res, interior_mask))
-                if norm < policy.tol_global:
-                    report.converged = True
-                    break
-                if it == policy.max_iters:
-                    raise NonconvergenceError(
-                        f"nonlinear Schur loop at level {k}", policy.max_iters, norm
-                    )
-                mode = policy.pick_mode(norm)
-                report.mode_history.append(mode)
-                if mode == "picard":
-                    report.picard_iterations += 1
-                else:
-                    report.newton_iterations += 1
-                args = [(problem, grid[f_lo:f_hi + 1], w[f_lo:f_hi + 1], nodes[-1], lo, th,
-                         mode == "picard")
-                        for lo, _, f_lo, f_hi, nodes, _ in runs]
-                rows, seconds, _ = pool.map(_schur_row_task, args)
-                report.add_level_tasks(0, seconds)
-                system = LevelSystem(
-                    level=k,
-                    phis=np.concatenate([r[0] for r in rows]),
-                    gs=np.concatenate([r[1] for r in rows]),
-                    u_init=np.zeros(problem.m_unk),
+    with WorkerPool(workers) as pool:
+        runs = _runs(partition, k, pool.processes)
+        w = _extend_all(problem, runs, grid, z, traj, th, policy, pool, report)
+        for it in range(policy.max_iters + 1):
+            res, norm = global_residual(problem, w, grid, scheme)
+            report.residual_history.append(norm)
+            report.interior_residual_history.append(_residual_stats(res, interior_mask))
+            if norm < policy.tol_global:
+                report.converged = True
+                break
+            if it == policy.max_iters:
+                raise NonconvergenceError(
+                    f"nonlinear Schur loop at level {k}", policy.max_iters, norm
                 )
-                z = z + ml_solve(system, partition, pool=pool, report=report)
-                report.outer_iterations += 1
-                w = _extend_all(problem, runs, grid, z, w, th, policy, pool, report)
-    except TaskError as exc:
-        if isinstance(exc.original, TimeSchurError):
-            raise exc.original from None
-        raise
+            mode = policy.pick_mode(norm)
+            report.mode_history.append(mode)
+            if mode == "picard":
+                report.picard_iterations += 1
+            else:
+                report.newton_iterations += 1
+            args = [(problem, grid[f_lo:f_hi + 1], w[f_lo:f_hi + 1], nodes[-1], lo, th,
+                     mode == "picard")
+                    for lo, _, f_lo, f_hi, nodes, _ in runs]
+            rows, seconds, _ = pool.map(_schur_row_task, args)
+            report.add_level_tasks(0, seconds)
+            system = LevelSystem(
+                level=k,
+                phis=np.concatenate([r[0] for r in rows]),
+                gs=np.concatenate([r[1] for r in rows]),
+                u_init=np.zeros(problem.m_unk),
+            )
+            z = z + ml_solve(system, partition, pool=pool, report=report)
+            report.outer_iterations += 1
+            w = _extend_all(problem, runs, grid, z, w, th, policy, pool, report)
     report.wall_seconds = time.perf_counter() - start
     report.cost_estimate = cost_model(partition, problem.m_unk)
     return w, report

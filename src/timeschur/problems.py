@@ -43,9 +43,6 @@ class OdeProblem:
         Closed-form solution, used by accuracy checks.
     is_linear : bool
         True iff ``kappa`` is affine in ``u``.
-    autonomous : bool
-        True iff ``kappa`` carries no explicit time dependence (enables a
-        shared-propagator fast path on uniform grids).
     vectorized : bool
         True iff the callables also accept batched inputs (``t`` of shape
         ``(n,)`` with ``u`` of shape ``(n, m_unk)``), returning batched output.
@@ -58,7 +55,6 @@ class OdeProblem:
     picard_matrix: PicardFn | None = None
     analytic: AnalyticFn | None = None
     is_linear: bool = False
-    autonomous: bool = False
     vectorized: bool = False
     name: str = field(default="", compare=False)
 
@@ -112,16 +108,6 @@ def picard_batch(problem: OdeProblem, ts: np.ndarray, us: np.ndarray):
     return np.stack(mats), np.stack(offs)
 
 
-def linear_parts(problem: OdeProblem, t: float):
-    """Return ``(A, c)`` with ``kappa(t, u) = A @ u + c`` for a linear problem."""
-    if not problem.is_linear:
-        raise ValidationError("linear_parts requires a linear problem")
-    zero = np.zeros(problem.m_unk)
-    a = np.asarray(problem.jacobian(t, zero), dtype=float).reshape(problem.m_unk, problem.m_unk)
-    c = np.asarray(problem.kappa(t, zero), dtype=float).reshape(problem.m_unk)
-    return a, c
-
-
 # Shipped problems ------------------------------------------------------------
 
 
@@ -152,7 +138,6 @@ def linear_decay(lam: float) -> OdeProblem:
         picard_matrix=partial(_decay_picard, lam),
         analytic=partial(_decay_analytic, lam),
         is_linear=True,
-        autonomous=True,
         vectorized=True,
         name=f"decay(lam={lam})",
     )
@@ -190,7 +175,6 @@ def forced_riccati() -> OdeProblem:
         picard_matrix=_riccati_picard,
         analytic=_riccati_analytic,
         is_linear=False,
-        autonomous=False,
         vectorized=True,
         name="riccati",
     )
@@ -244,7 +228,6 @@ def lotka_volterra(
         picard_matrix=partial(_lv_picard, *args),
         analytic=None,
         is_linear=False,
-        autonomous=True,
         vectorized=True,
         name="lotka-volterra",
     )
@@ -279,7 +262,6 @@ def random_stable_linear(m_unk: int, seed: int = 0) -> OdeProblem:
         u0=u0,
         picard_matrix=partial(_matrix_picard, a),
         is_linear=True,
-        autonomous=True,
         vectorized=True,
         name=f"random-linear(m={m_unk},seed={seed})",
     )
@@ -301,7 +283,6 @@ def zero_operator(m_unk: int = 1) -> OdeProblem:
         jacobian=_zero_jacobian,
         u0=np.ones(m_unk),
         is_linear=True,
-        autonomous=True,
         vectorized=True,
         name=f"zero(m={m_unk})",
     )
@@ -325,7 +306,6 @@ def cosine_drive() -> OdeProblem:
         u0=np.array([0.0]),
         analytic=_cos_analytic,
         is_linear=True,
-        autonomous=False,
         vectorized=True,
         name="cosine-drive",
     )

@@ -9,15 +9,15 @@ loops are Python-bound.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .errors import TaskError
+from .errors import TaskError, TimeSchurError
 
 
 def available_workers() -> int:
@@ -122,8 +122,10 @@ class WorkerPool:
 
         Returns ``(results, task_seconds, elapsed)`` where ``task_seconds[i]``
         is task i's own ``task_clock`` time and ``elapsed`` is the whole
-        region's wall clock.
-        Task exceptions re-raise as ``TaskError`` carrying the task index.
+        region's wall clock. A pool sends the tasks in contiguous chunks,
+        about four per process.
+        A task's ``TimeSchurError`` re-raises as itself; other exceptions
+        re-raise as ``TaskError`` carrying the task index.
         """
         args_list = list(args_list)
         region_start = time.perf_counter()
@@ -134,10 +136,13 @@ class WorkerPool:
         else:
             ex = self._ensure_executor()
             raw = list(ex.map(_run_task, [fn] * len(args_list),
-                              range(len(args_list)), args_list))
+                              range(len(args_list)), args_list,
+                              chunksize=math.ceil(len(args_list) / (4 * self.processes))))
         elapsed = time.perf_counter() - region_start
         results, seconds = [], []
         for index, result, secs, exc in raw:
+            if isinstance(exc, TimeSchurError):
+                raise exc
             if exc is not None:
                 raise TaskError(index, exc) from exc
             results.append(result)
@@ -157,32 +162,6 @@ def critical_path_seconds(task_seconds: list[float], workers: int) -> float:
     for i, secs in enumerate(task_seconds):
         loads[i % len(loads)] += secs
     return max(loads)
-
-
-class Timings:
-    """Accumulates labelled wall-clock sections; labels repeat additively."""
-
-    def __init__(self):
-        self.seconds: dict[str, float] = {}
-
-    def add(self, label: str, seconds: float) -> None:
-        self.seconds[label] = self.seconds.get(label, 0.0) + seconds
-
-    @contextmanager
-    def section(self, label: str):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(label, time.perf_counter() - start)
-
-    def timed(self, label: str, thunk):
-        """Run ``thunk()`` inside a section and return its result."""
-        with self.section(label):
-            return thunk()
-
-    def get(self, label: str) -> float:
-        return self.seconds.get(label, 0.0)
 
 
 @dataclass

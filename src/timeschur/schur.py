@@ -63,24 +63,10 @@ class LevelSystem:
 def build_linear_system(problem: OdeProblem, grid: np.ndarray, scheme: Scheme) -> LevelSystem:
     """Level-0 system of a linear problem on ``grid``.
 
-    Autonomous problems on (numerically) uniform grids share a single
-    factorized propagator across all elements.
+    Every element's propagator comes from one batched ``linear_propagator``
+    call, whatever the grid's spacing and the problem's time dependence.
     """
-    n = len(grid) - 1
-    m = problem.m_unk
-    phis = np.empty((n, m, m))
-    gs = np.empty((n, m))
-    widths = np.diff(grid)
-    uniform = bool(np.all(np.abs(widths - widths[0]) <= 1e-12 * abs(widths[0])))
-    if problem.autonomous and uniform and n > 1:
-        prop = linear_propagator(problem, grid[0], grid[1], scheme)
-        phis[:] = prop.phi
-        gs[:] = prop.g
-    else:
-        for i in range(n):
-            prop = linear_propagator(problem, grid[i], grid[i + 1], scheme)
-            phis[i] = prop.phi
-            gs[i] = prop.g
+    phis, gs = linear_propagator(problem, grid, scheme)
     return LevelSystem(level=0, phis=phis, gs=gs, u_init=problem.u0.copy())
 
 

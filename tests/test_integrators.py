@@ -1,19 +1,27 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from timeschur import (
     OdeProblem,
     Scheme,
     SingularStepError,
     ValidationError,
-    condense_dg_element,
     cosine_drive,
     dg_element_system,
+    forced_riccati,
+    global_residual,
     linear_decay,
     linear_propagator,
-    nonlinear_step_residual,
+    linearize_global,
+    lotka_volterra,
     parse_scheme,
     random_stable_linear,
+    zero_operator,
 )
 
 ALL_SCHEMES = [Scheme.theta_method(0.5), Scheme.backward_euler(),
@@ -41,43 +49,70 @@ class TestSchemeParsing:
             Scheme.dg(1).effective_theta()
 
 
+def one_element(problem, t_start, t_end, scheme):
+    """``(phi, g)`` of the single element ``(t_start, t_end)``."""
+    phis, gs = linear_propagator(problem, np.array([t_start, t_end]), scheme)
+    return phis[0], gs[0]
+
+
+def _varying_kappa(t, u):
+    return np.array([(1.0 + t) * u[0] + 0.3 * u[1] + np.sin(t),
+                     -0.2 * u[0] + (2.0 - t) * u[1] - np.cos(t)])
+
+
+def _varying_jacobian(t, u):
+    return np.array([[1.0 + t, 0.3], [-0.2, 2.0 - t]])
+
+
+# Time-dependent, evaluated one (t, u) at a time.
+VARYING = OdeProblem(m_unk=2, kappa=_varying_kappa, jacobian=_varying_jacobian,
+                     u0=np.array([1.0, -1.0]), is_linear=True, name="varying")
+
+
 class TestLinearPropagator:
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.label)
     def test_zero_operator_gives_identity(self, scheme):
-        from timeschur import zero_operator
-        prop = linear_propagator(zero_operator(2), 0.0, 0.3, scheme)
-        assert np.allclose(prop.phi, np.eye(2), atol=1e-14)
-        assert np.allclose(prop.g, 0.0, atol=1e-14)
+        phi, g = one_element(zero_operator(2), 0.0, 0.3, scheme)
+        assert np.allclose(phi, np.eye(2), atol=1e-14)
+        assert np.allclose(g, 0.0, atol=1e-14)
 
     def test_decay_backward_euler(self):
-        prop = linear_propagator(linear_decay(1.0), 0.0, 0.25, Scheme.backward_euler())
-        assert prop.phi[0, 0] == pytest.approx(0.8, abs=1e-15)
-        assert prop.g[0] == pytest.approx(0.0, abs=1e-15)
+        phi, g = one_element(linear_decay(1.0), 0.0, 0.25, Scheme.backward_euler())
+        assert phi[0, 0] == pytest.approx(0.8, abs=1e-15)
+        assert g[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_crank_nicolson_integrates_constant_rhs_exactly(self):
         c = 1.7
         prob = OdeProblem(m_unk=1, kappa=lambda t, u: np.array([-c]),
                           jacobian=lambda t, u: np.zeros((1, 1)),
                           u0=np.array([0.0]), is_linear=True)
-        prop = linear_propagator(prob, 0.0, 0.4, Scheme.theta_method(0.5))
-        assert prop.phi[0, 0] == pytest.approx(1.0)
-        assert prop.g[0] == pytest.approx(c * 0.4)
+        phi, g = one_element(prob, 0.0, 0.4, Scheme.theta_method(0.5))
+        assert phi[0, 0] == pytest.approx(1.0)
+        assert g[0] == pytest.approx(c * 0.4)
 
     @pytest.mark.parametrize("problem", [
         linear_decay(2.0), cosine_drive(), random_stable_linear(3, seed=11),
     ], ids=lambda p: p.name)
     def test_dg0_equals_backward_euler(self, problem):
-        be = linear_propagator(problem, 0.2, 0.45, Scheme.backward_euler())
-        dg = linear_propagator(problem, 0.2, 0.45, Scheme.dg(0))
-        assert np.max(np.abs(be.phi - dg.phi)) <= 1e-15
-        assert np.max(np.abs(be.g - dg.g)) <= 1e-15
+        be = one_element(problem, 0.2, 0.45, Scheme.backward_euler())
+        dg = one_element(problem, 0.2, 0.45, Scheme.dg(0))
+        assert np.max(np.abs(be[0] - dg[0])) <= 1e-15
+        assert np.max(np.abs(be[1] - dg[1])) <= 1e-15
 
     def test_dg1_matches_two_stage_radau_stability_function(self):
         dt = 0.25
         z = -dt  # decay rate 1
         expected = (1 + z / 3) / (1 - 2 * z / 3 + z * z / 6)
-        prop = linear_propagator(linear_decay(1.0), 0.0, dt, Scheme.dg(1))
-        assert prop.phi[0, 0] == pytest.approx(expected, rel=1e-14)
+        phi, _ = one_element(linear_decay(1.0), 0.0, dt, Scheme.dg(1))
+        assert phi[0, 0] == pytest.approx(expected, rel=1e-14)
+
+    def test_dg2_matches_three_stage_radau_stability_function(self):
+        # Radau IIA with three stages: the (2, 3) Pade approximant of exp(z).
+        dt = 0.25
+        z = -dt  # decay rate 1
+        expected = (1 + 2 * z / 5 + z * z / 20) / (1 - 3 * z / 5 + 3 * z * z / 20 - z ** 3 / 60)
+        phi, _ = one_element(linear_decay(1.0), 0.0, dt, Scheme.dg(2))
+        assert phi[0, 0] == pytest.approx(expected, rel=1e-14)
 
     def test_singular_step_matrix_raises(self):
         dt = 0.5
@@ -85,109 +120,145 @@ class TestLinearPropagator:
                           jacobian=lambda t, u: np.array([[-1.0 / dt]]),
                           u0=np.array([1.0]), is_linear=True)
         with pytest.raises(SingularStepError):
-            linear_propagator(prob, 0.0, dt, Scheme.backward_euler())
+            one_element(prob, 0.0, dt, Scheme.backward_euler())
+
+    @pytest.mark.parametrize("scheme", [Scheme.backward_euler(), Scheme.dg(0)],
+                             ids=lambda s: s.label)
+    def test_singular_element_carries_its_times(self, scheme):
+        # 1 + dt*lam vanishes on the one element of width 0.25 only.
+        grid = np.array([0.0, 0.125, 0.5, 0.75, 0.8125])
+        with pytest.raises(SingularStepError) as err:
+            linear_propagator(linear_decay(-4.0), grid, scheme)
+        assert (err.value.t_start, err.value.t_end) == (0.5, 0.75)
+        assert "(0.5, 0.75)" in str(err.value)
 
     def test_rejects_nonlinear_problem(self):
-        from timeschur import forced_riccati
         with pytest.raises(ValidationError):
-            linear_propagator(forced_riccati(), 0.0, 0.1, Scheme.backward_euler())
+            one_element(forced_riccati(), 0.0, 0.1, Scheme.backward_euler())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    problem=st.sampled_from([
+        cosine_drive(), random_stable_linear(2, seed=4), linear_decay(3.0), VARYING,
+        replace(random_stable_linear(2, seed=5), vectorized=False),
+        replace(cosine_drive(), vectorized=False),
+    ]),
+    scheme=st.sampled_from(ALL_SCHEMES),
+    widths=st.lists(st.floats(min_value=1e-3, max_value=0.5), min_size=1, max_size=12),
+)
+def test_batched_build_equals_element_by_element_builds(problem, scheme, widths):
+    grid = np.concatenate([[0.0], np.cumsum(widths)])
+    phis, gs = linear_propagator(problem, grid, scheme)
+    for i in range(len(widths)):
+        phi, g = one_element(problem, grid[i], grid[i + 1], scheme)
+        scale = max(np.max(np.abs(phi)), np.max(np.abs(g)), 1e-300)
+        assert np.max(np.abs(phis[i] - phi)) <= 1e-14 * scale
+        assert np.max(np.abs(gs[i] - g)) <= 1e-14 * scale
+
+
+def _dense_endpoint_rows(problem, t_start, t_end, order):
+    """Oracle: the endpoint stage of one element's uncondensed DG system, solved densely."""
+    k_mat, inflow, forcing, _ = dg_element_system(problem, np.array([t_start, t_end]), order)
+    full = np.linalg.solve(k_mat[0], np.column_stack([inflow, forcing[0]]))
+    m = problem.m_unk
+    return full[order * m:, :m], full[order * m:, m]
 
 
 class TestCondensation:
     @pytest.mark.parametrize("order,tol", [(1, 1e-13), (2, 1e-13)])
     def test_condensed_propagator_matches_dense_elimination(self, order, tol):
         problem = linear_decay(1.0)
-        k_mat, inflow, forcing, _ = dg_element_system(problem, 0.0, 0.1, order)
-        prop = condense_dg_element(k_mat, inflow, forcing, order, problem.m_unk)
-        # Independent oracle: solve the full uncondensed element system densely.
-        full = np.linalg.solve(k_mat, np.column_stack([inflow, forcing]))
-        last = slice(order * problem.m_unk, (order + 1) * problem.m_unk)
-        assert np.max(np.abs(prop.phi - full[last, :problem.m_unk])) <= tol
-        assert np.max(np.abs(prop.g - full[last, problem.m_unk])) <= tol
+        grid = np.array([0.0, 0.1, 0.25, 0.3])
+        phis, gs = linear_propagator(problem, grid, Scheme.dg(order))
+        for i in range(3):
+            phi, g = _dense_endpoint_rows(problem, grid[i], grid[i + 1], order)
+            assert np.max(np.abs(phis[i] - phi)) <= tol
+            assert np.max(np.abs(gs[i] - g)) <= tol
 
     def test_multivariate_condensation_against_dense_oracle(self, rng):
         problem = random_stable_linear(3, seed=21)
-        k_mat, inflow, forcing, _ = dg_element_system(problem, 0.3, 0.55, 2)
-        prop = condense_dg_element(k_mat, inflow, forcing, 2, 3)
-        full = np.linalg.solve(k_mat, np.column_stack([inflow, forcing]))
-        scale = np.max(np.abs(full[6:9, :3]))
-        assert np.max(np.abs(prop.phi - full[6:9, :3])) <= 1e-12 * max(1.0, scale)
-        assert np.max(np.abs(prop.g - full[6:9, 3])) <= 1e-12
-
-    def test_dg0_condensation_is_identity_reduction(self):
-        problem = linear_decay(1.0)
-        k_mat, inflow, forcing, _ = dg_element_system(problem, 0.0, 0.25, 0)
-        prop = condense_dg_element(k_mat, inflow, forcing, 0, 1)
-        be = linear_propagator(problem, 0.0, 0.25, Scheme.backward_euler())
-        assert prop.phi[0, 0] == pytest.approx(be.phi[0, 0], abs=1e-16)
+        phis, gs = linear_propagator(problem, np.array([0.3, 0.55]), Scheme.dg(2))
+        phi, g = _dense_endpoint_rows(problem, 0.3, 0.55, 2)
+        scale = np.max(np.abs(phi))
+        assert np.max(np.abs(phis[0] - phi)) <= 1e-12 * max(1.0, scale)
+        assert np.max(np.abs(gs[0] - g)) <= 1e-12
 
     def test_singular_interior_block(self):
-        k_mat = np.zeros((2, 2))
-        k_mat[1, 1] = 1.0
-        with pytest.raises(SingularStepError):
-            condense_dg_element(k_mat, np.ones((2, 1)), np.zeros(2), 1, 1)
+        # Second component: du/dt = 4 u, whose DG(0) element matrix 1 - 4 dt
+        # is singular on the interior element of width 0.25 only.
+        problem = OdeProblem(m_unk=2, kappa=lambda t, u: np.array([u[0], -4.0 * u[1]]),
+                             jacobian=lambda t, u: np.diag([1.0, -4.0]),
+                             u0=np.ones(2), is_linear=True)
+        with pytest.raises(SingularStepError) as err:
+            linear_propagator(problem, np.array([0.0, 0.125, 0.375, 0.5]), Scheme.dg(0))
+        assert (err.value.t_start, err.value.t_end) == (0.125, 0.375)
+
+
+def _step_residual(problem, t_start, t_end, u_in, u_out, scheme):
+    res, _ = global_residual(problem, np.stack([u_in, u_out]), np.array([t_start, t_end]),
+                             scheme)
+    return res[0]
+
+
+def _step_phi(problem, t_start, t_end, u_in, u_out, scheme):
+    return linearize_global(problem, np.stack([u_in, u_out]), np.array([t_start, t_end]),
+                            scheme).phis[0]
+
+
+def _fd_step_jacobians(problem, t_start, t_end, u_in, u_out, scheme, eps=1e-6):
+    """Central differences of the one-step residual in ``u_out`` and in ``u_in``."""
+    m = len(u_in)
+    j_out, j_in = np.empty((m, m)), np.empty((m, m))
+    for col in range(m):
+        e = np.zeros(m)
+        e[col] = eps
+        j_out[:, col] = (_step_residual(problem, t_start, t_end, u_in, u_out + e, scheme)
+                         - _step_residual(problem, t_start, t_end, u_in, u_out - e, scheme)
+                         ) / (2 * eps)
+        j_in[:, col] = (_step_residual(problem, t_start, t_end, u_in + e, u_out, scheme)
+                        - _step_residual(problem, t_start, t_end, u_in - e, u_out, scheme)
+                        ) / (2 * eps)
+    return j_out, j_in
 
 
 class TestNonlinearStepResidual:
     def test_linear_problem_has_constant_jacobians(self, rng):
         problem = random_stable_linear(2, seed=9)
-        vals = []
-        for _ in range(3):
-            u_in = rng.normal(size=2)
-            u_out = rng.normal(size=2)
-            _, j_out, j_in = nonlinear_step_residual(problem, 0.0, 0.1, u_in, u_out,
-                                                     Scheme.backward_euler())
-            vals.append((j_out, j_in))
-        for j_out, j_in in vals[1:]:
-            assert np.array_equal(j_out, vals[0][0])
-            assert np.array_equal(j_in, vals[0][1])
+        scheme = Scheme.backward_euler()
+        phis = [_step_phi(problem, 0.0, 0.1, rng.normal(size=2), rng.normal(size=2), scheme)
+                for _ in range(3)]
+        for phi in phis[1:]:
+            assert np.array_equal(phi, phis[0])
+        j_out, j_in = _fd_step_jacobians(problem, 0.0, 0.1, np.zeros(2), np.zeros(2), scheme)
+        assert np.max(np.abs(phis[0] + np.linalg.solve(j_out, j_in))) <= 1e-8
 
     def test_linearity_of_residual(self, rng):
         problem = random_stable_linear(2, seed=10)
         scheme = Scheme.theta_method(0.6)
         a_in, a_out = rng.normal(size=2), rng.normal(size=2)
         b_in, b_out = rng.normal(size=2), rng.normal(size=2)
-        r_a, _, _ = nonlinear_step_residual(problem, 0.0, 0.1, a_in, a_out, scheme)
-        r_b, _, _ = nonlinear_step_residual(problem, 0.0, 0.1, b_in, b_out, scheme)
-        r_sum, _, _ = nonlinear_step_residual(problem, 0.0, 0.1, a_in + b_in,
-                                              a_out + b_out, scheme)
-        r_zero, _, _ = nonlinear_step_residual(problem, 0.0, 0.1,
-                                               np.zeros(2), np.zeros(2), scheme)
+        r_a = _step_residual(problem, 0.0, 0.1, a_in, a_out, scheme)
+        r_b = _step_residual(problem, 0.0, 0.1, b_in, b_out, scheme)
+        r_sum = _step_residual(problem, 0.0, 0.1, a_in + b_in, a_out + b_out, scheme)
+        r_zero = _step_residual(problem, 0.0, 0.1, np.zeros(2), np.zeros(2), scheme)
         assert np.allclose(r_sum, r_a + r_b - r_zero, atol=1e-12)
 
     def test_riccati_backward_euler_formula(self):
-        from timeschur import forced_riccati
         problem = forced_riccati()
         dt = 0.01
         u_in, u_out = np.array([0.0]), np.array([0.01])
-        r, _, _ = nonlinear_step_residual(problem, 0.0, dt, u_in, u_out,
-                                          Scheme.backward_euler())
+        r = _step_residual(problem, 0.0, dt, u_in, u_out, Scheme.backward_euler())
         expected = u_out - u_in + dt * problem.kappa(dt, u_out)
         assert r[0] == pytest.approx(expected[0], abs=1e-16)
 
     @pytest.mark.parametrize("theta", [1.0, 0.5])
     def test_jacobians_match_central_differences(self, theta, rng):
-        from timeschur import lotka_volterra
         problem = lotka_volterra(3.0, 0.2, 2.0, 0.1, 10.0, 40.0)
         scheme = Scheme.theta_method(theta)
         u_in = rng.uniform(5.0, 20.0, size=2)
         u_out = rng.uniform(5.0, 20.0, size=2)
-        r0, j_out, j_in = nonlinear_step_residual(problem, 0.1, 0.13, u_in, u_out, scheme)
-        eps = 1e-6
-        for target, jac in (("out", j_out), ("in", j_in)):
-            approx = np.empty((2, 2))
-            for col in range(2):
-                plus_in, plus_out = u_in.copy(), u_out.copy()
-                minus_in, minus_out = u_in.copy(), u_out.copy()
-                if target == "out":
-                    plus_out[col] += eps
-                    minus_out[col] -= eps
-                else:
-                    plus_in[col] += eps
-                    minus_in[col] -= eps
-                r_plus, _, _ = nonlinear_step_residual(problem, 0.1, 0.13,
-                                                       plus_in, plus_out, scheme)
-                r_minus, _, _ = nonlinear_step_residual(problem, 0.1, 0.13,
-                                                        minus_in, minus_out, scheme)
-                approx[:, col] = (r_plus - r_minus) / (2 * eps)
-            assert np.max(np.abs(approx - jac)) <= 1e-6 * max(1.0, np.max(np.abs(jac)))
+        phi = _step_phi(problem, 0.1, 0.13, u_in, u_out, scheme)
+        j_out, j_in = _fd_step_jacobians(problem, 0.1, 0.13, u_in, u_out, scheme)
+        expected = -np.linalg.solve(j_out, j_in)
+        assert np.max(np.abs(phi - expected)) <= 1e-6 * max(1.0, np.max(np.abs(expected)))

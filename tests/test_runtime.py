@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from timeschur import (
+    NonconvergenceError,
     Scheme,
     TaskError,
-    Timings,
     WorkerPool,
     build_explicit,
     build_linear_system,
@@ -33,6 +33,10 @@ def _boom(x):
     raise RuntimeError(f"bad task {x}")
 
 
+def _stalls(x):
+    raise NonconvergenceError(f"task {x}", 50, 1.0)
+
+
 class TestParallelMap:
     def test_results_identical_across_worker_counts(self, rng):
         args = [(rng.normal(size=(30, 2, 2)) * 0.4, rng.normal(size=(30, 2)))
@@ -55,6 +59,11 @@ class TestParallelMap:
             pool.map(_boom, [(1,), (2,), (3,)])
         assert err.value.index in (0, 1, 2)
         assert isinstance(err.value.original, RuntimeError)
+
+    def test_package_errors_surface_as_themselves(self):
+        with pytest.raises(NonconvergenceError) as err, WorkerPool(2) as pool:
+            pool.map(_stalls, [(1,), (2,), (3,)])
+        assert err.value.where == "task 1" and err.value.iterations == 50
 
     def test_elapsed_tracks_the_parallel_region(self):
         # 8 equal sleep tasks over 2 workers: about 4 rounds, generous slack.
@@ -87,37 +96,6 @@ class TestCriticalPath:
 
     def test_empty(self):
         assert critical_path_seconds([], workers=3) == 0.0
-
-
-class TestTimings:
-    def test_sections_accumulate_additively(self):
-        timings = Timings()
-        for _ in range(3):
-            with timings.section("outer"):
-                time.sleep(0.01)
-        assert timings.get("outer") >= 0.025
-
-    def test_nested_sections_both_counted(self):
-        timings = Timings()
-        with timings.section("outer"):
-            with timings.section("inner"):
-                time.sleep(0.01)
-            time.sleep(0.01)
-        assert timings.get("inner") >= 0.008
-        assert timings.get("outer") >= timings.get("inner")
-
-    def test_timed_returns_the_value(self):
-        timings = Timings()
-        assert timings.timed("calc", lambda: 41 + 1) == 42
-        assert timings.get("calc") >= 0.0
-
-    def test_sequential_sections_sum(self):
-        timings = Timings()
-        with timings.section("a"):
-            time.sleep(0.01)
-        with timings.section("b"):
-            time.sleep(0.01)
-        assert timings.get("a") + timings.get("b") >= 0.018
 
 
 class TestSolverDeterminism:

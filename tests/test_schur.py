@@ -303,15 +303,38 @@ def partition_counts(draw):
     return counts
 
 
-@settings(max_examples=40, deadline=None)
+SCHEMES = [Scheme.theta_method(0.5), Scheme.backward_euler(),
+           Scheme.dg(0), Scheme.dg(1), Scheme.dg(2)]
+
+# A random system, or a linear problem built on a non-uniform grid.
+SOURCES = st.one_of(
+    st.just(None),
+    st.tuples(st.sampled_from([cosine_drive(), random_stable_linear(2, seed=3)]),
+              st.sampled_from(SCHEMES)),
+)
+
+
+def system_and_partition(counts, m, seed, source):
+    """``source`` None: a random ``m``-unknown system on a uniform grid. Else a
+    ``(problem, scheme)`` built on a grid whose widths vary by up to 4x."""
+    if source is None:
+        return LevelSystem(0, *random_system(counts[0], m, seed)), \
+            build_explicit(counts, t_end=1.0)
+    problem, scheme = source
+    widths = np.random.default_rng(seed).uniform(0.25, 1.0, counts[0]) / counts[0]
+    part = build_explicit(counts, grid=np.concatenate([[0.0], np.cumsum(widths)]))
+    return build_linear_system(problem, part.grids[0], scheme), part
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     counts=partition_counts(),
     m=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=10**6),
+    source=SOURCES,
 )
-def test_ml_solve_is_exact_on_random_systems(counts, m, seed):
-    sys0 = LevelSystem(0, *random_system(counts[0], m, seed))
-    part = build_explicit(counts, t_end=1.0)
+def test_ml_solve_is_exact_on_random_systems(counts, m, seed, source):
+    sys0, part = system_and_partition(counts, m, seed, source)
     exact = forward_substitution_oracle(sys0.phis, sys0.gs, sys0.u_init)
     ml = ml_solve(sys0, part)
     scale = np.max(np.abs(exact)) + 1e-30
@@ -324,15 +347,15 @@ def two_workers():
         yield pool
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=15, deadline=None)
 @given(
     counts=partition_counts(),
     m=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=10**6),
+    source=SOURCES,
 )
-def test_ml_solve_bitwise_equal_across_worker_counts(two_workers, counts, m, seed):
-    sys0 = LevelSystem(0, *random_system(counts[0], m, seed))
-    part = build_explicit(counts, t_end=1.0)
+def test_ml_solve_bitwise_equal_across_worker_counts(two_workers, counts, m, seed, source):
+    sys0, part = system_and_partition(counts, m, seed, source)
     with WorkerPool(1) as one_worker:
         serial = ml_solve(sys0, part, pool=one_worker)
     assert np.array_equal(serial, ml_solve(sys0, part, pool=two_workers))
