@@ -20,7 +20,6 @@ from .errors import (
 )
 from .integrators import (
     Scheme,
-    dg_element_system,
     linear_propagator,
     parse_scheme,
 )
@@ -57,13 +56,11 @@ from .runtime import (
 )
 from .schur import (
     LevelSystem,
-    assemble_schur,
     build_linear_system,
     cost_model,
     level_maps,
     ml_solve,
     petrov_galerkin_assemble,
-    restriction_operator,
     sequential_solve,
 )
 
@@ -83,7 +80,6 @@ __all__ = [
     "TimeSchurError",
     "ValidationError",
     "WorkerPool",
-    "assemble_schur",
     "available_workers",
     "build_adaptive_top",
     "build_explicit",
@@ -92,7 +88,6 @@ __all__ = [
     "by_name",
     "cosine_drive",
     "cost_model",
-    "dg_element_system",
     "forced_riccati",
     "global_residual",
     "level_maps",
@@ -107,7 +102,6 @@ __all__ = [
     "parse_scheme",
     "petrov_galerkin_assemble",
     "random_stable_linear",
-    "restriction_operator",
     "sequential_nonlinear_solve",
     "sequential_solve",
     "zero_operator",

@@ -36,7 +36,7 @@ from .problems import (
     random_stable_linear,
     zero_operator,
 )
-from .runtime import SolverReport, available_workers
+from .runtime import SolverReport, WorkerPool, available_workers
 from .schur import (
     LevelSystem,
     assemble_schur,
@@ -285,7 +285,7 @@ def run_weak_scaling(spec: ExperimentSpec, n1_list: list[int],
         point = ExperimentSpec(**{**asdict(spec), "n0": local_size * n1, "n1": n1,
                                   "n2": None, "ratio": None, "adaptive": False})
         partition = point.build_partition()
-        # One modeled worker per subdomain (actual processes cap at the cores).
+        # One modeled worker per subdomain (threads cap at the cores).
         workers = n1 if spec.workers is None else min(n1, spec.workers)
         base = _base_row(point, "weak-scaling", "parallel", partition, workers)
         rows.extend(_solver_rows(point, base, partition, workers))
@@ -578,4 +578,16 @@ def verify(workers: int = 1) -> list[CheckResult]:
         float(np.max(np.abs(gns - nls))),
     )
     checks.append(CheckResult("nonlinear_agreement", worst <= 1e-6, worst, 1e-6))
+
+    # The pool reproduces the in-process results bitwise.
+    inproc, _ = newton_schur_solve(problem, partition, Scheme.backward_euler(), policy)
+    worst = float(np.max(np.abs(gns - inproc)))
+    partition = build_explicit([2003, 40, 7], t_end=1.0)  # ragged subdomains
+    sys0 = build_linear_system(random_stable_linear(2, seed=3), partition.grids[0],
+                               Scheme.backward_euler())
+    with WorkerPool(workers) as pool:
+        pooled = ml_solve(sys0, partition, pool=pool)
+    worst = max(worst, float(np.max(np.abs(pooled - ml_solve(sys0, partition)))))
+    checks.append(CheckResult("worker_bitwise", worst == 0.0, worst, 0.0,
+                              detail=f"workers={workers}"))
     return checks

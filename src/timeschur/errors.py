@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-Every type pickles with its constructor arguments, so an error raised inside
-a pool worker reaches the parent process intact.
+Every type pickles with its constructor arguments, so an error survives a
+pickle round trip intact.
 """
 
 

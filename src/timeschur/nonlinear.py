@@ -558,13 +558,14 @@ def nonlinear_schur_newton_solve(
 ):
     """Outer loop on level-k interface values with nonlinear harmonic extensions.
 
-    Per outer iteration: extend every level-k element in parallel, test the
+    Per outer iteration: extend every level-k element in lockstep, test the
     global fine residual, assemble the level-k Schur system of the fine
     linearization at the extended state, solve the interface update with the
     direct multilevel method over levels k..top, and update. The final
-    trajectory is the extensions plus the interface values. Each pool task
-    takes one contiguous run of elements. A ``TimeSchurError`` raised in a
-    task re-raises as itself; its message names the element and time.
+    trajectory is the extensions plus the interface values. The extensions
+    and Schur rows of all elements are one task each; only the multilevel
+    solve uses the pool's threads. A ``TimeSchurError`` raised in a task
+    re-raises as itself; its message names the element and time.
     """
     policy = policy or LinearizationPolicy()
     th = scheme.effective_theta()
@@ -579,8 +580,11 @@ def nonlinear_schur_newton_solve(
     start = time.perf_counter()
     norm = np.inf
     with WorkerPool(workers) as pool:
-        runs = _runs(partition, k, pool.processes)
-        w = _extend_all(problem, runs, grid, z, traj, th, policy, pool, report)
+        # The extensions and the Schur rows of all elements are one task each:
+        # they are Python-bound, so a second thread would only contend for
+        # the interpreter lock.
+        _, _, nodes, firsts = _window_run(partition, k, 0, partition.counts[k])
+        w = _extend_all(problem, grid, nodes, firsts, z, traj, th, policy, pool, report)
         for it in range(policy.max_iters + 1):
             res, norm = global_residual(problem, w, grid, scheme)
             report.residual_history.append(norm)
@@ -598,44 +602,28 @@ def nonlinear_schur_newton_solve(
                 report.picard_iterations += 1
             else:
                 report.newton_iterations += 1
-            args = [(problem, grid[f_lo:f_hi + 1], w[f_lo:f_hi + 1], nodes[-1], lo, th,
-                     mode == "picard")
-                    for lo, _, f_lo, f_hi, nodes, _ in runs]
-            rows, seconds, _ = pool.map(_schur_row_task, args)
+            rows, seconds, _ = pool.map(
+                _schur_row_task, [(problem, grid, w, nodes[-1], 0, th, mode == "picard")])
             report.add_level_tasks(0, seconds)
-            system = LevelSystem(
-                level=k,
-                phis=np.concatenate([r[0] for r in rows]),
-                gs=np.concatenate([r[1] for r in rows]),
-                u_init=np.zeros(problem.m_unk),
-            )
+            (phis, gs), = rows
+            system = LevelSystem(level=k, phis=phis, gs=gs, u_init=np.zeros(problem.m_unk))
             z = z + ml_solve(system, partition, pool=pool, report=report)
             report.outer_iterations += 1
-            w = _extend_all(problem, runs, grid, z, w, th, policy, pool, report)
+            w = _extend_all(problem, grid, nodes, firsts, z, w, th, policy, pool, report)
     report.wall_seconds = time.perf_counter() - start
     report.cost_estimate = cost_model(partition, problem.m_unk)
     return w, report
 
 
-def _runs(partition, k, parts):
-    """The level-k elements in at most ``parts`` runs of consecutive elements.
+def _extend_all(problem, grid, nodes, firsts, z, warm_traj, th, policy, pool, report):
+    """Extend the interface values ``z`` into every level-k element, as one pool task.
 
-    Each run is ``(lo, hi) + _window_run(partition, k, lo, hi)``.
+    ``nodes`` and ``firsts`` describe all level-k elements as one run.
     """
-    n_k = partition.counts[k]
-    parts = min(parts, n_k)
-    cuts = [n_k * i // parts for i in range(parts + 1)]
-    return [(lo, hi) + _window_run(partition, k, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-
-
-def _extend_all(problem, runs, grid, z, warm_traj, th, policy, pool, report):
-    """Extend the interface values ``z`` over every run in one pool region."""
-    args = [(problem, grid[f_lo:f_hi], nodes, firsts, z[lo:hi], warm_traj[f_lo:f_hi], th,
-             policy)
-            for lo, hi, f_lo, f_hi, nodes, firsts in runs]
-    results, seconds, _ = pool.map(_extension_task, args)
+    results, seconds, _ = pool.map(_extension_task, [
+        (problem, grid[:-1], nodes, firsts, z[:-1], warm_traj[:-1], th, policy)])
     report.add_level_tasks(0, seconds)
-    for _, picard, newton in results:
-        report.inner_picard += picard
-        report.inner_newton += newton
-    return np.concatenate([values for values, _, _ in results] + [z[-1:]])
+    (values, picard, newton), = results
+    report.inner_picard += picard
+    report.inner_newton += newton
+    return np.concatenate([values, z[-1:]])

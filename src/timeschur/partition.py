@@ -51,12 +51,6 @@ class MultilevelPartition:
         """Index of the coarsest level (number of levels minus one)."""
         return len(self.counts) - 1
 
-    def agg(self, level: int) -> np.ndarray:
-        """Aggregation map of ``level`` (>= 1) into the level below."""
-        if level < 1 or level > self.top_level:
-            raise ValidationError(f"level {level} has no aggregation map")
-        return self.aggs[level - 1]
-
     def subdomain_bounds(self, level: int) -> np.ndarray:
         """Node-index bounds, in level-``level`` indexing, of the level-(level+1) subdomains.
 

@@ -1,20 +1,18 @@
 """Deterministic parallel task execution and solver instrumentation.
 
 This module owns the only concurrency in the package. Tasks are pure
-functions of picklable inputs writing to disjoint output slots, so results
-are identical (bitwise) to serial execution for any worker count; only wall
-clocks change. Workers are OS processes (fork) because the per-step solver
-loops are Python-bound.
+functions of their inputs writing to disjoint output slots, so results are
+identical (bitwise) to serial execution for any worker count; only wall
+clocks change. Workers are threads: the tasks' heavy work is batched numpy,
+which releases the interpreter lock, and threads share the output arrays the
+tasks write into.
 """
 
 from __future__ import annotations
 
-import math
-import multiprocessing
 import os
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import TaskError, TimeSchurError
@@ -24,31 +22,24 @@ def available_workers() -> int:
     return os.cpu_count() or 1
 
 
-# Keyed by native thread id, not thread-local: a forked worker inherits the
-# parent's thread-locals, but not the thread the descriptor was opened for.
-_SCHEDSTAT: dict[int, int] = {}  # thread id -> schedstat descriptor, -1 if unreadable
-
-
 def _queued_seconds() -> float:
     """Seconds the calling thread has spent runnable but waiting for a core.
 
     Linux reports this in ``/proc/thread-self/schedstat``. Where that cannot
-    be read it stays 0.0, and ``task_clock`` is the plain wall clock.
+    be read it stays 0.0, and ``task_clock`` is the plain wall clock. The file
+    is opened per call: a descriptor cached per thread would outlive its
+    thread, and a recycled thread id would read a dead thread's stats.
     """
-    tid = threading.get_native_id()
-    fd = _SCHEDSTAT.get(tid)
-    if fd is None:
-        try:
-            fd = os.open("/proc/thread-self/schedstat", os.O_RDONLY)
-        except OSError:
-            fd = -1
-        _SCHEDSTAT[tid] = fd
-    if fd < 0:
+    try:
+        fd = os.open("/proc/thread-self/schedstat", os.O_RDONLY)
+    except OSError:
         return 0.0
     try:
         return int(os.pread(fd, 64, 0).split()[1]) * 1e-9
     except (OSError, IndexError, ValueError):
         return 0.0
+    finally:
+        os.close(fd)
 
 
 def task_clock() -> float:
@@ -62,12 +53,8 @@ def task_clock() -> float:
     return time.perf_counter() - _queued_seconds()
 
 
-def _noop(_):
-    return None
-
-
 def _run_task(fn, index, args):
-    # Executed inside the worker so pool dispatch overhead never lands in the
+    # Timed inside the worker so pool dispatch overhead never lands in the
     # level timings.
     start = task_clock()
     try:
@@ -78,13 +65,13 @@ def _run_task(fn, index, args):
 
 
 class WorkerPool:
-    """Maps independent tasks over a fixed number of workers.
+    """Maps independent tasks over a fixed number of worker threads.
 
     ``workers`` is the requested (modeled) parallelism used for critical-path
-    aggregation; the actual process count is capped at the core count, which
-    changes nothing but wall clocks. ``workers == 1`` runs everything
-    in-process (no pickling); larger counts use a process pool created lazily
-    and reused for the pool's lifetime.
+    aggregation; the thread count, ``processes``, is capped at the core count,
+    which changes nothing but wall clocks. With one thread, or one task, tasks
+    run in the calling thread. The threads start with the first parallel map
+    and live as long as the pool.
     """
 
     def __init__(self, workers: int | None = None):
@@ -92,7 +79,7 @@ class WorkerPool:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         self.processes = min(self.workers, available_workers())
-        self._executor: ProcessPoolExecutor | None = None
+        self._executor = ThreadPoolExecutor(max_workers=self.processes)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -101,43 +88,24 @@ class WorkerPool:
         self.close()
 
     def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX fallback
-                ctx = multiprocessing.get_context("spawn")
-            self._executor = ProcessPoolExecutor(max_workers=self.processes,
-                                                 mp_context=ctx)
-            # Warm the workers up so cold-start cost never lands in task clocks.
-            list(self._executor.map(_noop, range(2 * self.processes)))
-        return self._executor
+        self._executor.shutdown()
 
     def map(self, fn, args_list):
         """Run ``fn(*args)`` for each args tuple; order of results == order of tasks.
 
         Returns ``(results, task_seconds, elapsed)`` where ``task_seconds[i]``
         is task i's own ``task_clock`` time and ``elapsed`` is the whole
-        region's wall clock. A pool sends the tasks in contiguous chunks,
-        about four per process.
+        region's wall clock.
         A task's ``TimeSchurError`` re-raises as itself; other exceptions
         re-raise as ``TaskError`` carrying the task index.
         """
         args_list = list(args_list)
         region_start = time.perf_counter()
-        if not args_list:
-            return [], [], time.perf_counter() - region_start
-        if self.processes == 1 or len(args_list) == 1:
+        if self.processes == 1 or len(args_list) <= 1:
             raw = [_run_task(fn, i, args) for i, args in enumerate(args_list)]
         else:
-            ex = self._ensure_executor()
-            raw = list(ex.map(_run_task, [fn] * len(args_list),
-                              range(len(args_list)), args_list,
-                              chunksize=math.ceil(len(args_list) / (4 * self.processes))))
+            raw = list(self._executor.map(_run_task, [fn] * len(args_list),
+                                          range(len(args_list)), args_list))
         elapsed = time.perf_counter() - region_start
         results, seconds = [], []
         for index, result, secs, exc in raw:

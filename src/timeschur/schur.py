@@ -9,16 +9,19 @@ stored as stacked propagator arrays. Each step is the affine map
 augmented maps. One reduction step takes, per subdomain, the prefix products
 of its steps from the inflow node. Their top rows ``[E | v]`` hold the
 harmonic extension ``E`` (identity inflow) and the interior correction ``v``
-(zero inflow) at once. The subdomain's closing step applied to its last
-prefix is the coarse step: the Schur complement on the interface nodes has
-the same structure one level up. The full solve reduces level by level,
-solves the coarsest system by forward substitution, and reconstructs
-downwards as ``u = [E | v] @ [u_inflow; 1]`` with interface values copied
-verbatim.
+(zero inflow) at once. They are a scan of an associative operator, taken by
+Hillis-Steele doubling: a batch of equal-length subdomains needs
+``ceil(log2 s)`` batched products for ``s`` steps, not ``s`` sequential
+ones. The subdomain's closing step applied to its last prefix is the coarse
+step: the Schur complement on the interface nodes has the same structure one
+level up. The full solve reduces level by level, solves the coarsest system
+by forward substitution, and reconstructs downwards as
+``u = [E | v] @ [u_inflow; 1]`` with interface values copied verbatim.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,23 +83,43 @@ def sequential_solve(sys: LevelSystem) -> np.ndarray:
     return u
 
 
-def _subdomain_setup(phis: np.ndarray, gs: np.ndarray) -> np.ndarray:
-    """Prefix products ``[E | v]`` of one subdomain's augmented steps.
+def _subdomain_setup(phis: np.ndarray, gs: np.ndarray, out: np.ndarray) -> float:
+    """Prefix maps ``[E | v]`` of a batch of equal-length subdomains, into ``out``.
 
-    Inputs are the subdomain's ``s`` element blocks. Entry ``j`` of the
-    result, shape ``(s, m, m+1)``, is the top of the product of the first
+    ``phis``, ``gs`` hold ``k`` subdomains of ``s`` element blocks each,
+    shaped ``(k, s, m, m)`` and ``(k, s, m)``. Entry ``j`` of a subdomain in
+    ``out``, shaped ``(k, s, m, m+1)``, is the top of the product of its first
     ``j`` maps ``[[phi, g], [0, 1]]``: it takes ``[u_inflow; 1]`` to the
     subdomain's node ``j``, from the inflow node (``[I | 0]``) up to, not
-    including, the right interface.
+    including, the right interface. Hillis-Steele doubling over the step axis
+    takes ``ceil(log2 s)`` batched products ``[A | a] o [B | b] = [A B | A b + a]``
+    in two ping-pong buffers, the last of them ``out``. Returns the thread CPU
+    seconds the call took.
     """
-    s, m = gs.shape
-    steps = np.concatenate([phis, gs[:, :, None]], axis=2)
-    prefix = np.zeros((s, m + 1, m + 1))
-    prefix[:, m, m] = 1.0
-    prefix[0] = np.eye(m + 1)
-    for j in range(1, s):
-        np.matmul(steps[j - 1], prefix[j - 1], out=prefix[j, :m])
-    return prefix[:, :m].copy()  # frees the constant bottom rows
+    start = time.thread_time()
+    k, s, m = gs.shape
+    rounds = max(s - 1, 0).bit_length()  # ceil(log2 s) doublings
+    buf, spare = (out, np.empty_like(out)) if rounds % 2 == 0 else (np.empty_like(out), out)
+    buf[:, 0] = np.eye(m, m + 1)
+    buf[:, 1:, :, :m] = phis[:, :-1]
+    buf[:, 1:, :, m] = gs[:, :-1]
+    d = 1
+    while d < s:
+        # Entry j composes the maps of the steps in (j - 2d, j] from its own
+        # (j - d, j] and those of its neighbour d steps back.
+        np.matmul(buf[:, d:, :, :m], buf[:, :-d], out=spare[:, d:])
+        spare[:, d:, :, m] += buf[:, d:, :, m]
+        spare[:, :d] = buf[:, :d]
+        buf, spare = spare, buf
+        d *= 2
+    return time.thread_time() - start
+
+
+def _equal_length_runs(bounds: np.ndarray):
+    """``(i, j, s)`` per run of consecutive subdomains ``i..j-1`` of ``s`` elements each."""
+    lengths = np.diff(bounds)
+    edges = np.concatenate([[0], np.flatnonzero(np.diff(lengths)) + 1, [len(lengths)]])
+    return [(int(i), int(j), int(lengths[i])) for i, j in zip(edges[:-1], edges[1:])]
 
 
 def level_maps(
@@ -110,16 +133,32 @@ def level_maps(
     Row ``j`` maps ``[u_a; 1]``, with ``u_a`` the value at the inflow node of
     ``j``'s subdomain, to node ``j``: ``E`` is the harmonic extension
     (identity inflow) and ``v`` the interior correction (zero inflow), which
-    vanishes at the inflow nodes. One task per subdomain.
+    vanishes at the inflow nodes. Each run of equal-length subdomains is
+    viewed as one batch and split into ``min(pool.workers, k)`` contiguous
+    shares of its ``k`` subdomains, one task each, which write their slices
+    of the result in place.
     """
-    args = [(sys.phis[a:b], sys.gs[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    n, m = sys.gs.shape
+    maps = np.empty((n, m, m + 1))
+    workers = pool.workers if pool is not None else 1
+    args = []
+    for i, j, s in _equal_length_runs(bounds):
+        a, b, k = bounds[i], bounds[j], j - i
+        batch = (sys.phis[a:b].reshape(k, s, m, m), sys.gs[a:b].reshape(k, s, m),
+                 maps[a:b].reshape(k, s, m, m + 1))  # views, not copies
+        shares = min(workers, k)
+        cuts = [k * c // shares for c in range(shares + 1)]
+        args += [tuple(x[lo:hi] for x in batch) for lo, hi in zip(cuts, cuts[1:])]
     if pool is None:
-        blocks = [_subdomain_setup(*a) for a in args]
+        for share in args:
+            _subdomain_setup(*share)
     else:
-        blocks, seconds, _ = pool.map(_subdomain_setup, args)
+        # Thread CPU time, not task clocks: on threads, a small share's wall
+        # clock would absorb its waits for the interpreter lock.
+        cpu_seconds, _, _ = pool.map(_subdomain_setup, args)
         if report is not None:
-            report.add_level_tasks(sys.level, seconds)
-    return np.concatenate(blocks)
+            report.add_level_tasks(sys.level, cpu_seconds)
+    return maps
 
 
 def restriction_operator(sys: LevelSystem, bounds: np.ndarray) -> list[np.ndarray]:
@@ -186,10 +225,13 @@ def ml_solve(
         start = task_clock()
         bounds = partition.subdomain_bounds(level)
         maps = maps_per_level[level - sys.level]
-        inflow = np.repeat(np.column_stack([u[:-1], np.ones(len(u) - 1)]),
-                           np.diff(bounds), axis=0)
-        fine = np.empty((len(maps) + 1, u.shape[1]))
-        fine[:-1] = (maps @ inflow[:, :, None])[:, :, 0]
+        m = u.shape[1]
+        inflow = np.column_stack([u[:-1], np.ones(len(u) - 1)])[:, None, :, None]
+        fine = np.empty((len(maps) + 1, m))
+        for i, j, s in _equal_length_runs(bounds):
+            a, b, k = bounds[i], bounds[j], j - i
+            np.matmul(maps[a:b].reshape(k, s, m, m + 1), inflow[i:j],
+                      out=fine[a:b].reshape(k, s, m, 1))
         fine[bounds] = u  # interface values are copied, not recomputed
         u = fine
         if report is not None:

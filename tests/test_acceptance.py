@@ -27,13 +27,12 @@ from timeschur import (
     nonlinear_schur_newton_solve,
     petrov_galerkin_assemble,
     random_stable_linear,
-    restriction_operator,
     sequential_nonlinear_solve,
     sequential_solve,
 )
 from timeschur.bench import ExperimentSpec, emit_figure_data, run_weak_scaling
 from timeschur.nonlinear import _interior_mask
-from timeschur.schur import LevelSystem, assemble_schur
+from timeschur.schur import LevelSystem, assemble_schur, restriction_operator
 
 BE = Scheme.backward_euler()
 LV_BENCH = dict(alpha=3.0, beta=0.2, gamma=2.0, delta=0.1, u0=10.0, v0=40.0)

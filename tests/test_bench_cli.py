@@ -206,7 +206,10 @@ class TestVerify:
         assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
         names = {c.name for c in checks}
         assert names == {"linear_exactness", "petrov_galerkin",
-                         "newton_partition_independence", "nonlinear_agreement"}
+                         "newton_partition_independence", "nonlinear_agreement",
+                         "worker_bitwise"}
+        pooled = {c.name: c for c in verify(workers=2)}
+        assert pooled["worker_bitwise"].passed, pooled["worker_bitwise"].error
 
     def test_injected_sign_bug_is_caught(self, monkeypatch):
         # Flip the sign of the closing-step product: the Petrov-Galerkin

@@ -12,7 +12,6 @@ from timeschur import (
     SingularStepError,
     ValidationError,
     cosine_drive,
-    dg_element_system,
     forced_riccati,
     global_residual,
     linear_decay,
@@ -23,6 +22,7 @@ from timeschur import (
     random_stable_linear,
     zero_operator,
 )
+from timeschur.integrators import dg_element_system
 
 ALL_SCHEMES = [Scheme.theta_method(0.5), Scheme.backward_euler(),
                Scheme.dg(0), Scheme.dg(1), Scheme.dg(2)]

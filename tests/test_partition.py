@@ -56,7 +56,7 @@ class TestNestedness:
     def test_coarse_points_are_copied_bitwise(self):
         part = build_uniform(np.pi, 60, 4)
         for k in range(1, part.n_levels):
-            m = part.agg(k)
+            m = part.aggs[k - 1]
             assert np.array_equal(part.grids[k], part.grids[k - 1][m])
 
     def test_subdomains_cover_elements_exactly_once(self):
@@ -118,7 +118,7 @@ def test_uniform_invariants(n0, theta):
     assert part.counts[0] == n0
     assert all(a >= b for a, b in zip(part.counts, part.counts[1:]))
     for k in range(1, part.n_levels):
-        m = part.agg(k)
+        m = part.aggs[k - 1]
         assert m[0] == 0 and m[-1] == part.counts[k - 1]
         assert np.all(np.diff(m) >= 1)
     if n0 > theta:

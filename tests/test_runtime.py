@@ -1,3 +1,4 @@
+import os
 import time
 
 import numpy as np
@@ -21,7 +22,10 @@ from timeschur.schur import _subdomain_setup
 
 
 def _chain(phis, gs):
-    return _subdomain_setup(phis, gs)
+    # One subdomain as a batch of one.
+    maps = np.empty((1, *phis.shape[:2], phis.shape[2] + 1))
+    _subdomain_setup(phis[None], gs[None], maps)
+    return maps[0]
 
 
 def _sleepy(seconds):
@@ -84,6 +88,17 @@ class TestTaskClock:
         time.sleep(naptime)
         clock, wall = task_clock() - clock, time.perf_counter() - wall
         assert naptime * 0.9 <= clock <= wall
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_pooled_solves_leave_no_descriptors_open(self):
+        # Every pool starts new threads, and every thread reads its clock.
+        prob = lotka_volterra(3.0, 0.2, 2.0, 0.1, 10.0, 40.0)
+        part = build_explicit([120, 6], t_end=3.0)
+        newton_schur_solve(prob, part, Scheme.backward_euler(), workers=2)
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(50):
+            newton_schur_solve(prob, part, Scheme.backward_euler(), workers=2)
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 class TestCriticalPath:

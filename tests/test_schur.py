@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from timeschur import (
     LevelSystem,
     Scheme,
     WorkerPool,
-    assemble_schur,
     build_explicit,
     build_linear_system,
     build_uniform,
@@ -20,16 +21,32 @@ from timeschur import (
     ml_solve,
     petrov_galerkin_assemble,
     random_stable_linear,
-    restriction_operator,
     sequential_solve,
     zero_operator,
 )
-from timeschur.schur import dense_matrix, dense_restriction
+from timeschur.schur import (
+    assemble_schur,
+    dense_matrix,
+    dense_restriction,
+    restriction_operator,
+)
 
 
 def make_system(n, m, seed):
     phis, gs, u_init = random_system(n, m, seed)
     return LevelSystem(level=0, phis=phis, gs=gs, u_init=u_init)
+
+
+def assert_matches_two_loops(sys0, bounds, maps):
+    """[E | v] of each subdomain against the two forward substitutions it replaces."""
+    m = sys0.m_unk
+    assert maps.shape == (sys0.n_elements, m, m + 1)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        phis = sys0.phis[a:b - 1]
+        v = forward_substitution_oracle(phis, sys0.gs[a:b - 1], np.zeros(m))
+        e = forward_substitution_oracle(phis, np.zeros((b - a - 1, m, m)), np.eye(m))
+        assert np.max(np.abs(maps[a:b, :, m] - v)) <= 1e-14 * np.max(np.abs(v))
+        assert np.max(np.abs(maps[a:b, :, :m] - e)) <= 1e-14 * np.max(np.abs(e))
 
 
 class TestInteriorCorrection:
@@ -89,18 +106,44 @@ class TestExtensionOperator:
 class TestLevelMaps:
     @pytest.mark.parametrize("counts,m", [([23, 4], 2), ([7, 7], 3), ([10, 3], 1)])
     def test_matches_zero_and_identity_inflow_solves(self, counts, m):
-        # Ragged last subdomain, one-element subdomains, scalar: [E | v] against
-        # the two forward substitutions it replaces.
+        # Ragged last subdomain, one-element subdomains, scalar.
         sys0 = make_system(counts[0], m, seed=13)
         bounds = build_explicit(counts, t_end=1.0).subdomain_bounds(0)
+        assert_matches_two_loops(sys0, bounds, level_maps(sys0, bounds))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        runs=st.lists(st.tuples(st.integers(min_value=1, max_value=40),
+                                st.integers(min_value=1, max_value=4)),
+                      min_size=1, max_size=6),
+        m=st.integers(min_value=1, max_value=3),
+        shares=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_scan_matches_loops_for_any_bounds(self, runs, m, shares, seed):
+        # Runs of (length, count) equal subdomains: mixed lengths, one-element
+        # subdomains and any number of runs, split into up to four shares.
+        lengths = [length for length, count in runs for _ in range(count)]
+        bounds = np.concatenate([[0], np.cumsum(lengths)])
+        sys0 = make_system(int(bounds[-1]), m, seed)
         maps = level_maps(sys0, bounds)
-        assert maps.shape == (counts[0], m, m + 1)
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            phis = sys0.phis[a:b - 1]
-            v = forward_substitution_oracle(phis, sys0.gs[a:b - 1], np.zeros(m))
-            e = forward_substitution_oracle(phis, np.zeros((b - a - 1, m, m)), np.eye(m))
-            assert np.max(np.abs(maps[a:b, :, m] - v)) <= 1e-14 * np.max(np.abs(v))
-            assert np.max(np.abs(maps[a:b, :, :m] - e)) <= 1e-14 * np.max(np.abs(e))
+        assert_matches_two_loops(sys0, bounds, maps)
+        with WorkerPool(shares) as pool:
+            assert np.array_equal(maps, level_maps(sys0, bounds, pool=pool))
+
+    def test_shares_fill_their_slices_under_frequent_thread_switches(self):
+        # Eight shares per run on the pool's threads write one output array.
+        sys0 = make_system(8 * 500 + 9, 2, seed=14)
+        bounds = build_explicit([8 * 500 + 9, 16], t_end=1.0).subdomain_bounds(0)
+        serial = level_maps(sys0, bounds)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with WorkerPool(8) as pool:
+                for _ in range(5):
+                    assert np.array_equal(serial, level_maps(sys0, bounds, pool=pool))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestAssembleSchur:
