@@ -82,6 +82,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.reps < 1:
             raise ValidationError("repetitions must be >= 1")
+        if self.workers is not None and self.workers < 1:
+            raise ValidationError("workers must be >= 1")
 
     def fingerprint(self) -> str:
         payload = asdict(self)

@@ -7,12 +7,14 @@ problem callbacks run once over all evaluation times, and one batched solve
 over the stacked step matrices gives every ``[phi | g]``. theta-methods
 evaluate at the grid nodes. DG(q) assembles a ``(q+1)*m_unk`` element system
 on right-Radau nodes and keeps the endpoint-stage rows of its solution.
-``step_solve`` is the one guarded batched solve of step matrices, shared with
-the nonlinear solvers.
+``step_matrices`` is the one place theta step matrices are formed, and
+``step_solve`` the one guarded batched solve of them; the nonlinear solvers
+share both.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -158,7 +160,14 @@ def linear_propagator(problem: OdeProblem, grid: np.ndarray, scheme: Scheme):
         raise ValidationError("elements must have positive width")
     m = problem.m_unk
     if scheme.kind == "theta":
-        lhs, rhs = _theta_steps(problem, grid, scheme.theta)
+        th, dt = scheme.theta, np.diff(grid)
+        zero = np.broadcast_to(0.0, (len(grid), m))  # read-only: u = 0 at every node
+        kappas = kappa_batch(problem, grid, zero)
+        g = kappas[1:] * th  # -dt*(th*c(t_end) + (1-th)*c(t_start)), in place
+        g += (1.0 - th) * kappas[:-1]
+        g *= -dt[:, None]
+        del kappas  # before the Jacobians: the build's peak memory is the solve's
+        lhs, rhs = theta_steps(jacobian_batch(problem, grid, zero), dt, th, g)
     else:
         lhs, inflow, forcing, _ = dg_element_system(problem, grid, scheme.order)
         rhs = np.empty(forcing.shape + (m + 1,))
@@ -168,33 +177,35 @@ def linear_propagator(problem: OdeProblem, grid: np.ndarray, scheme: Scheme):
     return sol[:, :, :m], sol[:, :, m]
 
 
-def _theta_steps(problem: OdeProblem, grid: np.ndarray, th: float):
-    """Step matrices ``I + th*dt*A(t_end)`` and right-hand sides
-    ``[I - (1-th)*dt*A(t_start) | -dt*(th*c(t_end) + (1-th)*c(t_start))]`` of every element.
+@functools.cache
+def _eye(m: int) -> np.ndarray:
+    eye = np.eye(m)
+    eye.flags.writeable = False  # one array per size, shared by every call
+    return eye
 
-    The callbacks run once over the grid nodes, at ``u = 0`` as a read-only
-    broadcast. Both outputs are built in place, the step matrices in the
-    Jacobian stack itself, so the build's peak memory is its inputs and the
-    solution of the solve.
+
+def step_matrices(mats, scale):
+    """``I + scale*M`` for each matrix ``M`` of a stack; ``scale`` broadcasts against it.
+
+    A theta step of width ``dt`` has the step matrix ``I + th*dt*M(t_end)``
+    and the inflow block ``I - (1-th)*dt*M(t_start)``. ``mats`` is only read,
+    so it may be an array a problem callback keeps.
     """
-    dt = np.diff(grid)
-    n, m = len(dt), problem.m_unk
-    zero = np.broadcast_to(0.0, (n + 1, m))
+    out = scale * mats
+    out += _eye(mats.shape[-1])
+    return out
+
+
+def theta_steps(mats, dt, th, column):
+    """Step matrices and right-hand sides ``[I - (1-th)*dt*M(t_start) | column]``
+    of the ``n`` theta steps between ``n + 1`` nodes, from the stacked node
+    matrices ``mats``, the step widths ``dt`` and the ``(n, m)`` ``column``.
+    """
+    n, m = column.shape
     rhs = np.empty((n, m, m + 1))
-    kappas = kappa_batch(problem, grid, zero)
-    g = rhs[:, :, m]
-    np.multiply(kappas[1:], th, out=g)
-    g += (1.0 - th) * kappas[:-1]
-    g *= -dt[:, None]
-    del kappas
-    mats = jacobian_batch(problem, grid, zero)
-    diag = np.arange(m)
-    np.multiply(mats[:-1], -((1.0 - th) * dt)[:, None, None], out=rhs[:, :, :m])
-    rhs[:, diag, diag] += 1.0
-    lhs = mats[1:]
-    lhs *= (th * dt)[:, None, None]
-    lhs[:, diag, diag] += 1.0
-    return lhs, rhs
+    rhs[:, :, :m] = step_matrices(mats[:-1], -((1.0 - th) * dt)[:, None, None])
+    rhs[:, :, m] = column
+    return step_matrices(mats[1:], (th * dt)[:, None, None]), rhs
 
 
 def step_solve(mats, rhs, t_start, t_end, where=None):

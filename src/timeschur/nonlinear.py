@@ -19,7 +19,10 @@ is exact, and each window's Picard/Newton inner iteration does the same
 arithmetic as the one-step ``_implicit_step`` of time-marching, so iterates do
 not depend on how windows are grouped. Higher-level extensions run a nested
 interface loop whose children march in lockstep the same way. The Schur rows
-of the interface system come from one batched linearization per task.
+of the interface system are the linear reduction of ``schur`` applied to one
+batched linearization: ``level_maps`` scans the windows' normalized steps and
+``assemble_schur`` closes them. Both linearizations, global and per window,
+form their theta steps with ``integrators.theta_steps``.
 """
 
 from __future__ import annotations
@@ -31,11 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonconvergenceError, SingularStepError, ValidationError
-from .integrators import Scheme, step_solve
+from .integrators import Scheme, step_matrices, step_solve, theta_steps
 from .partition import MultilevelPartition
 from .problems import OdeProblem, jacobian_batch, kappa_batch, picard_batch
 from .runtime import SolverReport, WorkerPool
-from .schur import LevelSystem, cost_model, ml_solve
+from .schur import (LevelSystem, assemble_schur, cost_model, level_maps, ml_solve,
+                    sequential_solve)
 
 NON_FINITE = "non-finite residual"  # NonconvergenceError reason: the iteration stopped at once
 
@@ -93,12 +97,6 @@ def global_residual(
     return res, float(np.sqrt(np.sum(res * res)))
 
 
-def _linearization_matrices(problem, ts, us, use_picard):
-    if use_picard:
-        return picard_batch(problem, ts, us)[0]
-    return jacobian_batch(problem, ts, us)
-
-
 def linearize_global(
     problem: OdeProblem,
     traj: np.ndarray,
@@ -114,19 +112,23 @@ def linearize_global(
     multilevel solver consumes; solving it gives the Newton (or Picard)
     update, with a zero initial-value row since ``traj[0]`` is pinned.
     """
-    th = scheme.effective_theta()
-    m = problem.m_unk
     if residual is None:
         residual, _ = global_residual(problem, traj, grid, scheme)
-    mats = _linearization_matrices(problem, grid, traj, use_picard)
-    dt = np.diff(grid)[:, None, None]
-    eye = np.eye(m)
-    diag = eye + dt * th * mats[1:]
-    off = eye - dt * (1.0 - th) * mats[:-1]
-    stacked = np.concatenate([off, -residual[:, :, None]], axis=2)
-    solved = step_solve(diag, stacked, grid[:-1], grid[1:], lambda i: "the linearization")
-    return LevelSystem(level=0, phis=solved[:, :, :m], gs=solved[:, :, m],
-                       u_init=np.zeros(m))
+    return _linearized_steps(problem, grid, traj, scheme.effective_theta(), use_picard,
+                             -residual, lambda i: "the linearization")
+
+
+def _linearized_steps(problem, ts, us, th, use_picard, column, where):
+    """Level system of the theta steps along ``(ts, us)``, linearized and normalized.
+
+    ``theta_steps`` at the nodes' Jacobians (or Picard matrices) and one batched
+    ``step_solve``; ``where(i)`` names row ``i`` if its step matrix is singular.
+    """
+    mats = _node_matrices(problem, ts, us, np.full(len(ts), use_picard))
+    lhs, rhs = theta_steps(mats, np.diff(ts), th, column)
+    solved = step_solve(lhs, rhs, ts[:-1], ts[1:], where)
+    m = problem.m_unk
+    return LevelSystem(level=0, phis=solved[:, :, :m], gs=solved[:, :, m], u_init=np.zeros(m))
 
 
 def _implicit_step(problem, t_start, t_end, u_prev, guess, th, policy, tol):
@@ -136,8 +138,6 @@ def _implicit_step(problem, t_start, t_end, u_prev, guess, th, policy, tol):
     on a non-finite residual and on a singular step matrix.
     """
     dt = t_end - t_start
-    m = problem.m_unk
-    eye = np.eye(m)
     tail = dt * (1.0 - th) * np.asarray(problem.kappa(t_start, u_prev), dtype=float) - u_prev
     u = np.array(guess, dtype=float)
     picard = newton = 0
@@ -163,7 +163,7 @@ def _implicit_step(problem, t_start, t_end, u_prev, guess, th, policy, tol):
             mat = np.asarray(problem.jacobian(t_end, u), dtype=float)
             newton += 1
         try:
-            u = u + np.linalg.solve(eye + dt * th * mat, -r)
+            u = u + np.linalg.solve(step_matrices(mat, th * dt), -r)
         except np.linalg.LinAlgError as exc:
             raise SingularStepError(
                 f"singular step matrix on element ({t_start:g}, {t_end:g})",
@@ -224,10 +224,30 @@ def _interior_mask(partition: MultilevelPartition, level: int) -> np.ndarray:
     return mask[1:]
 
 
-def _residual_stats(res: np.ndarray, interior_mask: np.ndarray):
-    row_norms = np.linalg.norm(res, axis=1)
-    interior = row_norms[interior_mask]
-    return float(interior.max()) if interior.size else 0.0
+def _outer_mode(report, policy, it, res, norm, interior_mask, where):
+    """Record outer iterate ``it`` of residual ``res`` in ``report``.
+
+    Returns the mode of the next linearization, or None once ``norm`` meets
+    ``tol_global``. A non-finite norm stops the loop at once; an exhausted
+    budget raises too.
+    """
+    report.residual_history.append(norm)
+    interior = np.linalg.norm(res, axis=1)[interior_mask]
+    report.interior_residual_history.append(float(interior.max()) if interior.size else 0.0)
+    if norm < policy.tol_global:
+        report.converged = True
+        return None
+    if not math.isfinite(norm):
+        raise NonconvergenceError(where, it, norm, NON_FINITE)
+    if it == policy.max_iters:
+        raise NonconvergenceError(where, policy.max_iters, norm)
+    mode = policy.pick_mode(norm)
+    report.mode_history.append(mode)
+    if mode == "picard":
+        report.picard_iterations += 1
+    else:
+        report.newton_iterations += 1
+    return mode
 
 
 def newton_schur_solve(
@@ -253,24 +273,13 @@ def newton_schur_solve(
     interior_mask = _interior_mask(partition, 1)
     report = SolverReport(solver="newton-schur", workers=workers)
     start = time.perf_counter()
-    norm = np.inf
     with WorkerPool(workers) as pool:
         for it in range(policy.max_iters + 1):
             res, norm = global_residual(problem, traj, grid, scheme)
-            report.residual_history.append(norm)
-            report.interior_residual_history.append(_residual_stats(res, interior_mask))
-            if norm < policy.tol_global:
-                report.converged = True
+            mode = _outer_mode(report, policy, it, res, norm, interior_mask,
+                               "global linearization loop")
+            if mode is None:
                 break
-            if it == policy.max_iters:
-                raise NonconvergenceError("global linearization loop",
-                                          policy.max_iters, norm)
-            mode = policy.pick_mode(norm)
-            report.mode_history.append(mode)
-            if mode == "picard":
-                report.picard_iterations += 1
-            else:
-                report.newton_iterations += 1
             system = linearize_global(problem, traj, grid, scheme,
                                       use_picard=(mode == "picard"), residual=res)
             traj = traj + ml_solve(system, partition, pool=pool, report=report)
@@ -393,7 +402,6 @@ def _march(problem, ts, bounds, inflows, warm, th, policy, first):
     solve. ``first`` is the global index of window 0.
     """
     m = problem.m_unk
-    eye = np.eye(m)
     starts = bounds[:-1]
     lengths = np.diff(bounds)
     values = np.empty((len(ts), m))
@@ -438,23 +446,23 @@ def _march(problem, ts, bounds, inflows, warm, th, policy, first):
             n_picard = int(np.count_nonzero(picks))
             picard += n_picard
             newton += len(picks) - n_picard
-            mats = _step_matrices(problem, t_l, u_l, picks, n_picard)
+            mats = _node_matrices(problem, t_l, u_l, picks)
             u_l = u_l + step_solve(
-                eye + dt_l[:, :, None] * th * mats, -r, t_start[live], t_l,
+                step_matrices(mats, th * dt_l[:, :, None]), -r, t_start[live], t_l,
                 lambda i: where(live[i]),
             )
         values[nodes] = u
     return values, picard, newton
 
 
-def _step_matrices(problem, ts, us, picks, n_picard):
+def _node_matrices(problem, ts, us, picks):
     """Picard matrices of the rows in ``picks``, Jacobians of the others.
 
     One batched call per mode in use.
     """
-    if n_picard == len(picks):
+    if picks.all():
         return picard_batch(problem, ts, us)[0]
-    if n_picard == 0:
+    if not picks.any():
         return jacobian_batch(problem, ts, us)
     mats = np.empty((len(ts), problem.m_unk, problem.m_unk))
     mats[picks] = picard_batch(problem, ts[picks], us[picks])[0]
@@ -496,13 +504,12 @@ def _nested_extension(problem, ts, nodes, firsts, inflow, warm, th, policy, wher
             picard += 1
         else:
             newton += 1
-        # Linearize every block row at the frozen extended state, then sweep.
-        blocks, rhs = _schur_row_task(problem, ts[:loc[-2] + 1], wvals[:loc[-2] + 1],
-                                      loc[:-1], firsts[-1], th, use_picard)
-        delta = np.zeros(m)
-        for node, block, g in zip(inner, blocks, rhs):
-            delta = block @ delta + g
-            wvals[node] = wvals[node] + delta
+        # The child-chain update system at the frozen extended state, swept
+        # from a zero update at the window's pinned inflow.
+        phis, gs = _schur_row_task(problem, ts[:loc[-2] + 1], wvals[:loc[-2] + 1],
+                                   loc[:-1], firsts[-1], th, use_picard)
+        chain = LevelSystem(level=len(nodes), phis=phis, gs=gs, u_init=np.zeros(m))
+        wvals[inner] += sequential_solve(chain)[1:]
     raise NonconvergenceError(where, policy.max_inner, norm)
 
 
@@ -520,31 +527,22 @@ def _schur_row_task(problem, ts, us, bounds, first, th, use_picard):
 
     Window ``j`` (global index ``first + j``) spans nodes
     ``bounds[j]..bounds[j+1]`` of ``ts`` (times) and ``us`` (extended values,
-    both interfaces included). Returns, stacked over windows, the normalized
-    coarse propagators (closing step chained through the interior
-    linearization) and the normalized negative interface residuals. One
-    batched linearization serves every window, and their chain products
-    advance in lockstep.
+    both interfaces included). Returns ``(phis, gs)``, stacked over windows:
+    the coarse steps of the normalized fine linearization at ``us``, whose
+    right-hand side is the negative one-step residual at each window's
+    closing step and zero elsewhere. ``level_maps`` scans every window's
+    steps and ``assemble_schur`` closes them, in this task's thread.
     """
-    m = problem.m_unk
-    eye = np.eye(m)
-    mats = _linearization_matrices(problem, ts, us, use_picard)
-    dt = np.diff(ts)[:, None, None]
-    diag = eye + dt * th * mats[1:]
-    off = eye - dt * (1.0 - th) * mats[:-1]
-    phis = step_solve(
-        diag, off, ts[:-1], ts[1:],
+    last = bounds[1:] - 1  # each window's closing step
+    column = np.zeros((len(ts) - 1, problem.m_unk))
+    column[last] = -_step_residuals(problem, ts[last], ts[last + 1], us[last], us[last + 1],
+                                    th)
+    fine = _linearized_steps(
+        problem, ts, us, th, use_picard, column,
         lambda i: f"linearized window {first + np.searchsorted(bounds, i, 'right') - 1}",
     )
-    starts, last = bounds[:-1], bounds[1:] - 1
-    interior = last - starts  # steps chained before each window's closing step
-    chains = np.broadcast_to(eye, (len(starts), m, m)).copy()
-    for j in range(int(interior.max())):
-        act = np.flatnonzero(interior > j)
-        chains[act] = np.matmul(phis[starts[act] + j], chains[act])
-    r_close = _step_residuals(problem, ts[last], ts[last + 1], us[last], us[last + 1], th)
-    rhs = np.linalg.solve(diag[last], -r_close[:, :, None])[:, :, 0]
-    return np.matmul(phis[last], chains), rhs
+    coarse = assemble_schur(fine, level_maps(fine, bounds), bounds)
+    return coarse.phis, coarse.gs
 
 
 def nonlinear_schur_newton_solve(
@@ -578,7 +576,6 @@ def nonlinear_schur_newton_solve(
     interior_mask = _interior_mask(partition, k)
     report = SolverReport(solver=f"nlschur:{k}", workers=workers)
     start = time.perf_counter()
-    norm = np.inf
     with WorkerPool(workers) as pool:
         # The extensions and the Schur rows of all elements are one task each:
         # they are Python-bound, so a second thread would only contend for
@@ -587,21 +584,10 @@ def nonlinear_schur_newton_solve(
         w = _extend_all(problem, grid, nodes, firsts, z, traj, th, policy, pool, report)
         for it in range(policy.max_iters + 1):
             res, norm = global_residual(problem, w, grid, scheme)
-            report.residual_history.append(norm)
-            report.interior_residual_history.append(_residual_stats(res, interior_mask))
-            if norm < policy.tol_global:
-                report.converged = True
+            mode = _outer_mode(report, policy, it, res, norm, interior_mask,
+                               f"nonlinear Schur loop at level {k}")
+            if mode is None:
                 break
-            if it == policy.max_iters:
-                raise NonconvergenceError(
-                    f"nonlinear Schur loop at level {k}", policy.max_iters, norm
-                )
-            mode = policy.pick_mode(norm)
-            report.mode_history.append(mode)
-            if mode == "picard":
-                report.picard_iterations += 1
-            else:
-                report.newton_iterations += 1
             rows, seconds, _ = pool.map(
                 _schur_row_task, [(problem, grid, w, nodes[-1], 0, th, mode == "picard")])
             report.add_level_tasks(0, seconds)

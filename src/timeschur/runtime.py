@@ -15,7 +15,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .errors import TaskError, TimeSchurError
+from .errors import TaskError, TimeSchurError, ValidationError
 
 
 def available_workers() -> int:
@@ -68,16 +68,16 @@ class WorkerPool:
     """Maps independent tasks over a fixed number of worker threads.
 
     ``workers`` is the requested (modeled) parallelism used for critical-path
-    aggregation; the thread count, ``processes``, is capped at the core count,
-    which changes nothing but wall clocks. With one thread, or one task, tasks
-    run in the calling thread. The threads start with the first parallel map
-    and live as long as the pool.
+    aggregation, all cores if None; the thread count, ``processes``, is capped
+    at the core count, which changes nothing but wall clocks. With one thread,
+    or one task, tasks run in the calling thread. The threads start with the
+    first parallel map and live as long as the pool.
     """
 
     def __init__(self, workers: int | None = None):
-        self.workers = int(workers) if workers else available_workers()
+        self.workers = available_workers() if workers is None else int(workers)
         if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise ValidationError("workers must be >= 1")
         self.processes = min(self.workers, available_workers())
         self._executor = ThreadPoolExecutor(max_workers=self.processes)
 

@@ -45,6 +45,11 @@ class TestSpec:
         with pytest.raises(ValidationError):
             ExperimentSpec(reps=0)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_workers_below_one(self, workers):
+        with pytest.raises(ValidationError):
+            ExperimentSpec(workers=workers)
+
 
 class TestWeakScaling:
     def test_rows_have_expected_shape(self, tmp_path):
@@ -298,6 +303,23 @@ class TestCli:
         code = cli.main(["solve", "--problem", "lotka-volterra", "--nsteps", "100",
                         "--subdomains", "5", "--max-iters", "1"])
         assert code == 3
+
+    def test_non_finite_residual_exits_3_at_once(self, capsys):
+        code = cli.main(["solve", "--problem", "decay", "--lam", "nan", "--nsteps", "100",
+                        "--subdomains", "4"])
+        assert code == 3
+        assert "after 0 iterations: non-finite residual" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--workers", "0", "--nsteps", "100", "--subdomains", "4"],
+        ["solve", "--workers", "-1", "--nsteps", "100", "--subdomains", "4"],
+        ["verify", "--workers", "-2"],
+        ["weak-scaling", "--workers", "0", "--local-size", "10", "--n1-list", "2,4"],
+    ])
+    def test_workers_below_one_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # weak-scaling writes its CSV to the working directory
+        assert cli.main(argv) == 2
+        assert "error: workers must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_nonconvergent_extension_exits_3(self, workers, capsys):

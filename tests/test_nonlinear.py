@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timeschur import (
     LinearizationPolicy,
@@ -189,6 +191,13 @@ class TestNewtonSchur:
         policy = LinearizationPolicy(mode="newton", max_iters=1)
         with pytest.raises(NonconvergenceError):
             newton_schur_solve(prob, part, BE, policy)
+
+    def test_non_finite_residual_stops_at_once(self):
+        part = build_explicit([100, 4], t_end=1.0)
+        with pytest.raises(NonconvergenceError) as err:
+            newton_schur_solve(linear_decay(np.nan), part, BE)
+        assert err.value.reason == NON_FINITE and err.value.iterations == 0
+        assert "global linearization loop" in str(err.value)
 
 
 class TestHarmonicExtension:
@@ -391,6 +400,72 @@ class TestNonlinearSchurNewton:
         assert report.per_level_max  # per-level timings recorded
         seq, _ = sequential_nonlinear_solve(prob, part.grids[0], BE, policy)
         assert np.max(np.abs(traj - seq)) <= 1e-6
+
+
+def schur_rows_reference(problem, ts, us, bounds, th, use_picard):
+    """Coarse steps of each window by a plain loop over its steps.
+
+    Each window chains its normalized steps ``D^{-1} O`` in turn (the closing
+    step last); its right-hand side is the closing step's negative one-step
+    residual, normalized by the closing step matrix.
+    """
+    eye = np.eye(problem.m_unk)
+
+    def node_matrix(i):
+        if use_picard:
+            return np.asarray(problem.picard_matrix(ts[i], us[i])[0], dtype=float)
+        return np.asarray(problem.jacobian(ts[i], us[i]), dtype=float)
+
+    phis, gs = [], []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        chain = eye
+        for i in range(a, b):
+            dt = ts[i + 1] - ts[i]
+            diag = eye + dt * th * node_matrix(i + 1)
+            off = eye - dt * (1.0 - th) * node_matrix(i)
+            chain = np.linalg.solve(diag, off) @ chain
+        i = b - 1
+        residual = us[b] - us[i] + (ts[b] - ts[i]) * (
+            th * np.asarray(problem.kappa(ts[b], us[b]))
+            + (1.0 - th) * np.asarray(problem.kappa(ts[i], us[i])))
+        phis.append(chain)
+        gs.append(np.linalg.solve(diag, -residual))
+    return np.stack(phis), np.stack(gs)
+
+
+class TestSchurRows:
+    """``_schur_row_task`` against the per-window chain loop it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=6),
+        cuts=st.lists(st.booleans(), min_size=5, max_size=5),
+        m=st.sampled_from([1, 2]),
+        use_picard=st.booleans(),
+        th=st.sampled_from([1.0, 0.5]),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_matches_chain_loop_for_any_windows(self, lengths, cuts, m, use_picard, th,
+                                                 seed):
+        # Ragged windows, windows of one step, Picard and Newton rows.
+        rng = np.random.default_rng(seed)
+        prob = forced_riccati() if m == 1 else benchmark_lv()
+        bounds = np.concatenate([[0], np.cumsum(lengths)])
+        ts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.1, bounds[-1]))])
+        us = prob.u0 * (1.0 + 0.3 * rng.normal(size=(bounds[-1] + 1, m))) + 0.1
+        phis, gs = _schur_row_task(prob, ts, us, bounds, 0, th, use_picard)
+        ref_phis, ref_gs = schur_rows_reference(prob, ts, us, bounds, th, use_picard)
+        assert np.max(np.abs(phis - ref_phis)) <= 1e-14 * np.max(np.abs(ref_phis))
+        assert np.max(np.abs(gs - ref_gs)) <= 1e-14 * np.max(np.abs(ref_gs))
+        # Any grouping of the windows into runs gives the same rows, bitwise.
+        edges = [0] + [j for j, cut in enumerate(cuts[:len(lengths) - 1], 1) if cut] \
+            + [len(lengths)]
+        for i, j in zip(edges[:-1], edges[1:]):
+            a, b = bounds[i], bounds[j]
+            part_phis, part_gs = _schur_row_task(prob, ts[a:b + 1], us[a:b + 1],
+                                                 bounds[i:j + 1] - a, i, th, use_picard)
+            assert np.array_equal(part_phis, phis[i:j])
+            assert np.array_equal(part_gs, gs[i:j])
 
 
 class TestSchurJacobianConsistency:

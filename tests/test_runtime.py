@@ -8,6 +8,7 @@ from timeschur import (
     NonconvergenceError,
     Scheme,
     TaskError,
+    ValidationError,
     WorkerPool,
     build_explicit,
     build_linear_system,
@@ -17,7 +18,7 @@ from timeschur import (
     newton_schur_solve,
     nonlinear_schur_newton_solve,
 )
-from timeschur.runtime import critical_path_seconds, task_clock
+from timeschur.runtime import available_workers, critical_path_seconds, task_clock
 from timeschur.schur import _subdomain_setup
 
 
@@ -51,6 +52,15 @@ class TestParallelMap:
             parallel, _, _ = pool.map(_chain, args)
         for maps1, maps2 in zip(serial, parallel):
             assert np.array_equal(maps1, maps2)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_workers_below_one(self, workers):
+        with pytest.raises(ValidationError):
+            WorkerPool(workers)
+
+    def test_none_means_all_cores(self):
+        with WorkerPool(None) as pool:
+            assert pool.workers == available_workers()
 
     def test_empty_task_list(self):
         with WorkerPool(4) as pool:
