@@ -452,7 +452,8 @@ class TestSchurRows:
         prob = forced_riccati() if m == 1 else benchmark_lv()
         bounds = np.concatenate([[0], np.cumsum(lengths)])
         ts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.1, bounds[-1]))])
-        us = prob.u0 * (1.0 + 0.3 * rng.normal(size=(bounds[-1] + 1, m))) + 0.1
+        size = (bounds[-1] + 1, m)
+        us = prob.u0 * (1.0 + 0.3 * rng.normal(size=size)) + 0.3 * rng.normal(size=size)
         phis, gs = _schur_row_task(prob, ts, us, bounds, 0, th, use_picard)
         ref_phis, ref_gs = schur_rows_reference(prob, ts, us, bounds, th, use_picard)
         assert np.max(np.abs(phis - ref_phis)) <= 1e-14 * np.max(np.abs(ref_phis))
