@@ -80,6 +80,8 @@ class ExperimentSpec:
     reps: int = 1
 
     def __post_init__(self):
+        if self.n0 < 1:
+            raise ValidationError("n0 must be at least 1")
         if self.reps < 1:
             raise ValidationError("repetitions must be >= 1")
         if self.workers is not None and self.workers < 1:

@@ -145,6 +145,14 @@ def dg_element_system(problem: OdeProblem, grid: np.ndarray, order: int):
     return k_mat, inflow, forcing, stage_times
 
 
+def checked_grid(grid) -> np.ndarray:
+    """``grid`` as a float array; raises unless it has elements, all of positive width."""
+    grid = np.asarray(grid, dtype=float)
+    if len(grid) < 2 or not np.all(np.diff(grid) > 0):
+        raise ValidationError("elements must have positive width")
+    return grid
+
+
 def linear_propagator(problem: OdeProblem, grid: np.ndarray, scheme: Scheme):
     """``(phis, gs)`` of one implicit step per element of ``grid`` for a linear problem.
 
@@ -155,9 +163,7 @@ def linear_propagator(problem: OdeProblem, grid: np.ndarray, scheme: Scheme):
     """
     if not problem.is_linear:
         raise ValidationError("linear_propagator requires a linear problem")
-    grid = np.asarray(grid, dtype=float)
-    if len(grid) < 2 or not np.all(np.diff(grid) > 0):
-        raise ValidationError("elements must have positive width")
+    grid = checked_grid(grid)
     m = problem.m_unk
     if scheme.kind == "theta":
         th, dt = scheme.theta, np.diff(grid)

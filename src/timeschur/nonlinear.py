@@ -12,6 +12,10 @@ Two strategies around the linear multilevel direct solver:
   function theorem), again solved by the direct multilevel method over
   levels k..top.
 
+The partition is the only description of the windows. An extension task
+takes a level and a range of elements of the level above it, and reads their
+fine offsets and times from ``partition.fine_nodes`` and ``partition.grids[0]``;
+a nested window finds its children through ``partition.subdomain_bounds``.
 Level-0 extensions march all windows of a task in lockstep: per local step,
 one batched problem call and one batched solve serve every window still
 iterating. The local systems are lower block-bidiagonal, so stepwise solving
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonconvergenceError, SingularStepError, ValidationError
-from .integrators import Scheme, step_matrices, step_solve, theta_steps
+from .integrators import Scheme, checked_grid, step_matrices, step_solve, theta_steps
 from .partition import MultilevelPartition
 from .problems import OdeProblem, jacobian_batch, kappa_batch, picard_batch
 from .runtime import SolverReport, WorkerPool
@@ -66,9 +70,9 @@ class LinearizationPolicy:
         if self.mode not in ("newton", "picard", "hybrid"):
             raise ValidationError(f"unknown linearization mode {self.mode!r}")
         for label in ("tol_global", "tol_local", "tol_schur"):
-            if getattr(self, label) <= 0:
-                raise ValidationError(f"{label} must be positive")
-        if self.mode == "hybrid" and self.switch_norm <= self.tol_global:
+            if not 0 < getattr(self, label) < math.inf:
+                raise ValidationError(f"{label} must be finite and positive")
+        if self.mode == "hybrid" and not self.switch_norm > self.tol_global:
             raise ValidationError("hybrid switch_norm must exceed tol_global")
         if self.max_iters < 1 or self.max_inner < 1:
             raise ValidationError("iteration budgets must be at least 1")
@@ -188,8 +192,9 @@ def sequential_nonlinear_solve(
     """
     policy = policy or LinearizationPolicy()
     th = scheme.effective_theta()
+    grid = checked_grid(grid)
     n = len(grid) - 1
-    tol_step = policy.tol_global / max(1.0, np.sqrt(n))
+    tol_step = policy.tol_global / np.sqrt(n)
     traj = np.empty((n + 1, problem.m_unk))
     traj[0] = problem.u0
     picard = newton = 0
@@ -301,33 +306,6 @@ def _initial_trajectory(problem, partition, initial):
     return traj
 
 
-# Nonlinear harmonic extension -------------------------------------------------
-#
-# An extension task sees a run of consecutive windows through its slice of the
-# fine grid. ``ts`` holds the fine node times from the first window's left
-# interface up to, not including, the last window's right interface, and
-# ``nodes[l]`` the run-local fine indices of the level-(l+1) nodes, from 0 to
-# ``len(ts)``. The windows are the elements between consecutive entries of
-# ``nodes[-1]``, extended at level ``len(nodes) - 1``; ``firsts[l]`` is the
-# global index of the run's first level-(l+1) element, for error messages.
-
-
-def _window_run(partition: MultilevelPartition, k: int, lo: int, hi: int):
-    """``(f_lo, f_hi, nodes, firsts)`` of the level-k elements ``lo..hi-1``.
-
-    ``f_lo..f_hi`` is the run's span of fine node indices.
-    """
-    fine_k = partition.fine_nodes(k)
-    f_lo, f_hi = int(fine_k[lo]), int(fine_k[hi])
-    nodes, firsts = [], []
-    for level in range(1, k + 1):
-        fine = partition.fine_nodes(level)
-        first, last = np.searchsorted(fine, [f_lo, f_hi])
-        nodes.append(fine[first:last + 1] - f_lo)
-        firsts.append(int(first))
-    return f_lo, f_hi, nodes, firsts
-
-
 def nonlinear_harmonic_extension(
     problem: OdeProblem,
     partition: MultilevelPartition,
@@ -352,39 +330,37 @@ def nonlinear_harmonic_extension(
     of the extension task that solvers run over many windows.
     """
     th = scheme.effective_theta()
-    f_lo, f_hi, nodes, firsts = _window_run(partition, level + 1, index, index + 1)
-    if warm.shape != (f_hi - f_lo, problem.m_unk):
+    if not 0 <= level < partition.top_level:
+        raise ValidationError(f"extension level {level} outside 0..{partition.top_level - 1}")
+    if not 0 <= index < partition.counts[level + 1]:
+        raise ValidationError(
+            f"element {index} outside 0..{partition.counts[level + 1] - 1} of level {level + 1}")
+    fine = partition.fine_nodes(level + 1)
+    if warm.shape != (fine[index + 1] - fine[index], problem.m_unk):
         raise ValidationError("warm start does not match the element's fine window")
-    return _extension_task(
-        problem, partition.grids[0][f_lo:f_hi], nodes, firsts,
-        np.asarray(inflow, dtype=float)[None, :], warm, th, policy,
-    )
+    return _extension_task(problem, partition, level, index, index + 1,
+                           np.asarray(inflow, dtype=float)[None, :], warm, th, policy)
 
 
-def _extension_task(problem, ts, nodes, firsts, inflows, warm, th, policy):
-    """Extend every window of a run; returns ``(values, picard, newton)``.
+def _extension_task(problem, partition, level, lo, hi, inflows, warm, th, policy):
+    """Extend the level-(level+1) elements ``lo..hi-1``; returns ``(values, picard, newton)``.
 
-    ``values`` covers the run's fine nodes like ``warm`` does, with window
-    ``j`` starting at ``inflows[j]``. Level-0 windows march in lockstep;
-    higher-level windows run their nested loops one after another.
+    ``values`` and ``warm`` cover the run's fine nodes from element ``lo``'s
+    left interface up to, not including, element ``hi - 1``'s right one;
+    element ``lo + j`` starts at ``inflows[j]``. Level-0 extensions march in
+    lockstep; higher-level ones run their nested loops one after another.
     """
-    if len(nodes) == 1:
-        return _march(problem, ts, nodes[0], inflows, warm, th, policy, firsts[0])
-    level = len(nodes) - 1
-    bounds = nodes[-1]
-    values = np.empty((len(ts), problem.m_unk))
+    fine = partition.fine_nodes(level + 1)
+    f_lo = fine[lo]
+    if level == 0:
+        return _march(problem, partition.grids[0][f_lo:fine[hi]], fine[lo:hi + 1] - f_lo,
+                      inflows, warm, th, policy, lo)
+    values = np.empty((fine[hi] - f_lo, problem.m_unk))
     picard = newton = 0
-    for j in range(len(bounds) - 1):
-        lo, hi = int(bounds[j]), int(bounds[j + 1])
-        # The window's children, as a run of their own.
-        cuts = [np.searchsorted(n, [lo, hi]) for n in nodes[:-1]]
-        sub_nodes = [n[a:b + 1] - lo for n, (a, b) in zip(nodes[:-1], cuts)]
-        sub_firsts = [f + int(a) for f, (a, _) in zip(firsts[:-1], cuts)]
-        values[lo:hi], p, nw = _nested_extension(
-            problem, ts[lo:hi], sub_nodes, sub_firsts, inflows[j], warm[lo:hi], th, policy,
-            f"nonlinear extension (level {level}, element {firsts[-1] + j}, "
-            f"from t={ts[lo]:g})",
-        )
+    for j in range(lo, hi):
+        a, b = fine[j] - f_lo, fine[j + 1] - f_lo
+        values[a:b], p, nw = _nested_extension(problem, partition, level, j, inflows[j - lo],
+                                               warm[a:b], th, policy)
         picard += p
         newton += nw
     return values, picard, newton
@@ -470,22 +446,28 @@ def _node_matrices(problem, ts, us, picks):
     return mats
 
 
-def _nested_extension(problem, ts, nodes, firsts, inflow, warm, th, policy, where):
-    """The nested interface loop of one window at level >= 1.
+def _nested_extension(problem, partition, level, index, inflow, warm, th, policy):
+    """The nested interface loop of level-(level+1) element ``index``, level >= 1.
 
-    ``ts``, ``nodes`` and ``firsts`` describe the window's children as a run
-    (see the section comment above); ``where`` names the window in errors.
+    Its children are the level-``level`` elements between
+    ``partition.subdomain_bounds(level)[index:index + 2]``; ``inflow`` and
+    ``warm`` are as in ``_extension_task``.
     """
     m = problem.m_unk
-    loc = nodes[-1]  # window-local offsets of the children's interfaces
+    c_lo, c_hi = partition.subdomain_bounds(level)[index:index + 2]
+    fine = partition.fine_nodes(level)
+    f_lo = fine[c_lo]
+    ts = partition.grids[0][f_lo:fine[c_hi]]
+    where = f"nonlinear extension (level {level}, element {index}, from t={ts[0]:g})"
+    loc = fine[c_lo:c_hi + 1] - f_lo  # window-local offsets of the children's interfaces
     inner = loc[1:-1]
     wvals = np.array(warm, dtype=float)
     wvals[0] = inflow
     picard = newton = 0
     norm = np.inf
     for it in range(policy.max_inner + 1):
-        wvals, p, nw = _extension_task(problem, ts, nodes, firsts, wvals[loc[:-1]], wvals,
-                                       th, policy)
+        wvals, p, nw = _extension_task(problem, partition, level - 1, c_lo, c_hi,
+                                       wvals[loc[:-1]], wvals, th, policy)
         picard += p
         newton += nw
         if len(inner) == 0:
@@ -507,8 +489,8 @@ def _nested_extension(problem, ts, nodes, firsts, inflow, warm, th, policy, wher
         # The child-chain update system at the frozen extended state, swept
         # from a zero update at the window's pinned inflow.
         phis, gs = _schur_row_task(problem, ts[:loc[-2] + 1], wvals[:loc[-2] + 1],
-                                   loc[:-1], firsts[-1], th, use_picard)
-        chain = LevelSystem(level=len(nodes), phis=phis, gs=gs, u_init=np.zeros(m))
+                                   loc[:-1], c_lo, th, use_picard)
+        chain = LevelSystem(level=level, phis=phis, gs=gs, u_init=np.zeros(m))
         wvals[inner] += sequential_solve(chain)[1:]
     raise NonconvergenceError(where, policy.max_inner, norm)
 
@@ -580,8 +562,7 @@ def nonlinear_schur_newton_solve(
         # The extensions and the Schur rows of all elements are one task each:
         # they are Python-bound, so a second thread would only contend for
         # the interpreter lock.
-        _, _, nodes, firsts = _window_run(partition, k, 0, partition.counts[k])
-        w = _extend_all(problem, grid, nodes, firsts, z, traj, th, policy, pool, report)
+        w = _extend_all(problem, partition, k - 1, z, traj, th, policy, pool, report)
         for it in range(policy.max_iters + 1):
             res, norm = global_residual(problem, w, grid, scheme)
             mode = _outer_mode(report, policy, it, res, norm, interior_mask,
@@ -589,25 +570,23 @@ def nonlinear_schur_newton_solve(
             if mode is None:
                 break
             rows, seconds, _ = pool.map(
-                _schur_row_task, [(problem, grid, w, nodes[-1], 0, th, mode == "picard")])
+                _schur_row_task, [(problem, grid, w, fine_k, 0, th, mode == "picard")])
             report.add_level_tasks(0, seconds)
             (phis, gs), = rows
             system = LevelSystem(level=k, phis=phis, gs=gs, u_init=np.zeros(problem.m_unk))
             z = z + ml_solve(system, partition, pool=pool, report=report)
             report.outer_iterations += 1
-            w = _extend_all(problem, grid, nodes, firsts, z, w, th, policy, pool, report)
+            w = _extend_all(problem, partition, k - 1, z, w, th, policy, pool, report)
     report.wall_seconds = time.perf_counter() - start
     report.cost_estimate = cost_model(partition, problem.m_unk)
     return w, report
 
 
-def _extend_all(problem, grid, nodes, firsts, z, warm_traj, th, policy, pool, report):
-    """Extend the interface values ``z`` into every level-k element, as one pool task.
-
-    ``nodes`` and ``firsts`` describe all level-k elements as one run.
-    """
+def _extend_all(problem, partition, level, z, warm_traj, th, policy, pool, report):
+    """Extend the interface values ``z`` into every level-(level+1) element, as one pool task."""
     results, seconds, _ = pool.map(_extension_task, [
-        (problem, grid[:-1], nodes, firsts, z[:-1], warm_traj[:-1], th, policy)])
+        (problem, partition, level, 0, partition.counts[level + 1], z[:-1], warm_traj[:-1], th,
+         policy)])
     report.add_level_tasks(0, seconds)
     (values, picard, newton), = results
     report.inner_picard += picard

@@ -50,6 +50,11 @@ class TestSpec:
         with pytest.raises(ValidationError):
             ExperimentSpec(workers=workers)
 
+    @pytest.mark.parametrize("n0", [0, -3])
+    def test_rejects_n0_below_one(self, n0):
+        with pytest.raises(ValidationError):
+            ExperimentSpec(n0=n0)
+
 
 class TestWeakScaling:
     def test_rows_have_expected_shape(self, tmp_path):
@@ -320,6 +325,20 @@ class TestCli:
         monkeypatch.chdir(tmp_path)  # weak-scaling writes its CSV to the working directory
         assert cli.main(argv) == 2
         assert "error: workers must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nsteps", ["0", "-3"])
+    def test_figure_without_steps_exits_2(self, nsteps, tmp_path, capsys):
+        code = cli.main(["figure", "--kind", "lv-phase", "--nsteps", nsteps,
+                        "--out", str(tmp_path / "phase.csv")])
+        assert code == 2
+        assert "error: n0 must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--tol-global", "--tol-local", "--picard-switch"])
+    def test_nan_tolerance_exits_2(self, flag, capsys):
+        code = cli.main(["solve", "--problem", "decay", "--nsteps", "50", "--subdomains", "5",
+                        flag, "nan"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_nonconvergent_extension_exits_3(self, workers, capsys):

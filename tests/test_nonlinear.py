@@ -26,8 +26,7 @@ from timeschur import (
     sequential_nonlinear_solve,
     sequential_solve,
 )
-from timeschur.nonlinear import (NON_FINITE, _extension_task, _implicit_step, _schur_row_task,
-                                 _window_run)
+from timeschur.nonlinear import NON_FINITE, _extension_task, _implicit_step, _schur_row_task
 
 LV_BENCH = dict(alpha=3.0, beta=0.2, gamma=2.0, delta=0.1, u0=10.0, v0=40.0)
 BE = Scheme.backward_euler()
@@ -51,6 +50,11 @@ class TestPolicy:
         dict(tol_local=-1e-9),
         dict(mode="hybrid", switch_norm=1e-9),
         dict(max_iters=0),
+        # NaN compares false both ways; infinite tolerances stop nothing.
+        dict(tol_global=np.nan),
+        dict(tol_local=np.nan),
+        dict(tol_schur=np.inf),
+        dict(mode="hybrid", switch_norm=np.nan),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValidationError):
@@ -101,6 +105,11 @@ class TestSequentialSolve:
         with pytest.raises(SingularStepError) as err:
             sequential_nonlinear_solve(linear_decay(-10.0), np.linspace(0.0, 1.0, 11), BE)
         assert (err.value.t_start, err.value.t_end) == (0.0, 0.1)
+
+    @pytest.mark.parametrize("grid", [[0.0], [0.0, 0.5, 0.4], [0.0, 0.0, 1.0], [0.0, np.nan]])
+    def test_rejects_grids_without_positive_steps(self, grid):
+        with pytest.raises(ValidationError, match="positive width"):
+            sequential_nonlinear_solve(forced_riccati(), np.array(grid), BE)
 
     def test_nonconvergence_names_the_step(self):
         prob = benchmark_lv()
@@ -246,18 +255,25 @@ class TestHarmonicExtension:
         interior[fine] = False
         assert np.max(row_norms[interior[1:]]) <= policy.tol_local
 
+    @pytest.mark.parametrize("level, index", [(3, 0), (2, 0), (-1, 0), (0, 4), (1, 2), (0, -1)])
+    def test_rejects_level_or_index_out_of_range(self, level, index):
+        part = build_explicit([40, 4, 2], t_end=1.0)
+        with pytest.raises(ValidationError, match="outside"):
+            nonlinear_harmonic_extension(forced_riccati(), part, level, index, np.zeros(1),
+                                         np.zeros((10, 1)), BE, LinearizationPolicy())
+
 
 class TestLockstepExtension:
     """A run of windows marched in lockstep against one window at a time."""
 
     @staticmethod
     def _run_against_single_windows(prob, part, inflows, warm, policy):
-        f_lo, f_hi, nodes, firsts = _window_run(part, 1, 0, part.counts[1])
-        values, picard, newton = _extension_task(prob, part.grids[0][f_lo:f_hi], nodes,
-                                                 firsts, inflows, warm, 1.0, policy)
+        values, picard, newton = _extension_task(prob, part, 0, 0, part.counts[1], inflows,
+                                                 warm, 1.0, policy)
         grid = part.grids[0]
+        fine = part.fine_nodes(1)
         counts = []
-        for i, (a, b) in enumerate(zip(nodes[0], nodes[0][1:])):
+        for i, (a, b) in enumerate(zip(fine, fine[1:])):
             one, one_picard, one_newton = nonlinear_harmonic_extension(
                 prob, part, 0, i, inflows[i], warm[a:b], BE, policy)
             assert np.array_equal(values[a:b], one)
@@ -325,6 +341,46 @@ class TestLockstepExtension:
             nonlinear_harmonic_extension(linear_decay(-10.0), part, 0, 0, np.ones(1),
                                          np.ones((5, 1)), BE, LinearizationPolicy())
         assert (err.value.t_start, err.value.t_end) == (0.0, 0.1)
+
+
+class TestNestedExtension:
+    """Level-1 windows extended as one run against one window at a time."""
+
+    @staticmethod
+    def _run_against_single_windows(prob, part, inflows, warm):
+        policy = LinearizationPolicy()
+        values, picard, newton = _extension_task(prob, part, 1, 0, part.counts[2], inflows,
+                                                 warm, 1.0, policy)
+        fine = part.fine_nodes(2)
+        counts = []
+        for i, (a, b) in enumerate(zip(fine, fine[1:])):
+            one, one_picard, one_newton = nonlinear_harmonic_extension(
+                prob, part, 1, i, inflows[i], warm[a:b], BE, policy)
+            assert np.array_equal(values[a:b], one)
+            counts.append((one_picard, one_newton))
+        assert (picard, newton) == tuple(map(sum, zip(*counts)))
+        return counts
+
+    @staticmethod
+    def _warm(part, guesses):
+        fine = part.fine_nodes(2)
+        return np.concatenate([np.tile(g, (b - a, 1)) for g, a, b in zip(guesses, fine, fine[1:])])
+
+    def test_lotka_volterra_ragged_windows(self):
+        prob = benchmark_lv()
+        part = build_explicit([103, 10, 3], t_end=3.0)  # children of 3, 3 and 4 windows
+        inflows = np.array([[10.0, 40.0], [12.0, 6.0], [6.0, 30.0]])
+        warm = self._warm(part, [inflows[0], [60.0, 90.0], inflows[2]])
+        counts = self._run_against_single_windows(prob, part, inflows, warm)
+        assert len(set(counts)) == len(counts)
+
+    def test_riccati_ragged_windows(self):
+        prob = forced_riccati()
+        part = build_explicit([103, 10, 3], t_end=2 * np.pi)
+        inflows = np.array([[0.0], [0.9], [-0.4]])
+        warm = self._warm(part, [[0.0], [0.9], [-0.8]])
+        counts = self._run_against_single_windows(prob, part, inflows, warm)
+        assert len(set(counts)) > 1
 
 
 class TestNonlinearSchurNewton:

@@ -134,19 +134,30 @@ class TestSolverDeterminism:
         assert r1.residual_history == r4.residual_history
         assert r1.mode_history == r4.mode_history
 
-    def test_nlschur_bitwise_equal_across_worker_counts(self):
+    @staticmethod
+    def _assert_nlschur_bitwise_equal_across_worker_counts(counts, k):
         prob = lotka_volterra(3.0, 0.2, 2.0, 0.1, 10.0, 40.0)
-        part = build_explicit([307, 7], t_end=3.0)  # ragged last subdomain
-        t1, r1 = nonlinear_schur_newton_solve(prob, part, 1, Scheme.backward_euler(),
+        part = build_explicit(counts, t_end=3.0)
+        t1, r1 = nonlinear_schur_newton_solve(prob, part, k, Scheme.backward_euler(),
                                               workers=1)
-        t2, r2 = nonlinear_schur_newton_solve(prob, part, 1, Scheme.backward_euler(),
+        t2, r2 = nonlinear_schur_newton_solve(prob, part, k, Scheme.backward_euler(),
                                               workers=2)
+        assert r1.converged
         assert np.array_equal(t1, t2)
         assert r1.residual_history == r2.residual_history
         assert r1.interior_residual_history == r2.interior_residual_history
         assert r1.mode_history == r2.mode_history
         assert (r1.outer_iterations, r1.inner_picard, r1.inner_newton) == \
             (r2.outer_iterations, r2.inner_picard, r2.inner_newton)
+
+    def test_nlschur_bitwise_equal_across_worker_counts(self):
+        # Ragged last subdomain.
+        self._assert_nlschur_bitwise_equal_across_worker_counts([307, 7], 1)
+
+    @pytest.mark.parametrize("k, counts", [(2, [307, 14, 4]), (3, [307, 14, 4, 2])])
+    def test_nested_nlschur_bitwise_equal_across_worker_counts(self, k, counts):
+        # Ragged subdomains at every level; the extensions recurse k - 1 times.
+        self._assert_nlschur_bitwise_equal_across_worker_counts(counts, k)
 
 
 @pytest.mark.slow
