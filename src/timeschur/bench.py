@@ -282,6 +282,8 @@ def run_weak_scaling(spec: ExperimentSpec, n1_list: list[int],
     """
     if any(b <= a for a, b in zip(n1_list, n1_list[1:])):
         raise ValidationError("n1 list must be strictly ascending")
+    if n1_list and n1_list[0] < 1:
+        raise ValidationError(f"n1 entries must be >= 1, got {n1_list[0]}")
     if local_size < 1:
         raise ValidationError("local size must be >= 1")
     rows = []

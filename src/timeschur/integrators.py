@@ -9,11 +9,13 @@ evaluate at the grid nodes. DG(q) assembles a ``(q+1)*m_unk`` element system
 on right-Radau nodes and keeps the endpoint-stage rows of its solution.
 ``step_matrices`` is the one place theta step matrices are formed, and
 ``step_solve`` the one guarded batched solve of them; the nonlinear solvers
-share both.
+share both. Blocks of size m <= 6 are normalized by ``_eliminate``, whose row
+operations each act on a chunk of blocks at once (Kim et al., SC 2017).
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -22,6 +24,9 @@ import numpy as np
 
 from .errors import SingularStepError, ValidationError
 from .problems import OdeProblem, jacobian_batch, kappa_batch
+
+_ELIMINATE_MAX_M = 6  # largest block size for ``_eliminate``; LAPACK is faster above it
+_ELIMINATE_CHUNK = 8192  # blocks per pass of ``_eliminate``: its workspace stays in cache
 
 
 @dataclass(frozen=True)
@@ -215,13 +220,18 @@ def theta_steps(mats, dt, th, column):
 
 
 def step_solve(mats, rhs, t_start, t_end, where=None):
-    """``np.linalg.solve`` over stacked step matrices; vector or matrix right-hand sides.
+    """Solve stacked step matrices; vector or matrix right-hand sides.
 
-    A singular matrix raises ``SingularStepError`` with the times of its
-    element; ``where(i)``, if given, names the location of row ``i``.
+    Matrix right-hand sides of blocks with m <= 6 go to ``_eliminate``; the
+    rest, and stacks with an exactly zero pivot there, to LAPACK, whose LU
+    decides singularity. A singular matrix raises ``SingularStepError`` with
+    the times of its element; ``where(i)``, if given, names row ``i``.
     """
     vector = rhs.ndim == mats.ndim - 1
     try:
+        if not vector and mats.shape[-1] <= _ELIMINATE_MAX_M:
+            with contextlib.suppress(np.linalg.LinAlgError):
+                return _eliminate(mats, rhs)
         out = np.linalg.solve(mats, rhs[..., None] if vector else rhs)
     except np.linalg.LinAlgError as exc:
         bad = int(np.argmax((np.linalg.det(mats) == 0.0)
@@ -232,3 +242,39 @@ def step_solve(mats, rhs, t_start, t_end, where=None):
             float(t_start[bad]), float(t_end[bad])
         ) from exc
     return out[..., 0] if vector else out
+
+
+def _eliminate(mats, rhs):
+    """``np.linalg.solve`` of ``(n, m, m)`` matrices and ``(n, m, k)`` right-hand sides.
+
+    Gaussian elimination with partial pivoting, one chunk of blocks at a time,
+    on an ``(m, m + k, chunk)`` workspace with the batch axis last: each step
+    is elementwise along it, so a block's result does not depend on the
+    others. An exactly zero pivot raises ``LinAlgError``; NaN and inf pass
+    through, as in LAPACK.
+    """
+    n, m, k = rhs.shape
+    out = np.empty((n, m, k))
+    space = np.empty((m, m + k, min(n, _ELIMINATE_CHUNK)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo in range(0, n, _ELIMINATE_CHUNK):
+            hi = min(lo + _ELIMINATE_CHUNK, n)
+            work = space[:, :, :hi - lo]
+            work[:, :m] = mats[lo:hi].transpose(1, 2, 0)
+            work[:, m:] = rhs[lo:hi].transpose(1, 2, 0)
+            for j in range(m):
+                top = work[j, j:]
+                for row in work[j + 1:, j:]:  # a larger |entry| in column j moves up
+                    swap = np.abs(row[0]) > np.abs(top[0])
+                    if swap.any():
+                        top[...], row[...] = np.where(swap, row, top), np.where(swap, top, row)
+                if not top[0].all():
+                    raise np.linalg.LinAlgError("Singular matrix")
+                for row in work[j + 1:, j:]:
+                    row[1:] -= (row[0] / top[0]) * top[1:]
+            for j in range(m - 1, -1, -1):
+                for r in range(j + 1, m):
+                    work[j, m:] -= work[j, r] * work[r, m:]
+                work[j, m:] /= work[j, j]
+            out[lo:hi] = work[:, m:].transpose(2, 0, 1)
+    return out

@@ -77,10 +77,15 @@ class LinearizationPolicy:
         if self.max_iters < 1 or self.max_inner < 1:
             raise ValidationError("iteration budgets must be at least 1")
 
-    def pick_mode(self, residual_norm: float) -> str:
+    def uses_picard(self, residual_norms):
+        """Whether each residual norm (a float or an array) takes Picard's operator."""
         if self.mode == "hybrid":
-            return "picard" if residual_norm >= self.switch_norm else "newton"
-        return self.mode
+            return residual_norms >= self.switch_norm
+        fixed = self.mode == "picard"
+        return fixed if isinstance(residual_norms, float) else np.full(residual_norms.shape, fixed)
+
+    def pick_mode(self, residual_norm: float) -> str:
+        return "picard" if self.uses_picard(residual_norm) else "newton"
 
 
 def global_residual(
@@ -156,7 +161,7 @@ def _implicit_step(problem, t_start, t_end, u_prev, guess, th, policy, tol):
                                       NON_FINITE)
         if it == policy.max_inner:
             break
-        if policy.pick_mode(norm) == "picard":
+        if policy.uses_picard(norm):
             mat = problem.picard_matrix(t_end, u)[0] if problem.picard_matrix is not None else None
             if mat is None:
                 raise ValidationError(
@@ -418,7 +423,7 @@ def _march(problem, ts, bounds, inflows, warm, th, policy, first):
                 raise NonconvergenceError(where(live[bad]), it, float(norms[bad]), NON_FINITE)
             if it == policy.max_inner:
                 raise NonconvergenceError(where(live[0]), policy.max_inner, float(norms[0]))
-            picks = np.array([policy.pick_mode(norm) == "picard" for norm in norms])
+            picks = policy.uses_picard(norms)
             n_picard = int(np.count_nonzero(picks))
             picard += n_picard
             newton += len(picks) - n_picard
@@ -481,15 +486,13 @@ def _nested_extension(problem, partition, level, index, inflow, warm, th, policy
             raise NonconvergenceError(where, it, norm, NON_FINITE)
         if it == policy.max_inner:
             break
-        use_picard = policy.pick_mode(norm) == "picard"
-        if use_picard:
-            picard += 1
-        else:
-            newton += 1
+        use_picard = policy.uses_picard(norm)
+        picard += use_picard
+        newton += not use_picard
         # The child-chain update system at the frozen extended state, swept
         # from a zero update at the window's pinned inflow.
         phis, gs = _schur_row_task(problem, ts[:loc[-2] + 1], wvals[:loc[-2] + 1],
-                                   loc[:-1], c_lo, th, use_picard)
+                                   loc[:-1], c_lo, th, use_picard, rows)
         chain = LevelSystem(level=level, phis=phis, gs=gs, u_init=np.zeros(m))
         wvals[inner] += sequential_solve(chain)[1:]
     raise NonconvergenceError(where, policy.max_inner, norm)
@@ -504,7 +507,7 @@ def _step_residuals(problem, t_in, t_out, u_in, u_out, th):
     )
 
 
-def _schur_row_task(problem, ts, us, bounds, first, th, use_picard):
+def _schur_row_task(problem, ts, us, bounds, first, th, use_picard, closing=None):
     """Interface block rows of the level-up Schur system for consecutive windows.
 
     Window ``j`` (global index ``first + j``) spans nodes
@@ -512,13 +515,15 @@ def _schur_row_task(problem, ts, us, bounds, first, th, use_picard):
     both interfaces included). Returns ``(phis, gs)``, stacked over windows:
     the coarse steps of the normalized fine linearization at ``us``, whose
     right-hand side is the negative one-step residual at each window's
-    closing step and zero elsewhere. ``level_maps`` scans every window's
-    steps and ``assemble_schur`` closes them, in this task's thread.
+    closing step and zero elsewhere; ``closing`` holds those residuals when
+    the caller has them already. ``level_maps`` scans every window's steps
+    and ``assemble_schur`` closes them, in this task's thread.
     """
     last = bounds[1:] - 1  # each window's closing step
+    if closing is None:
+        closing = _step_residuals(problem, ts[last], ts[last + 1], us[last], us[last + 1], th)
     column = np.zeros((len(ts) - 1, problem.m_unk))
-    column[last] = -_step_residuals(problem, ts[last], ts[last + 1], us[last], us[last + 1],
-                                    th)
+    column[last] = -closing
     fine = _linearized_steps(
         problem, ts, us, th, use_picard, column,
         lambda i: f"linearized window {first + np.searchsorted(bounds, i, 'right') - 1}",

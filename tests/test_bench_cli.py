@@ -276,6 +276,13 @@ class TestCli:
         assert code == 0
         assert len(read_csv(out)) == 6
 
+    @pytest.mark.parametrize("n1_list,bad", [("0,2", "0"), ("-3,2", "-3")])
+    def test_weak_scaling_names_bad_n1_entry(self, n1_list, bad, tmp_path, monkeypatch,
+                                             capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["weak-scaling", "--local-size", "5", f"--n1-list={n1_list}"]) == 2
+        assert f"error: n1 entries must be >= 1, got {bad}" in capsys.readouterr().err
+
     def test_three_level_adaptive(self, tmp_path):
         out = tmp_path / "three.csv"
         code = cli.main(["three-level", "--nsteps", "400", "--subdomains", "100",

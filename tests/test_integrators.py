@@ -22,7 +22,8 @@ from timeschur import (
     random_stable_linear,
     zero_operator,
 )
-from timeschur.integrators import dg_element_system
+from timeschur.integrators import (_ELIMINATE_CHUNK, _eliminate, dg_element_system,
+                                   step_solve)
 
 ALL_SCHEMES = [Scheme.theta_method(0.5), Scheme.backward_euler(),
                Scheme.dg(0), Scheme.dg(1), Scheme.dg(2)]
@@ -193,6 +194,85 @@ class TestCondensation:
         with pytest.raises(SingularStepError) as err:
             linear_propagator(problem, np.array([0.0, 0.125, 0.375, 0.5]), Scheme.dg(0))
         assert (err.value.t_start, err.value.t_end) == (0.125, 0.375)
+
+
+def _solve_residual(mats, rhs, sol):
+    """max|mats @ sol - rhs| relative to max|rhs|."""
+    return np.max(np.abs(mats @ sol - rhs)) / np.max(np.abs(rhs))
+
+
+class TestEliminationKernel:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_agrees_with_lapack(self, m, rng):
+        mats = rng.normal(size=(200, m, m)) + 2.0 * np.eye(m)
+        rhs = rng.normal(size=(200, m, m + 1))
+        sol = _eliminate(mats, rhs)
+        expected = np.linalg.solve(mats, rhs)
+        assert sol.shape == expected.shape and sol.flags.c_contiguous
+        assert _solve_residual(mats, rhs, sol) <= 1e-13
+        assert np.max(np.abs(sol - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_row_swap(self):
+        # |a10| > |a00| in every block: without a swap the tiny pivot loses
+        # all digits of the second unknown.
+        mats = np.array([[[1e-17, 1.0], [1.0, 1.0]], [[-0.5, 2.0], [3.0, 1.0]]])
+        rhs = np.array([[[1.0], [2.0]], [[1.0], [-2.0]]])
+        sol = _eliminate(mats, rhs)
+        assert np.allclose(sol[0, :, 0], [1.0, 1.0], rtol=1e-15, atol=0)
+        assert _solve_residual(mats, rhs, sol) <= 1e-15
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_dg_element_blocks(self, order):
+        problem = random_stable_linear(2, seed=3)
+        k_mat, inflow, forcing, _ = dg_element_system(problem, np.linspace(0.0, 2.0, 9), order)
+        rhs = np.concatenate([np.broadcast_to(inflow, (8,) + inflow.shape),
+                              forcing[:, :, None]], axis=2)
+        sol = _eliminate(k_mat, rhs)
+        assert _solve_residual(k_mat, rhs, sol) <= 1e-14
+        expected = np.linalg.solve(k_mat, rhs)
+        assert np.max(np.abs(sol - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_blocks_do_not_depend_on_grouping(self, rng):
+        # The first part needs no row swaps, the second many; the whole
+        # stack spans two chunks of the kernel.
+        n = _ELIMINATE_CHUNK + 101
+        mats = rng.normal(size=(n, 4, 4))
+        mats[:37] = 0.1 * mats[:37] + np.eye(4)
+        rhs = rng.normal(size=(n, 4, 5))
+        whole = _eliminate(mats, rhs)
+        parts = np.concatenate([_eliminate(mats[:37], rhs[:37]),
+                                _eliminate(mats[37:], rhs[37:])])
+        assert np.array_equal(whole, parts)
+
+    def test_singular_rows_name_the_lowest(self, rng):
+        mats = rng.normal(size=(6, 3, 3)) + 3.0 * np.eye(3)
+        mats[4] = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]
+        mats[2, :, 1] = 0.0
+        t = np.arange(7.0)
+        with pytest.raises(SingularStepError) as err:
+            step_solve(mats, rng.normal(size=(6, 3, 4)), t[:-1], t[1:])
+        assert (err.value.t_start, err.value.t_end) == (2.0, 3.0)
+
+    def test_zero_pivot_of_a_nonsingular_lapack_block_is_left_to_lapack(self):
+        # Eliminating [[10, 10], [3, 3]] leaves an exact zero pivot, but
+        # LAPACK's LU, which scales by 1/10, leaves -4.4e-16: as before the
+        # kernel, the stack solves without error and names no other element.
+        mats = np.stack([np.eye(2), np.array([[10.0, 10.0], [3.0, 3.0]])])
+        rhs = np.ones((2, 2, 3))
+        with pytest.raises(np.linalg.LinAlgError):
+            _eliminate(mats, rhs)
+        t = np.arange(3.0)
+        assert np.array_equal(step_solve(mats, rhs, t[:-1], t[1:]), np.linalg.solve(mats, rhs))
+
+    def test_nan_block_passes_through(self, rng):
+        mats = rng.normal(size=(3, 2, 2)) + 2.0 * np.eye(2)
+        mats[1, 0, 1] = np.nan
+        rhs = rng.normal(size=(3, 2, 3))
+        sol = _eliminate(mats, rhs)
+        assert np.isnan(sol[1]).any()
+        assert np.array_equal(sol[[0, 2]], _eliminate(mats[[0, 2]], rhs[[0, 2]]))
+        t = np.arange(4.0)
+        assert np.array_equal(step_solve(mats, rhs, t[:-1], t[1:]), sol, equal_nan=True)
 
 
 def _step_residual(problem, t_start, t_end, u_in, u_out, scheme):
