@@ -280,9 +280,11 @@ def run_weak_scaling(spec: ExperimentSpec, n1_list: list[int],
     baseline row. Solver failures, the baseline's included, become
     ``status=failed`` rows; the sweep continues.
     """
+    if not n1_list:
+        raise ValidationError("n1 list is empty")
     if any(b <= a for a, b in zip(n1_list, n1_list[1:])):
         raise ValidationError("n1 list must be strictly ascending")
-    if n1_list and n1_list[0] < 1:
+    if n1_list[0] < 1:
         raise ValidationError(f"n1 entries must be >= 1, got {n1_list[0]}")
     if local_size < 1:
         raise ValidationError("local size must be >= 1")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import bench
 from .errors import NonconvergenceError, SingularStepError, ValidationError
@@ -196,7 +197,9 @@ def _cmd_verify(args) -> int:
         print(line)
     if args.out:
         payload = [check.__dict__ for check in checks]
-        with open(args.out, "w", encoding="utf-8") as handle:
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        with out.open("w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
         print(f"report written to {args.out}")
     return 0 if all(check.passed for check in checks) else 1

@@ -574,9 +574,11 @@ def nonlinear_schur_newton_solve(
                                f"nonlinear Schur loop at level {k}")
             if mode is None:
                 break
-            rows, seconds, _ = pool.map(
-                _schur_row_task, [(problem, grid, w, fine_k, 0, th, mode == "picard")])
-            report.add_level_tasks(0, seconds)
+            # The windows' closing residuals are rows of ``res`` already.
+            rows_start = time.thread_time()
+            rows, _, _ = pool.map(_schur_row_task, [
+                (problem, grid, w, fine_k, 0, th, mode == "picard", res[fine_k[1:] - 1])])
+            report.add_level(0, [time.thread_time() - rows_start])
             (phis, gs), = rows
             system = LevelSystem(level=k, phis=phis, gs=gs, u_init=np.zeros(problem.m_unk))
             z = z + ml_solve(system, partition, pool=pool, report=report)
@@ -589,10 +591,11 @@ def nonlinear_schur_newton_solve(
 
 def _extend_all(problem, partition, level, z, warm_traj, th, policy, pool, report):
     """Extend the interface values ``z`` into every level-(level+1) element, as one pool task."""
-    results, seconds, _ = pool.map(_extension_task, [
+    start = time.thread_time()  # a one-task map runs in this thread
+    results, _, _ = pool.map(_extension_task, [
         (problem, partition, level, 0, partition.counts[level + 1], z[:-1], warm_traj[:-1], th,
          policy)])
-    report.add_level_tasks(0, seconds)
+    report.add_level(0, [time.thread_time() - start])
     (values, picard, newton), = results
     report.inner_picard += picard
     report.inner_newton += newton

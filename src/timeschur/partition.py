@@ -67,8 +67,7 @@ class MultilevelPartition:
 
     def validate(self) -> None:
         """Check all structural invariants; raises ``ValidationError`` on breakage."""
-        if self.t_end <= 0:
-            raise ValidationError("t_end must be positive")
+        _check_t_end(self.t_end)
         if len(self.grids) != len(self.counts) or len(self.aggs) != len(self.counts) - 1:
             raise ValidationError("inconsistent level bookkeeping")
         for k, (n, grid) in enumerate(zip(self.counts, self.grids)):
@@ -78,16 +77,21 @@ class MultilevelPartition:
                 raise ValidationError(f"level {k} grid size mismatch")
             if grid[0] != 0.0 or grid[-1] != self.t_end:
                 raise ValidationError(f"level {k} grid does not span [0, t_end]")
-            if np.any(np.diff(grid) <= 0):
+            if not np.all(np.diff(grid) > 0):  # NaN-safe
                 raise ValidationError(f"level {k} grid is not strictly increasing")
         for k in range(1, self.n_levels):
             m = self.aggs[k - 1]
             if m[0] != 0 or m[-1] != self.counts[k - 1]:
                 raise ValidationError(f"aggregation to level {k} misses the endpoints")
-            if np.any(np.diff(m) <= 0):
+            if not np.all(np.diff(m) > 0):
                 raise ValidationError(f"aggregation to level {k} is not strictly increasing")
             if not np.array_equal(self.grids[k], self.grids[k - 1][m]):
                 raise ValidationError(f"level {k} grid is not nested in level {k - 1}")
+
+
+def _check_t_end(t_end: float) -> None:
+    if not 0 < t_end < math.inf:
+        raise ValidationError(f"t_end must be finite and positive, got {t_end}")
 
 
 def _aggregate(n_fine: int, n_coarse: int, ratio: int | None = None) -> np.ndarray:
@@ -154,8 +158,7 @@ def build_uniform(
     ``1 + ceil(log_theta(n0))`` levels, capped by ``max_levels``. Counts that
     ``theta`` does not divide leave the remainder in the last subdomain.
     """
-    if t_end <= 0:
-        raise ValidationError("t_end must be positive")
+    _check_t_end(t_end)
     if n0 < 1:
         raise ValidationError("n0 must be at least 1")
     if theta < 2:
@@ -200,6 +203,7 @@ def build_explicit(
     else:
         if t_end is None:
             raise ValidationError("either t_end or grid is required")
+        _check_t_end(t_end)
         grid0 = np.linspace(0.0, float(t_end), counts[0] + 1)
         grid0[-1] = t_end
     return _assemble(t_end, grid0, counts)

@@ -6,6 +6,10 @@ identical (bitwise) to serial execution for any worker count; only wall
 clocks change. Workers are threads: the tasks' heavy work is batched numpy,
 which releases the interpreter lock, and threads share the output arrays the
 tasks write into.
+
+Level timings read the CPU time of the thread doing the work
+(``time.thread_time()``): sleeps, waits for the interpreter lock and
+preemption do not count.
 """
 
 from __future__ import annotations
@@ -22,46 +26,15 @@ def available_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _queued_seconds() -> float:
-    """Seconds the calling thread has spent runnable but waiting for a core.
-
-    Linux reports this in ``/proc/thread-self/schedstat``. Where that cannot
-    be read it stays 0.0, and ``task_clock`` is the plain wall clock. The file
-    is opened per call: a descriptor cached per thread would outlive its
-    thread, and a recycled thread id would read a dead thread's stats.
-    """
-    try:
-        fd = os.open("/proc/thread-self/schedstat", os.O_RDONLY)
-    except OSError:
-        return 0.0
-    try:
-        return int(os.pread(fd, 64, 0).split()[1]) * 1e-9
-    except (OSError, IndexError, ValueError):
-        return 0.0
-    finally:
-        os.close(fd)
-
-
-def task_clock() -> float:
-    """Monotonic wall clock minus the time the calling thread sat preempted.
-
-    Level timings use it, so that a task's clock counts its own work and
-    sleeps but not the time other processes held its core. Thread CPU clocks
-    would drop the sleeps, and tick too coarsely on some kernels to resolve
-    sub-millisecond tasks.
-    """
-    return time.perf_counter() - _queued_seconds()
-
-
 def _run_task(fn, index, args):
     # Timed inside the worker so pool dispatch overhead never lands in the
-    # level timings.
-    start = task_clock()
+    # task's seconds.
+    start = time.perf_counter()
     try:
         result = fn(*args)
     except BaseException as exc:  # propagated with the task index by the caller
-        return index, None, task_clock() - start, exc
-    return index, result, task_clock() - start, None
+        return index, None, time.perf_counter() - start, exc
+    return index, result, time.perf_counter() - start, None
 
 
 class WorkerPool:
@@ -94,8 +67,7 @@ class WorkerPool:
         """Run ``fn(*args)`` for each args tuple; order of results == order of tasks.
 
         Returns ``(results, task_seconds, elapsed)`` where ``task_seconds[i]``
-        is task i's own ``task_clock`` time and ``elapsed`` is the whole
-        region's wall clock.
+        is task i's own wall clock and ``elapsed`` is the whole region's.
         A task's ``TimeSchurError`` re-raises as itself; other exceptions
         re-raise as ``TaskError`` carrying the task index.
         """
@@ -170,17 +142,11 @@ class SolverReport:
     wall_seconds: float = 0.0
     cost_estimate: CostEstimate | None = None
 
-    def add_level_tasks(self, level: int, task_seconds: list[float]) -> None:
-        """Fold one parallel region's task clocks into the level aggregates."""
-        if not task_seconds:
-            return
+    def add_level(self, level: int, task_seconds: list[float]) -> None:
+        """Fold one region's task seconds into a level; a serial phase is a one-task region."""
         self.per_level_max[level] = self.per_level_max.get(level, 0.0) + \
             critical_path_seconds(task_seconds, self.workers)
         self.per_level_sum[level] = self.per_level_sum.get(level, 0.0) + sum(task_seconds)
-
-    def add_level_serial(self, level: int, seconds: float) -> None:
-        self.per_level_max[level] = self.per_level_max.get(level, 0.0) + seconds
-        self.per_level_sum[level] = self.per_level_sum.get(level, 0.0) + seconds
 
     @property
     def residual_final(self) -> float | None:

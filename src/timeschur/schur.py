@@ -30,7 +30,7 @@ from .errors import ValidationError
 from .integrators import Scheme, linear_propagator
 from .partition import MultilevelPartition
 from .problems import OdeProblem
-from .runtime import CostEstimate, SolverReport, WorkerPool, task_clock
+from .runtime import CostEstimate, SolverReport, WorkerPool
 
 
 @dataclass
@@ -150,14 +150,12 @@ def level_maps(
         cuts = [k * c // shares for c in range(shares + 1)]
         args += [tuple(x[lo:hi] for x in batch) for lo, hi in zip(cuts, cuts[1:])]
     if pool is None:
-        for share in args:
-            _subdomain_setup(*share)
+        cpu_seconds = [_subdomain_setup(*share) for share in args]
     else:
-        # Thread CPU time, not task clocks: on threads, a small share's wall
-        # clock would absorb its waits for the interpreter lock.
+        # The shares' own thread CPU seconds, not the map's wall clocks.
         cpu_seconds, _, _ = pool.map(_subdomain_setup, args)
-        if report is not None:
-            report.add_level_tasks(sys.level, cpu_seconds)
+    if report is not None:
+        report.add_level(sys.level, cpu_seconds)
     return maps
 
 
@@ -214,15 +212,18 @@ def ml_solve(
     for level in range(sys.level, partition.top_level):
         bounds = partition.subdomain_bounds(level)
         maps_per_level.append(level_maps(systems[-1], bounds, pool, report))
+        start = time.thread_time()
         systems.append(assemble_schur(systems[-1], maps_per_level[-1], bounds))
+        if report is not None:
+            report.add_level(level, [time.thread_time() - start])
 
-    start = task_clock()
+    start = time.thread_time()
     u = sequential_solve(systems[-1])
     if report is not None:
-        report.add_level_serial(partition.top_level, task_clock() - start)
+        report.add_level(partition.top_level, [time.thread_time() - start])
 
     for level in range(partition.top_level - 1, sys.level - 1, -1):
-        start = task_clock()
+        start = time.thread_time()
         bounds = partition.subdomain_bounds(level)
         maps = maps_per_level[level - sys.level]
         m = u.shape[1]
@@ -235,7 +236,7 @@ def ml_solve(
         fine[bounds] = u  # interface values are copied, not recomputed
         u = fine
         if report is not None:
-            report.add_level_serial(level, task_clock() - start)
+            report.add_level(level, [time.thread_time() - start])
     return u
 
 

@@ -1,11 +1,12 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from timeschur import ValidationError, cli
+from timeschur import ValidationError, bench, cli
 from timeschur.bench import (
     CSV_COLUMNS,
     ExperimentSpec,
@@ -283,6 +284,13 @@ class TestCli:
         assert cli.main(["weak-scaling", "--local-size", "5", f"--n1-list={n1_list}"]) == 2
         assert f"error: n1 entries must be >= 1, got {bad}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n1_list", ["", ","])
+    def test_weak_scaling_rejects_empty_sweep(self, n1_list, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["weak-scaling", f"--n1-list={n1_list}"]) == 2
+        assert "error: n1 list is empty" in capsys.readouterr().err
+        assert not (tmp_path / "weak_scaling.csv").exists()
+
     def test_three_level_adaptive(self, tmp_path):
         out = tmp_path / "three.csv"
         code = cli.main(["three-level", "--nsteps", "400", "--subdomains", "100",
@@ -305,6 +313,19 @@ class TestCli:
         assert code == 0
         assert "PASS linear_exactness" in capsys.readouterr().out
         assert all(entry["passed"] for entry in json.loads(out.read_text()))
+
+    def test_verify_creates_the_output_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bench, "verify", lambda workers: [])
+        out = tmp_path / "missing" / "dir" / "v.json"
+        assert cli.main(["verify", "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == []
+
+    def test_infinite_t_end_exits_2_without_warnings(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["solve", "--problem", "decay", "--t-end", "inf"])
+        assert code == 2
+        assert "error: t_end must be finite and positive" in capsys.readouterr().err
 
     def test_validation_error_exits_2(self):
         code = cli.main(["three-level", "--nsteps", "100", "--subdomains", "10",

@@ -94,6 +94,18 @@ class TestExplicit:
         with pytest.raises(ValidationError):
             build_explicit([10, 2])
 
+    @pytest.mark.parametrize("build", [
+        lambda: build_explicit([40, 4], grid=np.where(np.arange(41) == 7, np.nan,
+                                                      np.linspace(0.0, 1.0, 41))),
+        lambda: build_explicit([40, 4], grid=np.append(np.linspace(0.0, 1.0, 40), np.inf)),
+        lambda: build_explicit([40, 4], t_end=np.inf),
+        lambda: build_explicit([40, 4], t_end=np.nan),
+        lambda: build_uniform(np.inf, 40, 2),
+    ], ids=["nan-node", "inf-grid-end", "inf-t-end", "nan-t-end", "uniform-inf"])
+    def test_rejects_non_finite_times(self, build):
+        with pytest.raises(ValidationError):
+            build()
+
 
 class TestAdaptiveTop:
     @pytest.mark.parametrize("n1,expected", [(100, 10), (4, 2), (50, 7)])

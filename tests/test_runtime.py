@@ -18,8 +18,9 @@ from timeschur import (
     newton_schur_solve,
     nonlinear_schur_newton_solve,
 )
-from timeschur.runtime import available_workers, critical_path_seconds, task_clock
-from timeschur.schur import _subdomain_setup
+from timeschur import schur
+from timeschur.runtime import SolverReport, available_workers, critical_path_seconds
+from timeschur.schur import _subdomain_setup, assemble_schur, sequential_solve
 
 
 def _chain(phis, gs):
@@ -79,6 +80,17 @@ class TestParallelMap:
             pool.map(_stalls, [(1,), (2,), (3,)])
         assert err.value.where == "task 1" and err.value.iterations == 50
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_pooled_solves_leave_no_descriptors_open(self):
+        # Every pool starts new threads.
+        prob = lotka_volterra(3.0, 0.2, 2.0, 0.1, 10.0, 40.0)
+        part = build_explicit([120, 6], t_end=3.0)
+        newton_schur_solve(prob, part, Scheme.backward_euler(), workers=2)
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(50):
+            newton_schur_solve(prob, part, Scheme.backward_euler(), workers=2)
+        assert len(os.listdir("/proc/self/fd")) == before
+
     def test_elapsed_tracks_the_parallel_region(self):
         # 8 equal sleep tasks over 2 workers: about 4 rounds, generous slack.
         naptime = 0.05
@@ -91,24 +103,45 @@ class TestParallelMap:
         assert all(s >= naptime * 0.9 for s in seconds)
 
 
-class TestTaskClock:
-    def test_counts_sleeps_and_never_exceeds_the_wall_clock(self):
-        naptime = 0.02
-        wall, clock = time.perf_counter(), task_clock()
-        time.sleep(naptime)
-        clock, wall = task_clock() - clock, time.perf_counter() - wall
-        assert naptime * 0.9 <= clock <= wall
+class TestLevelTimings:
+    """Every level timing reads the thread CPU clock of the thread doing the work."""
 
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-    def test_pooled_solves_leave_no_descriptors_open(self):
-        # Every pool starts new threads, and every thread reads its clock.
+    @staticmethod
+    def _timed_ml_solve():
+        prob = linear_decay(1.0)
+        part = build_explicit([400, 20, 4], t_end=1.0)
+        sys0 = build_linear_system(prob, part.grids[0], Scheme.backward_euler())
+        report = SolverReport(workers=1)
+        with WorkerPool(1) as pool:
+            ml_solve(sys0, part, pool=pool, report=report)
+        return report
+
+    def test_assembly_is_counted_in_its_level(self, monkeypatch):
+        def burning(*args):
+            start = time.thread_time()
+            while time.thread_time() - start < 0.02:
+                pass
+            return assemble_schur(*args)
+
+        monkeypatch.setattr(schur, "assemble_schur", burning)
+        assert self._timed_ml_solve().per_level_max[0] >= 0.02
+
+    def test_sleep_in_the_coarse_solve_is_not_counted(self, monkeypatch):
+        def sleepy(system):
+            time.sleep(0.05)
+            return sequential_solve(system)
+
+        monkeypatch.setattr(schur, "sequential_solve", sleepy)
+        assert self._timed_ml_solve().per_level_max[2] < 0.05
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_level_is_timed_and_max_never_exceeds_sum(self, workers):
         prob = lotka_volterra(3.0, 0.2, 2.0, 0.1, 10.0, 40.0)
-        part = build_explicit([120, 6], t_end=3.0)
-        newton_schur_solve(prob, part, Scheme.backward_euler(), workers=2)
-        before = len(os.listdir("/proc/self/fd"))
-        for _ in range(50):
-            newton_schur_solve(prob, part, Scheme.backward_euler(), workers=2)
-        assert len(os.listdir("/proc/self/fd")) == before
+        part = build_explicit([400, 20, 4], t_end=3.0)
+        _, report = newton_schur_solve(prob, part, Scheme.backward_euler(), workers=workers)
+        assert sorted(report.per_level_max) == sorted(report.per_level_sum) == [0, 1, 2]
+        for level, longest in report.per_level_max.items():
+            assert 0 < longest <= report.per_level_sum[level]
 
 
 class TestCriticalPath:
