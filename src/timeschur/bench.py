@@ -116,11 +116,7 @@ class ExperimentSpec:
         if self.ratio is not None:
             part = build_uniform(t_end, self.n0, self.ratio, max_levels=self.levels)
         else:
-            counts = [self.n0]
-            if self.n1 is not None:
-                counts.append(self.n1)
-            if self.n2 is not None:
-                counts.append(self.n2)
+            counts = [n for n in (self.n0, self.n1, self.n2) if n is not None]
             part = build_explicit(counts, t_end=t_end)
         if self.adaptive:
             part = build_adaptive_top(part)
@@ -133,10 +129,8 @@ class ExperimentSpec:
 def parse_solver(text: str):
     """``sequential``, ``newton-schur`` or ``nlschur:<k>`` -> (kind, level)."""
     text = text.strip().lower()
-    if text == "sequential":
-        return "sequential", None
-    if text == "newton-schur":
-        return "newton-schur", None
+    if text in ("sequential", "newton-schur"):
+        return text, None
     if text.startswith("nlschur:"):
         try:
             k = int(text.split(":", 1)[1])
@@ -333,8 +327,7 @@ def write_rows(rows: list[dict], path: str | Path) -> Path:
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     return path
 
 
@@ -428,8 +421,7 @@ def emit_figure_data(kind: str, spec: ExperimentSpec, out: str | Path):
             writer.writerow([f"{t:.17g}", series, f"{value:.17g}"])
     script_path = out.with_name(out.stem + "_plot.py")
     script = _PLOT_PRELUDE + _PLOT_TEMPLATES[kind] + _PLOT_EPILOGUE
-    script = script.replace("__CSV__", out.name)
-    script = script.replace("__PNG__", out.stem + ".png")
+    script = script.replace("__CSV__", out.name).replace("__PNG__", out.stem + ".png")
     script_path.write_text(script, encoding="utf-8")
     return rows, out, script_path
 
@@ -462,11 +454,8 @@ def _coarse_shape_rows(scheme: Scheme):
     f_vals = np.zeros(n0 + 1)
     a0, b0 = bounds[0], bounds[1]
     f_vals[a0 + 1:b0 + 1] = restr[0][:, 0, 0]
-    rows = []
-    for j in range(n0 + 1):
-        rows.append((grid[j], "extension", e_vals[j]))
-        rows.append((grid[j], "restriction", f_vals[j]))
-    return rows
+    return [(grid[j], name, vals[j]) for j in range(n0 + 1)
+            for name, vals in (("extension", e_vals), ("restriction", f_vals))]
 
 
 def _decomposition_rows(scheme: Scheme):
@@ -481,12 +470,8 @@ def _decomposition_rows(scheme: Scheme):
     inflow = np.repeat(u1[:-1, 0], np.diff(bounds))
     coarse = np.append(maps[:, 0, 0] * inflow, u1[-1, 0])
     fine = np.append(maps[:, 0, 1], 0.0)
-    rows = []
-    for t, c, v in zip(partition.grids[0], coarse, fine):
-        rows.append((t, "full", v + c))
-        rows.append((t, "coarse", c))
-        rows.append((t, "fine", v))
-    return rows
+    return [row for t, c, v in zip(partition.grids[0], coarse, fine)
+            for row in ((t, "full", v + c), (t, "coarse", c), (t, "fine", v))]
 
 
 def _lv_phase_rows(spec: ExperimentSpec):
@@ -495,11 +480,7 @@ def _lv_phase_rows(spec: ExperimentSpec):
     n0 = spec.n0
     grid = np.linspace(0.0, t_end, n0 + 1)
     traj, _ = sequential_nonlinear_solve(problem, grid, spec.scheme_obj(), spec.policy())
-    rows = []
-    for t, (u, v) in zip(grid, traj):
-        rows.append((t, "prey", u))
-        rows.append((t, "predator", v))
-    return rows
+    return [row for t, (u, v) in zip(grid, traj) for row in ((t, "prey", u), (t, "predator", v))]
 
 
 def _convergence_rows(spec: ExperimentSpec):
@@ -580,11 +561,7 @@ def verify(workers: int = 1) -> list[CheckResult]:
                                 workers=workers)
     nls, _ = nonlinear_schur_newton_solve(problem, partition, 1, Scheme.backward_euler(),
                                           policy, workers=workers)
-    worst = max(
-        float(np.max(np.abs(seq - gns))),
-        float(np.max(np.abs(seq - nls))),
-        float(np.max(np.abs(gns - nls))),
-    )
+    worst = max(float(np.max(np.abs(a - b))) for a, b in ((seq, gns), (seq, nls), (gns, nls)))
     checks.append(CheckResult("nonlinear_agreement", worst <= 1e-6, worst, 1e-6))
 
     # The pool reproduces the in-process results bitwise.

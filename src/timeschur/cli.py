@@ -143,7 +143,7 @@ def _cmd_solve(args) -> int:
     if report.residual_final is not None:
         print(f"final residual norm: {report.residual_final:.3e}")
     for level in sorted(report.per_level_max):
-        print(f"level {level}: wall max {report.per_level_max[level]:.4f}s "
+        print(f"level {level}: cpu max {report.per_level_max[level]:.4f}s "
               f"sum {report.per_level_sum[level]:.4f}s")
     print(f"total wall: {report.wall_seconds:.4f}s")
     if report.cost_estimate is not None:

@@ -115,11 +115,33 @@ def _subdomain_setup(phis: np.ndarray, gs: np.ndarray, out: np.ndarray) -> float
     return time.thread_time() - start
 
 
-def _equal_length_runs(bounds: np.ndarray):
-    """``(i, j, s)`` per run of consecutive subdomains ``i..j-1`` of ``s`` elements each."""
+def _shares(bounds: np.ndarray, workers: int) -> list[tuple[int, int, int]]:
+    """``(lo, hi, s)`` per share: subdomains ``lo..hi-1``, each ``s`` elements long.
+
+    Each run of equal-length subdomains is split into ``min(workers, k)``
+    contiguous shares of its ``k`` subdomains. A share is one worker's part
+    of a level's setup, assembly and reconstruction.
+    """
     lengths = np.diff(bounds)
     edges = np.concatenate([[0], np.flatnonzero(np.diff(lengths)) + 1, [len(lengths)]])
-    return [(int(i), int(j), int(lengths[i])) for i, j in zip(edges[:-1], edges[1:])]
+    shares = []
+    for i, j in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        n = min(workers, j - i)
+        cuts = [i + (j - i) * c // n for c in range(n + 1)]
+        shares += [(lo, hi, int(lengths[i])) for lo, hi in zip(cuts, cuts[1:])]
+    return shares
+
+
+def _timed_shares(fn, shares: list, report: SolverReport | None, level: int) -> list:
+    """``fn(lo, hi, s)`` per share in this thread, each share timed as one task of ``level``."""
+    results, seconds = [], []
+    for share in shares:
+        start = time.thread_time()
+        results.append(fn(*share))
+        seconds.append(time.thread_time() - start)
+    if report is not None:
+        report.add_level(level, seconds)
+    return results
 
 
 def level_maps(
@@ -133,22 +155,17 @@ def level_maps(
     Row ``j`` maps ``[u_a; 1]``, with ``u_a`` the value at the inflow node of
     ``j``'s subdomain, to node ``j``: ``E`` is the harmonic extension
     (identity inflow) and ``v`` the interior correction (zero inflow), which
-    vanishes at the inflow nodes. Each run of equal-length subdomains is
-    viewed as one batch and split into ``min(pool.workers, k)`` contiguous
-    shares of its ``k`` subdomains, one task each, which write their slices
+    vanishes at the inflow nodes. Each share (``_shares``) of equal-length
+    subdomains is viewed as one batch, one task each, which writes its slice
     of the result in place.
     """
     n, m = sys.gs.shape
     maps = np.empty((n, m, m + 1))
-    workers = pool.workers if pool is not None else 1
     args = []
-    for i, j, s in _equal_length_runs(bounds):
-        a, b, k = bounds[i], bounds[j], j - i
-        batch = (sys.phis[a:b].reshape(k, s, m, m), sys.gs[a:b].reshape(k, s, m),
-                 maps[a:b].reshape(k, s, m, m + 1))  # views, not copies
-        shares = min(workers, k)
-        cuts = [k * c // shares for c in range(shares + 1)]
-        args += [tuple(x[lo:hi] for x in batch) for lo, hi in zip(cuts, cuts[1:])]
+    for lo, hi, s in _shares(bounds, pool.workers if pool is not None else 1):
+        a, b, k = bounds[lo], bounds[hi], hi - lo
+        args.append((sys.phis[a:b].reshape(k, s, m, m), sys.gs[a:b].reshape(k, s, m),
+                     maps[a:b].reshape(k, s, m, m + 1)))  # views, not copies
     if pool is None:
         cpu_seconds = [_subdomain_setup(*share) for share in args]
     else:
@@ -207,15 +224,20 @@ def ml_solve(
             f"system has {sys.n_elements} elements but level {sys.level} "
             f"of the partition has {partition.counts[sys.level]}"
         )
+    # Assembly and reconstruction run in this thread, but each share is timed
+    # as its own task, as the setup's are: a worker handles only its share.
+    # The gather and scatter of interface values between levels are not timed.
+    workers = pool.workers if pool is not None else 1
     systems = [sys]
     maps_per_level = []
     for level in range(sys.level, partition.top_level):
-        bounds = partition.subdomain_bounds(level)
-        maps_per_level.append(level_maps(systems[-1], bounds, pool, report))
-        start = time.thread_time()
-        systems.append(assemble_schur(systems[-1], maps_per_level[-1], bounds))
-        if report is not None:
-            report.add_level(level, [time.thread_time() - start])
+        below, bounds = systems[-1], partition.subdomain_bounds(level)
+        maps = level_maps(below, bounds, pool, report)
+        parts = _timed_shares(lambda lo, hi, s: assemble_schur(below, maps, bounds[lo:hi + 1]),
+                              _shares(bounds, workers), report, level)
+        maps_per_level.append(maps)
+        systems.append(LevelSystem(level + 1, np.concatenate([p.phis for p in parts]),
+                                   np.concatenate([p.gs for p in parts]), parts[0].u_init))
 
     start = time.thread_time()
     u = sequential_solve(systems[-1])
@@ -223,20 +245,20 @@ def ml_solve(
         report.add_level(partition.top_level, [time.thread_time() - start])
 
     for level in range(partition.top_level - 1, sys.level - 1, -1):
-        start = time.thread_time()
         bounds = partition.subdomain_bounds(level)
         maps = maps_per_level[level - sys.level]
         m = u.shape[1]
         inflow = np.column_stack([u[:-1], np.ones(len(u) - 1)])[:, None, :, None]
         fine = np.empty((len(maps) + 1, m))
-        for i, j, s in _equal_length_runs(bounds):
-            a, b, k = bounds[i], bounds[j], j - i
-            np.matmul(maps[a:b].reshape(k, s, m, m + 1), inflow[i:j],
+
+        def reconstruct(lo, hi, s):
+            a, b, k = bounds[lo], bounds[hi], hi - lo
+            np.matmul(maps[a:b].reshape(k, s, m, m + 1), inflow[lo:hi],
                       out=fine[a:b].reshape(k, s, m, 1))
+
+        _timed_shares(reconstruct, _shares(bounds, workers), report, level)
         fine[bounds] = u  # interface values are copied, not recomputed
         u = fine
-        if report is not None:
-            report.add_level(level, [time.thread_time() - start])
     return u
 
 

@@ -107,24 +107,32 @@ class TestLevelTimings:
     """Every level timing reads the thread CPU clock of the thread doing the work."""
 
     @staticmethod
-    def _timed_ml_solve():
+    def _timed_ml_solve(counts=(400, 20, 4), workers=1):
         prob = linear_decay(1.0)
-        part = build_explicit([400, 20, 4], t_end=1.0)
+        part = build_explicit(list(counts), t_end=1.0)
         sys0 = build_linear_system(prob, part.grids[0], Scheme.backward_euler())
-        report = SolverReport(workers=1)
-        with WorkerPool(1) as pool:
+        report = SolverReport(workers=workers)
+        with WorkerPool(workers) as pool:
             ml_solve(sys0, part, pool=pool, report=report)
         return report
 
-    def test_assembly_is_counted_in_its_level(self, monkeypatch):
-        def burning(*args):
-            start = time.thread_time()
-            while time.thread_time() - start < 0.02:
-                pass
-            return assemble_schur(*args)
+    @staticmethod
+    def _burning(*args):
+        start = time.thread_time()
+        while time.thread_time() - start < 0.02:
+            pass
+        return assemble_schur(*args)
 
-        monkeypatch.setattr(schur, "assemble_schur", burning)
+    def test_assembly_is_counted_in_its_level(self, monkeypatch):
+        monkeypatch.setattr(schur, "assemble_schur", self._burning)
         assert self._timed_ml_solve().per_level_max[0] >= 0.02
+
+    def test_each_worker_assembles_only_its_share(self, monkeypatch):
+        # Four subdomains, four workers: four shares, each one 20 ms task.
+        monkeypatch.setattr(schur, "assemble_schur", self._burning)
+        report = self._timed_ml_solve(counts=(400, 4), workers=4)
+        assert report.per_level_sum[0] >= 4 * 0.02
+        assert 0.02 <= report.per_level_max[0] < 2 * 0.02
 
     def test_sleep_in_the_coarse_solve_is_not_counted(self, monkeypatch):
         def sleepy(system):
