@@ -107,7 +107,6 @@ class ExperimentSpec:
             switch_norm=self.switch_norm,
             tol_global=self.tol_global,
             tol_local=self.tol_local,
-            tol_schur=self.tol_local,
             max_iters=self.max_iters,
         )
 
@@ -321,9 +320,17 @@ def run_three_level(spec: ExperimentSpec, compare_two_level: bool = False) -> li
     return rows
 
 
-def write_rows(rows: list[dict], path: str | Path) -> Path:
+def output_path(path: str | Path) -> Path:
+    """``path`` as a file to write, its directory made; a directory raises ``ValidationError``."""
     path = Path(path)
+    if path.is_dir():
+        raise ValidationError(f"output path {str(path)!r} is a directory")
     path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def write_rows(rows: list[dict], path: str | Path) -> Path:
+    path = output_path(path)
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
         writer.writeheader()
@@ -332,8 +339,7 @@ def write_rows(rows: list[dict], path: str | Path) -> Path:
 
 
 def write_trajectory(traj: np.ndarray, grid: np.ndarray, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = output_path(path)
     m = traj.shape[1]
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -412,14 +418,13 @@ def emit_figure_data(kind: str, spec: ExperimentSpec, out: str | Path):
     if kind not in FIGURE_KINDS:
         raise ValidationError(f"unknown figure kind {kind!r} (expected {FIGURE_KINDS})")
     rows = _figure_rows(kind, spec)
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = output_path(out)
+    script_path = output_path(out.with_name(out.stem + "_plot.py"))
     with out.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["t", "series", "value"])
         for t, series, value in rows:
             writer.writerow([f"{t:.17g}", series, f"{value:.17g}"])
-    script_path = out.with_name(out.stem + "_plot.py")
     script = _PLOT_PRELUDE + _PLOT_TEMPLATES[kind] + _PLOT_EPILOGUE
     script = script.replace("__CSV__", out.name).replace("__PNG__", out.stem + ".png")
     script_path.write_text(script, encoding="utf-8")

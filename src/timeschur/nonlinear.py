@@ -14,19 +14,20 @@ Two strategies around the linear multilevel direct solver:
 
 The partition is the only description of the windows. An extension task
 takes a level and a range of elements of the level above it, and reads their
-fine offsets and times from ``partition.fine_nodes`` and ``partition.grids[0]``;
-a nested window finds its children through ``partition.subdomain_bounds``.
-Level-0 extensions march all windows of a task in lockstep: per local step,
-one batched problem call and one batched solve serve every window still
-iterating. The local systems are lower block-bidiagonal, so stepwise solving
-is exact, and each window's Picard/Newton inner iteration does the same
-arithmetic as the one-step ``_implicit_step`` of time-marching, so iterates do
-not depend on how windows are grouped. Higher-level extensions run a nested
-interface loop whose children march in lockstep the same way. The Schur rows
+fine offsets and times from ``partition.fine_nodes`` and ``partition.grids[0]``.
+A window's local problem pins its inflow value and asks every fine step but
+the closing one for a zero residual, whatever the level, so one solver serves
+every k. It is window Newton (the DEER scheme): each iteration linearizes all
+windows of a task at once, and the update is a linear recurrence per window,
+which ``level_maps`` scans in log depth as the ``v`` column of its maps. The
+update of a window depends only on that window, so iterates do not depend on
+how windows are grouped. A window whose residual rises above its warm start's,
+turns non-finite or exhausts its budget falls back to ``_march``, which solves
+it step by step with the one-step iteration of time-marching. The Schur rows
 of the interface system are the linear reduction of ``schur`` applied to one
 batched linearization: ``level_maps`` scans the windows' normalized steps and
-``assemble_schur`` closes them. Both linearizations, global and per window,
-form their theta steps with ``integrators.theta_steps``.
+``assemble_schur`` closes them. Every linearization forms its theta steps with
+``integrators.theta_steps``.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ from .integrators import Scheme, checked_grid, step_matrices, step_solve, theta_
 from .partition import MultilevelPartition
 from .problems import OdeProblem, jacobian_batch, kappa_batch, picard_batch
 from .runtime import SolverReport, WorkerPool
-from .schur import (LevelSystem, assemble_schur, cost_model, level_maps, ml_solve,
-                    sequential_solve)
+from .schur import LevelSystem, assemble_schur, cost_model, level_maps, ml_solve
 
 NON_FINITE = "non-finite residual"  # NonconvergenceError reason: the iteration stopped at once
 
@@ -53,23 +53,23 @@ class LinearizationPolicy:
 
     ``hybrid`` mode uses Picard's frozen-coefficient operator while the
     residual norm is at or above ``switch_norm`` and Newton below it.
-    ``tol_global`` stops outer loops, ``tol_local`` the per-step solves of
-    local problems, ``tol_schur`` the nested interface loops of recursive
-    extensions (levels >= 1).
+    ``tol_global`` stops outer loops. ``tol_local`` stops the local problems
+    of the extensions: a window once every interior step residual is below
+    it, and a marched step once its own is. ``max_inner`` bounds the
+    iterations of a window, and of a marched step.
     """
 
     mode: str = "hybrid"  # "newton" | "picard" | "hybrid"
     switch_norm: float = 1e2
     tol_global: float = 1e-8
     tol_local: float = 1e-10
-    tol_schur: float = 1e-10
     max_iters: int = 50
     max_inner: int = 50
 
     def __post_init__(self):
         if self.mode not in ("newton", "picard", "hybrid"):
             raise ValidationError(f"unknown linearization mode {self.mode!r}")
-        for label in ("tol_global", "tol_local", "tol_schur"):
+        for label in ("tol_global", "tol_local"):
             if not 0 < getattr(self, label) < math.inf:
                 raise ValidationError(f"{label} must be finite and positive")
         if self.mode == "hybrid" and not self.switch_norm > self.tol_global:
@@ -127,16 +127,20 @@ def linearize_global(
                              -residual, lambda i: "the linearization")
 
 
-def _linearized_steps(problem, ts, us, th, use_picard, column, where):
+def _linearized_steps(problem, ts, us, th, use_picard, column, where, skip=None):
     """Level system of the theta steps along ``(ts, us)``, linearized and normalized.
 
-    ``theta_steps`` at the nodes' Jacobians (or Picard matrices) and one batched
+    ``theta_steps`` at the nodes' Jacobians, or Picard matrices where
+    ``use_picard`` (a flag, or one per node) holds, and one batched
     ``step_solve``; ``where(i)`` names row ``i`` if its step matrix is singular.
+    The steps in the mask ``skip`` are not solved but left as zero maps.
     """
-    mats = _node_matrices(problem, ts, us, np.full(len(ts), use_picard))
+    mats = _node_matrices(problem, ts, us, np.broadcast_to(use_picard, len(ts)))
     lhs, rhs = theta_steps(mats, np.diff(ts), th, column)
-    solved = step_solve(lhs, rhs, ts[:-1], ts[1:], where)
     m = problem.m_unk
+    if skip is not None:
+        lhs[skip], rhs[skip] = np.eye(m), 0.0
+    solved = step_solve(lhs, rhs, ts[:-1], ts[1:], where)
     return LevelSystem(level=0, phis=solved[:, :, :m], gs=solved[:, :, m], u_init=np.zeros(m))
 
 
@@ -323,11 +327,9 @@ def nonlinear_harmonic_extension(
 ) -> tuple[np.ndarray, int, int]:
     """Extend one interface value into element ``index`` of level ``level + 1``.
 
-    ``level == 0`` marches the local nonlinear problem over the element's
-    fine steps from the inflow (per-step solves to ``tol_local``). Higher
-    levels run a nested interface loop: extend into every child element,
-    assemble the child-chain update system, and sweep it, until the
-    window's own interface residual drops below ``tol_schur``. ``warm`` holds
+    The local problem pins the window's first fine value to the inflow and
+    asks each later fine step of the window for a zero residual, to within
+    ``tol_local``; it is the same problem at every level. ``warm`` holds
     fine values over the element's window as initial guesses. Returns
     ``(values, picard, newton)``: ``values`` covers the window's fine nodes
     from the left interface (pinned to the inflow) up to, not including, the
@@ -352,27 +354,68 @@ def _extension_task(problem, partition, level, lo, hi, inflows, warm, th, policy
 
     ``values`` and ``warm`` cover the run's fine nodes from element ``lo``'s
     left interface up to, not including, element ``hi - 1``'s right one;
-    element ``lo + j`` starts at ``inflows[j]``. Level-0 extensions march in
-    lockstep; higher-level ones run their nested loops one after another.
+    element ``lo + j`` starts at ``inflows[j]``. Window Newton: per iteration,
+    one ``kappa_batch`` call gives the interior step residuals of every
+    window, ``_linearized_steps`` takes their negation as its column, and one
+    ``level_maps`` scan over the windows gives each update as the ``v``
+    column, which vanishes at the pinned inflows. Each window picks Picard or
+    Newton by its own residual norm and counts one inner iteration per step.
+    Once every interior row of a window is below ``tol_local`` it is frozen.
+    A window whose residual rises above its warm start's, turns non-finite or
+    exhausts ``max_inner`` is marched instead, from its ``warm`` values.
     """
+    m = problem.m_unk
     fine = partition.fine_nodes(level + 1)
-    f_lo = fine[lo]
-    if level == 0:
-        return _march(problem, partition.grids[0][f_lo:fine[hi]], fine[lo:hi + 1] - f_lo,
-                      inflows, warm, th, policy, lo)
-    values = np.empty((fine[hi] - f_lo, problem.m_unk))
+    bounds = fine[lo:hi + 1] - fine[lo]
+    starts, closing = bounds[:-1], bounds[1:] - 1
+    # One node past the run closes its last window, as the next inflow closes
+    # every other; closing steps stay out of the scan.
+    ts = partition.grids[0][fine[lo]:fine[hi] + 1]
+    owner = np.append(np.repeat(np.arange(hi - lo), np.diff(bounds)), hi - lo - 1)
+    dt = np.diff(ts)[:, None]
+    u = np.concatenate([warm, warm[-1:]])
+    u[starts] = inflows
+    live = np.ones(hi - lo, dtype=bool)
     picard = newton = 0
-    for j in range(lo, hi):
-        a, b = fine[j] - f_lo, fine[j + 1] - f_lo
-        values[a:b], p, nw = _nested_extension(problem, partition, level, j, inflows[j - lo],
-                                               warm[a:b], th, policy)
-        picard += p
-        newton += nw
-    return values, picard, newton
+
+    def where(i):  # a step of the run
+        return f"nonlinear extension (level {level}, element {lo + owner[i]})"
+
+    with np.errstate(over="ignore", invalid="ignore"):  # the guard catches non-finite norms
+        for it in range(policy.max_inner + 1):
+            kappas = kappa_batch(problem, ts, u)
+            res = u[1:] - u[:-1] + dt * (th * kappas[1:] + (1.0 - th) * kappas[:-1])
+            res[closing] = 0.0  # the closing steps belong to the outer problem
+            rows = np.linalg.norm(res, axis=1)
+            norms = np.sqrt(np.add.reduceat(rows * rows, starts))
+            done = np.maximum.reduceat(rows, starts) < policy.tol_local
+            if it == 0:
+                warm_norms = norms
+            failed = live & ~done & (~np.isfinite(norms) | (norms > warm_norms)
+                                     | (it == policy.max_inner))
+            for j in np.flatnonzero(failed):
+                a, b = bounds[j], bounds[j + 1]
+                u[a:b], p, nw = _march(problem, ts[a:b], bounds[j:j + 2] - a, inflows[j:j + 1],
+                                       warm[a:b], th, policy, level, lo + j)
+                picard += p
+                newton += nw
+            live &= ~done & ~failed
+            if not live.any():
+                break
+            picks = policy.uses_picard(norms)
+            n_picard = int(np.count_nonzero(picks & live))
+            picard += n_picard
+            newton += int(np.count_nonzero(live)) - n_picard
+            skip = ~live[owner[:-1]]  # by first node: the frozen windows' steps
+            skip[closing] = True
+            steps = _linearized_steps(problem, ts, u, th, picks[owner], -res, where, skip)
+            nodes = np.flatnonzero(live[owner[:-1]])
+            u[nodes] += level_maps(steps, bounds)[nodes, :, m]
+    return u[:-1], picard, newton
 
 
-def _march(problem, ts, bounds, inflows, warm, th, policy, first):
-    """Level-0 extensions of the windows between consecutive ``bounds``, in lockstep.
+def _march(problem, ts, bounds, inflows, warm, th, policy, level, first):
+    """Level-``level`` extensions of the windows between consecutive ``bounds``, in lockstep.
 
     Window ``j`` pins its first value to ``inflows[j]`` and solves each later
     step to ``tol_local`` from the guess in ``warm``, by the inner iteration of
@@ -394,7 +437,7 @@ def _march(problem, ts, bounds, inflows, warm, th, policy, first):
         t_start, t_end = ts[nodes - 1], ts[nodes]
 
         def where(row):  # a row of this step's arrays
-            return f"nonlinear extension (level 0, element {first + windows[row]}, " \
+            return f"nonlinear extension (level {level}, element {first + windows[row]}, " \
                    f"t={t_end[row]:g})"
 
         dt = (t_end - t_start)[:, None]
@@ -451,62 +494,6 @@ def _node_matrices(problem, ts, us, picks):
     return mats
 
 
-def _nested_extension(problem, partition, level, index, inflow, warm, th, policy):
-    """The nested interface loop of level-(level+1) element ``index``, level >= 1.
-
-    Its children are the level-``level`` elements between
-    ``partition.subdomain_bounds(level)[index:index + 2]``; ``inflow`` and
-    ``warm`` are as in ``_extension_task``.
-    """
-    m = problem.m_unk
-    c_lo, c_hi = partition.subdomain_bounds(level)[index:index + 2]
-    fine = partition.fine_nodes(level)
-    f_lo = fine[c_lo]
-    ts = partition.grids[0][f_lo:fine[c_hi]]
-    where = f"nonlinear extension (level {level}, element {index}, from t={ts[0]:g})"
-    loc = fine[c_lo:c_hi + 1] - f_lo  # window-local offsets of the children's interfaces
-    inner = loc[1:-1]
-    wvals = np.array(warm, dtype=float)
-    wvals[0] = inflow
-    picard = newton = 0
-    norm = np.inf
-    for it in range(policy.max_inner + 1):
-        wvals, p, nw = _extension_task(problem, partition, level - 1, c_lo, c_hi,
-                                       wvals[loc[:-1]], wvals, th, policy)
-        picard += p
-        newton += nw
-        if len(inner) == 0:
-            return wvals, picard, newton
-        rows = _step_residuals(problem, ts[inner - 1], ts[inner], wvals[inner - 1],
-                               wvals[inner], th)
-        norm = float(np.sqrt(np.sum(rows * rows)))
-        if norm < policy.tol_schur:
-            return wvals, picard, newton
-        if not math.isfinite(norm):
-            raise NonconvergenceError(where, it, norm, NON_FINITE)
-        if it == policy.max_inner:
-            break
-        use_picard = policy.uses_picard(norm)
-        picard += use_picard
-        newton += not use_picard
-        # The child-chain update system at the frozen extended state, swept
-        # from a zero update at the window's pinned inflow.
-        phis, gs = _schur_row_task(problem, ts[:loc[-2] + 1], wvals[:loc[-2] + 1],
-                                   loc[:-1], c_lo, th, use_picard, rows)
-        chain = LevelSystem(level=level, phis=phis, gs=gs, u_init=np.zeros(m))
-        wvals[inner] += sequential_solve(chain)[1:]
-    raise NonconvergenceError(where, policy.max_inner, norm)
-
-
-def _step_residuals(problem, t_in, t_out, u_in, u_out, th):
-    """One-step residuals of the rows' steps ``(t_in, u_in) -> (t_out, u_out)``."""
-    dt = (t_out - t_in)[:, None]
-    return u_out - u_in + dt * (
-        th * kappa_batch(problem, t_out, u_out)
-        + (1.0 - th) * kappa_batch(problem, t_in, u_in)
-    )
-
-
 def _schur_row_task(problem, ts, us, bounds, first, th, use_picard, closing=None):
     """Interface block rows of the level-up Schur system for consecutive windows.
 
@@ -521,7 +508,9 @@ def _schur_row_task(problem, ts, us, bounds, first, th, use_picard, closing=None
     """
     last = bounds[1:] - 1  # each window's closing step
     if closing is None:
-        closing = _step_residuals(problem, ts[last], ts[last + 1], us[last], us[last + 1], th)
+        kappas = kappa_batch(problem, ts[last + 1], us[last + 1]) * th
+        kappas += (1.0 - th) * kappa_batch(problem, ts[last], us[last])
+        closing = us[last + 1] - us[last] + (ts[last + 1] - ts[last])[:, None] * kappas
     column = np.zeros((len(ts) - 1, problem.m_unk))
     column[last] = -closing
     fine = _linearized_steps(

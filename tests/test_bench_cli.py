@@ -320,6 +320,19 @@ class TestCli:
         assert cli.main(["verify", "--out", str(out)]) == 0
         assert json.loads(out.read_text()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "decay", "--nsteps", "20", "--subdomains", "2"],
+        ["weak-scaling", "--problem", "decay", "--local-size", "5", "--n1-list", "2"],
+        ["three-level", "--problem", "decay", "--nsteps", "40", "--subdomains", "4",
+         "--n2", "2"],
+        ["figure", "--kind", "lv-phase", "--nsteps", "20"],
+        ["verify"],
+    ])
+    def test_out_naming_a_directory_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(bench, "verify", lambda workers: [])
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: output path {str(tmp_path)!r} is a directory\n"
+
     def test_infinite_t_end_exits_2_without_warnings(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

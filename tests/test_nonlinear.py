@@ -26,7 +26,9 @@ from timeschur import (
     sequential_nonlinear_solve,
     sequential_solve,
 )
-from timeschur.nonlinear import NON_FINITE, _extension_task, _implicit_step, _schur_row_task
+from timeschur import nonlinear
+from timeschur.nonlinear import (NON_FINITE, _extension_task, _implicit_step, _march,
+                                 _schur_row_task)
 
 LV_BENCH = dict(alpha=3.0, beta=0.2, gamma=2.0, delta=0.1, u0=10.0, v0=40.0)
 BE = Scheme.backward_euler()
@@ -53,7 +55,7 @@ class TestPolicy:
         # NaN compares false both ways; infinite tolerances stop nothing.
         dict(tol_global=np.nan),
         dict(tol_local=np.nan),
-        dict(tol_schur=np.inf),
+        dict(tol_local=np.inf),
         dict(mode="hybrid", switch_norm=np.nan),
     ])
     def test_validation(self, kwargs):
@@ -263,30 +265,54 @@ class TestHarmonicExtension:
                                          np.zeros((10, 1)), BE, LinearizationPolicy())
 
 
+def run_against_single_windows(prob, part, level, inflows, warm, policy):
+    """Extend and march the level-(level+1) windows as one run and one at a time.
+
+    Each way, the run gives every window's one-window values, bitwise, and the
+    sums of their counts. Returns the extended run, the per-window
+    ``(picard, newton)`` counts of the extensions, the marched run and the
+    per-window counts of marching.
+    """
+    fine = part.fine_nodes(level + 1)
+    ts = part.grids[0][:fine[-1]]
+    values, picard, newton = _extension_task(prob, part, level, 0, part.counts[level + 1],
+                                             inflows, warm, 1.0, policy)
+    marched, marched_picard, marched_newton = _march(prob, ts, fine, inflows, warm, 1.0,
+                                                     policy, level, 0)
+    counts, marched_counts = [], []
+    for i, (a, b) in enumerate(zip(fine, fine[1:])):
+        one, one_picard, one_newton = nonlinear_harmonic_extension(
+            prob, part, level, i, inflows[i], warm[a:b], BE, policy)
+        assert np.array_equal(values[a:b], one)
+        counts.append((one_picard, one_newton))
+        one, one_picard, one_newton = _march(prob, ts[a:b], np.array([0, b - a]),
+                                             inflows[i:i + 1], warm[a:b], 1.0, policy, level, i)
+        assert np.array_equal(marched[a:b], one)
+        marched_counts.append((one_picard, one_newton))
+    assert (picard, newton) == tuple(map(sum, zip(*counts)))
+    assert (marched_picard, marched_newton) == tuple(map(sum, zip(*marched_counts)))
+    return values, counts, marched, marched_counts
+
+
 class TestLockstepExtension:
-    """A run of windows marched in lockstep against one window at a time."""
+    """Level-0 windows as one run against one window at a time, and marched
+    against time-marching."""
 
     @staticmethod
     def _run_against_single_windows(prob, part, inflows, warm, policy):
-        values, picard, newton = _extension_task(prob, part, 0, 0, part.counts[1], inflows,
-                                                 warm, 1.0, policy)
+        _, counts, marched, marched_counts = run_against_single_windows(prob, part, 0, inflows,
+                                                                        warm, policy)
         grid = part.grids[0]
         fine = part.fine_nodes(1)
-        counts = []
         for i, (a, b) in enumerate(zip(fine, fine[1:])):
-            one, one_picard, one_newton = nonlinear_harmonic_extension(
-                prob, part, 0, i, inflows[i], warm[a:b], BE, policy)
-            assert np.array_equal(values[a:b], one)
-            counts.append((one_picard, one_newton))
             # Time-marching's one-step solver gives the same iterates.
             stepwise = [inflows[i]]
             for j in range(a + 1, b):
                 u, _, _ = _implicit_step(prob, grid[j - 1], grid[j], stepwise[-1], warm[j],
                                          1.0, policy, policy.tol_local)
                 stepwise.append(u)
-            assert np.array_equal(values[a:b], np.stack(stepwise))
-        assert (picard, newton) == tuple(map(sum, zip(*counts)))
-        return counts
+            assert np.array_equal(marched[a:b], np.stack(stepwise))
+        return counts, marched_counts
 
     def test_lotka_volterra_windows_mixing_picard_and_newton(self):
         prob = benchmark_lv()
@@ -296,10 +322,11 @@ class TestLockstepExtension:
         # Far guesses put windows 1 and 3 above the Picard switch.
         warm = np.concatenate([np.tile(g, (b - a, 1)) for g, a, b in zip(
             [inflows[0], [400.0, 900.0], inflows[2], [300.0, 200.0]], bounds, bounds[1:])])
-        counts = self._run_against_single_windows(prob, part, inflows, warm,
-                                                  LinearizationPolicy())
-        assert counts[0][0] == 0 and counts[1][0] > 0 and counts[3][0] > 0
-        assert len(set(counts)) == len(counts)
+        counts, marched = self._run_against_single_windows(prob, part, inflows, warm,
+                                                           LinearizationPolicy())
+        assert counts[0][0] == 0 and counts[3][0] > 0 and counts[3][1] > 0
+        assert marched[0][0] == 0 and marched[1][0] > 0 and marched[3][0] > 0
+        assert len(set(marched)) == len(marched)
 
     def test_riccati_windows_with_different_inner_counts(self):
         prob = forced_riccati()
@@ -308,9 +335,9 @@ class TestLockstepExtension:
         inflows = np.array([[0.0], [0.9], [-0.4], [-0.8]])
         warm = np.concatenate([np.full((b - a, 1), g)
                                for g, a, b in zip([0.0, 3.0, -0.4, 2.0], bounds, bounds[1:])])
-        counts = self._run_against_single_windows(prob, part, inflows, warm,
-                                                  LinearizationPolicy())
-        assert len(set(counts)) > 1
+        counts, marched = self._run_against_single_windows(prob, part, inflows, warm,
+                                                           LinearizationPolicy())
+        assert len(set(counts)) > 1 and len(set(marched)) > 1
 
     def test_schur_rows_of_a_run_equal_single_window_rows(self):
         prob = benchmark_lv()
@@ -344,22 +371,7 @@ class TestLockstepExtension:
 
 
 class TestNestedExtension:
-    """Level-1 windows extended as one run against one window at a time."""
-
-    @staticmethod
-    def _run_against_single_windows(prob, part, inflows, warm):
-        policy = LinearizationPolicy()
-        values, picard, newton = _extension_task(prob, part, 1, 0, part.counts[2], inflows,
-                                                 warm, 1.0, policy)
-        fine = part.fine_nodes(2)
-        counts = []
-        for i, (a, b) in enumerate(zip(fine, fine[1:])):
-            one, one_picard, one_newton = nonlinear_harmonic_extension(
-                prob, part, 1, i, inflows[i], warm[a:b], BE, policy)
-            assert np.array_equal(values[a:b], one)
-            counts.append((one_picard, one_newton))
-        assert (picard, newton) == tuple(map(sum, zip(*counts)))
-        return counts
+    """Level-1 windows as one run against one window at a time."""
 
     @staticmethod
     def _warm(part, guesses):
@@ -371,16 +383,84 @@ class TestNestedExtension:
         part = build_explicit([103, 10, 3], t_end=3.0)  # children of 3, 3 and 4 windows
         inflows = np.array([[10.0, 40.0], [12.0, 6.0], [6.0, 30.0]])
         warm = self._warm(part, [inflows[0], [60.0, 90.0], inflows[2]])
-        counts = self._run_against_single_windows(prob, part, inflows, warm)
-        assert len(set(counts)) == len(counts)
+        *_, marched = run_against_single_windows(prob, part, 1, inflows, warm,
+                                                 LinearizationPolicy())
+        assert len(set(marched)) == len(marched)
 
     def test_riccati_ragged_windows(self):
         prob = forced_riccati()
         part = build_explicit([103, 10, 3], t_end=2 * np.pi)
         inflows = np.array([[0.0], [0.9], [-0.4]])
         warm = self._warm(part, [[0.0], [0.9], [-0.8]])
-        counts = self._run_against_single_windows(prob, part, inflows, warm)
-        assert len(set(counts)) > 1
+        _, counts, _, marched = run_against_single_windows(prob, part, 1, inflows, warm,
+                                                           LinearizationPolicy())
+        assert len(set(counts)) > 1 and len(set(marched)) > 1
+
+
+class TestWindowNewton:
+    """Window Newton against its guard, the level of its windows and any grouping."""
+
+    def test_diverging_windows_fall_back_to_marching(self, monkeypatch):
+        # Undamped window Newton diverges on these long, coarse windows; time
+        # marching converges on them.
+        marched = []
+
+        def spy(*args):
+            marched.append(args[-1])  # the global index of the marched window
+            return _march(*args)
+
+        monkeypatch.setattr(nonlinear, "_march", spy)
+        prob = benchmark_lv()
+        part = build_explicit([40, 2], t_end=20.0)
+        traj, report = nonlinear_schur_newton_solve(prob, part, 1, BE)
+        # Both windows of the first extension, from the flat initial guess;
+        # window Newton alone extends the later, closer guesses.
+        assert marched == [0, 1] and report.outer_iterations > 1
+        assert report.converged and report.residual_final < 1e-8
+        seq, _ = sequential_nonlinear_solve(prob, part.grids[0], BE)
+        assert np.max(np.abs(traj - seq)) <= 1e-6 * np.max(np.abs(seq))
+
+    @pytest.mark.parametrize("make, deep, flat, t_end", [
+        (benchmark_lv, [2000, 100, 10], [2000, 10], 3.0),
+        (forced_riccati, [240, 24, 6], [240, 6], 2 * np.pi),
+    ])
+    def test_level_k_solve_equals_level_one_solve_on_the_same_windows(self, make, deep, flat,
+                                                                       t_end):
+        deep, flat = build_explicit(deep, t_end=t_end), build_explicit(flat, t_end=t_end)
+        assert np.array_equal(deep.fine_nodes(2), flat.fine_nodes(1))
+        a, rep_a = nonlinear_schur_newton_solve(make(), deep, 2, BE)
+        b, rep_b = nonlinear_schur_newton_solve(make(), flat, 1, BE)
+        assert rep_a.converged and np.array_equal(a, b)
+        assert rep_a.residual_history == rep_b.residual_history
+        assert (rep_a.inner_picard, rep_a.inner_newton) == (rep_b.inner_picard,
+                                                            rep_b.inner_newton)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n0=st.integers(min_value=20, max_value=80),
+        n1=st.integers(min_value=2, max_value=9),
+        n2=st.integers(min_value=1, max_value=4),
+        k=st.sampled_from([1, 2]),
+        far=st.lists(st.booleans(), min_size=9, max_size=9),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_interior_rows_and_runs_for_any_windows(self, n0, n1, n2, k, far, seed):
+        # Ragged windows; far warm starts put their windows on Picard steps.
+        prob = benchmark_lv()
+        part = build_explicit([n0, n1, min(n1, n2)], t_end=3.0)
+        fine = part.fine_nodes(k)
+        rng = np.random.default_rng(seed)
+        inflows = prob.u0 * rng.uniform(0.5, 1.5, size=(len(fine) - 1, 2))
+        owner = np.repeat(np.arange(len(fine) - 1), np.diff(fine))
+        scale = np.where(far[:len(fine) - 1], 4.0, 1.0)[owner, None]
+        warm = inflows[owner] * scale * rng.uniform(0.95, 1.05, size=(n0, 2))
+        policy = LinearizationPolicy()
+        values, _, _, _ = run_against_single_windows(prob, part, k - 1, inflows, warm, policy)
+        res, _ = global_residual(prob, values, part.grids[0][:n0], BE)
+        interior = np.ones(n0, dtype=bool)
+        interior[fine[:-1]] = False
+        assert np.max(np.linalg.norm(res, axis=1)[interior[1:]], initial=0.0) \
+            <= policy.tol_local
 
 
 class TestNonlinearSchurNewton:

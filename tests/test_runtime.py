@@ -197,7 +197,7 @@ class TestSolverDeterminism:
 
     @pytest.mark.parametrize("k, counts", [(2, [307, 14, 4]), (3, [307, 14, 4, 2])])
     def test_nested_nlschur_bitwise_equal_across_worker_counts(self, k, counts):
-        # Ragged subdomains at every level; the extensions recurse k - 1 times.
+        # Ragged subdomains at every level.
         self._assert_nlschur_bitwise_equal_across_worker_counts(counts, k)
 
 
