@@ -1,10 +1,10 @@
 """Parallel-in-time multilevel Schur-complement solvers for ODE systems.
 
-The linear path is a direct method: per subdomain, the prefix products of
-the augmented step maps ``[[phi, g], [0, 1]]`` give the harmonic extension
-and the interior correction at once and reduce the block-bidiagonal time
-system level by level; the coarsest level is solved sequentially, and
-reconstruction is exact. Two nonlinear strategies wrap it: a global
+The linear path is a direct method: per subdomain, an up-sweep over a tree
+of the augmented step maps ``[[phi, g], [0, 1]]`` gives the coarse step and
+reduces the block-bidiagonal time system level by level; the coarsest level
+is solved sequentially, and a down-sweep from each inflow state reconstructs
+exactly. Two nonlinear strategies wrap it: a global
 Newton/Picard loop with the direct solver per iteration, and a nonlinear
 Schur loop on a chosen level's interface values with nonlinear harmonic
 extensions. A benchmark CLI (``timeschur``) runs weak-scaling experiments at

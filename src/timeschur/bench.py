@@ -209,59 +209,53 @@ def _report_rows(base: dict, report: SolverReport,
     return rows
 
 
+@dataclass
+class _Reps:
+    """Repeated solves of one run: the first report, min-over-reps level timings, a failure."""
+
+    report: SolverReport | None = None
+    timing_max: dict = field(default_factory=dict)
+    timing_sum: dict = field(default_factory=dict)
+    error: TimeSchurError | None = None
+
+    def add(self, report: SolverReport) -> None:
+        self.report = self.report or report
+        for timing, per_level in ((self.timing_max, report.per_level_max),
+                                  (self.timing_sum, report.per_level_sum)):
+            for level, secs in (per_level or {0: report.wall_seconds}).items():
+                timing[level] = min(timing.get(level, math.inf), secs)
+
+
 def _run_with_reps(spec: ExperimentSpec, partition: MultilevelPartition, workers: int):
     """Repeat one solve, keeping the first report and min-over-reps timings."""
-    report = None
-    timing_max: dict = {}
-    timing_sum: dict = {}
-    traj = None
-    for rep in range(spec.reps):
-        traj, rep_report = run_solver(spec, partition, workers)
-        if report is None:
-            report = rep_report
-        per_max = rep_report.per_level_max or {0: rep_report.wall_seconds}
-        per_sum = rep_report.per_level_sum or {0: rep_report.wall_seconds}
-        for level, secs in per_max.items():
-            timing_max[level] = min(timing_max.get(level, math.inf), secs)
-        for level, secs in per_sum.items():
-            timing_sum[level] = min(timing_sum.get(level, math.inf), secs)
-    return traj, report, timing_max, timing_sum
-
-
-def _rows_or_failure(base: dict, run) -> list[dict]:
-    """The rows ``run()`` returns, or one ``status=failed`` row if the solve fails."""
-    try:
-        return run()
-    except TimeSchurError as exc:
-        return [{**base, "status": "failed", "message": str(exc)}]
+    reps = _Reps()
+    for _ in range(spec.reps):
+        traj, report = run_solver(spec, partition, workers)
+        reps.add(report)
+    return traj, reps.report, reps.timing_max, reps.timing_sum
 
 
 def _solver_rows(spec: ExperimentSpec, base: dict, partition: MultilevelPartition,
                  workers: int) -> list[dict]:
-    return _rows_or_failure(
-        base, lambda: _report_rows(base, *_run_with_reps(spec, partition, workers)[1:]))
+    """The solver's rows, or one ``status=failed`` row if the solve fails."""
+    try:
+        return _report_rows(base, *_run_with_reps(spec, partition, workers)[1:])
+    except TimeSchurError as exc:
+        return [{**base, "status": "failed", "message": str(exc)}]
 
 
-def _sequential_baseline(spec: ExperimentSpec, partition: MultilevelPartition) -> list[dict]:
-    seq_spec = ExperimentSpec(**{**asdict(spec), "solver": "sequential"})
-    base = {**_base_row(seq_spec, "weak-scaling", "seq", partition, 1), "level": "seq"}
-
-    def run():
-        best = math.inf
-        for _ in range(spec.reps):
-            _, report = run_solver(seq_spec, partition, workers=1)
-            best = min(best, report.wall_seconds)
-        return [{
-            **base,
-            "outer_iters": report.outer_iterations,
-            "picard_iters": report.inner_picard,
-            "newton_iters": report.inner_newton,
-            "avg_step_iters": f"{report.avg_iterations_per_step:.6g}",
-            "residual_final": f"{report.residual_final:.17g}",
-            "wall_s_max": f"{best:.9f}",
-            "wall_s_sum": f"{best:.9f}",
-        }]
-    return _rows_or_failure(base, run)
+def _sequential_row(base: dict, reps: _Reps) -> dict:
+    report, best = reps.report, f"{reps.timing_max[0]:.9f}"
+    return {
+        **base,
+        "outer_iters": report.outer_iterations,
+        "picard_iters": report.inner_picard,
+        "newton_iters": report.inner_newton,
+        "avg_step_iters": f"{report.avg_iterations_per_step:.6g}",
+        "residual_final": f"{report.residual_final:.17g}",
+        "wall_s_max": best,
+        "wall_s_sum": best,
+    }
 
 
 def run_weak_scaling(spec: ExperimentSpec, n1_list: list[int],
@@ -270,8 +264,10 @@ def run_weak_scaling(spec: ExperimentSpec, n1_list: list[int],
 
     Each sweep point solves ``n0 = local_size * n1`` fine steps on a two-level
     partition with ``min(n1, spec workers)`` workers, plus a sequential
-    baseline row. Solver failures, the baseline's included, become
-    ``status=failed`` rows; the sweep continues.
+    baseline row. Each rep is one pass over every point, so that a host
+    slowdown spreads over the points instead of landing on one point's reps.
+    Solver failures, the baseline's included, become ``status=failed`` rows;
+    the sweep continues.
     """
     if not n1_list:
         raise ValidationError("n1 list is empty")
@@ -281,16 +277,34 @@ def run_weak_scaling(spec: ExperimentSpec, n1_list: list[int],
         raise ValidationError(f"n1 entries must be >= 1, got {n1_list[0]}")
     if local_size < 1:
         raise ValidationError("local size must be >= 1")
-    rows = []
+    runs = []  # (spec, partition, workers, base row, reps): parallel, then baseline, per point
     for n1 in n1_list:
         point = ExperimentSpec(**{**asdict(spec), "n0": local_size * n1, "n1": n1,
                                   "n2": None, "ratio": None, "adaptive": False})
         partition = point.build_partition()
         # One modeled worker per subdomain (threads cap at the cores).
         workers = n1 if spec.workers is None else min(n1, spec.workers)
-        base = _base_row(point, "weak-scaling", "parallel", partition, workers)
-        rows.extend(_solver_rows(point, base, partition, workers))
-        rows.extend(_sequential_baseline(point, partition))
+        seq = ExperimentSpec(**{**asdict(point), "solver": "sequential"})
+        runs += [(point, partition, workers,
+                  _base_row(point, "weak-scaling", "parallel", partition, workers), _Reps()),
+                 (seq, partition, 1,
+                  {**_base_row(seq, "weak-scaling", "seq", partition, 1), "level": "seq"},
+                  _Reps())]
+    for _ in range(spec.reps):
+        for run_spec, partition, workers, _, rep in runs:
+            if rep.error is None:
+                try:
+                    rep.add(run_solver(run_spec, partition, workers)[1])
+                except TimeSchurError as exc:
+                    rep.error = exc
+    rows = []
+    for *_, base, rep in runs:
+        if rep.error is not None:
+            rows.append({**base, "status": "failed", "message": str(rep.error)})
+        elif base["variant"] == "seq":
+            rows.append(_sequential_row(base, rep))
+        else:
+            rows.extend(_report_rows(base, rep.report, rep.timing_max, rep.timing_sum))
     return rows
 
 
@@ -470,7 +484,7 @@ def _decomposition_rows(scheme: Scheme):
     sys0 = build_linear_system(problem, partition.grids[0], scheme)
     bounds = partition.subdomain_bounds(0)
     maps = level_maps(sys0, bounds)
-    u1 = sequential_solve(assemble_schur(sys0, maps, bounds))
+    u1 = sequential_solve(assemble_schur(sys0, bounds))
     # Scalar problem: maps[:, 0] is [E, v] at every node but the last.
     inflow = np.repeat(u1[:-1, 0], np.diff(bounds))
     coarse = np.append(maps[:, 0, 0] * inflow, u1[-1, 0])
@@ -537,7 +551,7 @@ def verify(workers: int = 1) -> list[CheckResult]:
         partition = build_explicit([20, 4], t_end=1.0)
         bounds = partition.subdomain_bounds(0)
         maps = level_maps(sys0, bounds)
-        direct = assemble_schur(sys0, maps, bounds)
+        direct = assemble_schur(sys0, bounds)
         pg = petrov_galerkin_assemble(sys0, maps, restriction_operator(sys0, bounds), bounds)
         scale = float(np.max(np.abs(direct.phis))) + 1e-30
         worst = max(worst, float(np.max(np.abs(direct.phis - pg.phis))) / scale)

@@ -19,14 +19,14 @@ A window's local problem pins its inflow value and asks every fine step but
 the closing one for a zero residual, whatever the level, so one solver serves
 every k. It is window Newton (the DEER scheme): each iteration linearizes all
 windows of a task at once, and the update is a linear recurrence per window,
-which ``level_maps`` scans in log depth as the ``v`` column of its maps. The
+solved in log depth by the up-sweep and the down-sweep from a zero inflow. The
 update of a window depends only on that window, so iterates do not depend on
 how windows are grouped. A window whose residual rises above its warm start's,
 turns non-finite or exhausts its budget falls back to ``_march``, which solves
 it step by step with the one-step iteration of time-marching. The Schur rows
 of the interface system are the linear reduction of ``schur`` applied to one
-batched linearization: ``level_maps`` scans the windows' normalized steps and
-``assemble_schur`` closes them. Every linearization forms its theta steps with
+batched linearization: the roots of the up-sweep over the windows' normalized
+steps (``assemble_schur``). Every linearization forms its theta steps with
 ``integrators.theta_steps``.
 """
 
@@ -43,7 +43,7 @@ from .integrators import Scheme, checked_grid, step_matrices, step_solve, theta_
 from .partition import MultilevelPartition
 from .problems import OdeProblem, jacobian_batch, kappa_batch, picard_batch
 from .runtime import SolverReport, WorkerPool
-from .schur import LevelSystem, assemble_schur, cost_model, level_maps, ml_solve
+from .schur import LevelSystem, assemble_schur, cost_model, ml_solve, reduce_level, sweep_down
 
 NON_FINITE = "non-finite residual"  # NonconvergenceError reason: the iteration stopped at once
 
@@ -357,8 +357,8 @@ def _extension_task(problem, partition, level, lo, hi, inflows, warm, th, policy
     element ``lo + j`` starts at ``inflows[j]``. Window Newton: per iteration,
     one ``kappa_batch`` call gives the interior step residuals of every
     window, ``_linearized_steps`` takes their negation as its column, and one
-    ``level_maps`` scan over the windows gives each update as the ``v``
-    column, which vanishes at the pinned inflows. Each window picks Picard or
+    ``reduce_level`` up-sweep and one zero-inflow ``sweep_down`` give each
+    update, which vanishes at the pinned inflows. Each window picks Picard or
     Newton by its own residual norm and counts one inner iteration per step.
     Once every interior row of a window is below ``tol_local`` it is frozen.
     A window whose residual rises above its warm start's, turns non-finite or
@@ -409,8 +409,9 @@ def _extension_task(problem, partition, level, lo, hi, inflows, warm, th, policy
             skip = ~live[owner[:-1]]  # by first node: the frozen windows' steps
             skip[closing] = True
             steps = _linearized_steps(problem, ts, u, th, picks[owner], -res, where, skip)
+            v = sweep_down(reduce_level(steps, bounds)[0], bounds, np.zeros((hi - lo, m, 1)))
             nodes = np.flatnonzero(live[owner[:-1]])
-            u[nodes] += level_maps(steps, bounds)[nodes, :, m]
+            u[nodes] += v[nodes, :, 0]
     return u[:-1], picard, newton
 
 
@@ -503,8 +504,8 @@ def _schur_row_task(problem, ts, us, bounds, first, th, use_picard, closing=None
     the coarse steps of the normalized fine linearization at ``us``, whose
     right-hand side is the negative one-step residual at each window's
     closing step and zero elsewhere; ``closing`` holds those residuals when
-    the caller has them already. ``level_maps`` scans every window's steps
-    and ``assemble_schur`` closes them, in this task's thread.
+    the caller has them already. They are the roots of the up-sweep over
+    every window's steps (``assemble_schur``), in this task's thread.
     """
     last = bounds[1:] - 1  # each window's closing step
     if closing is None:
@@ -517,7 +518,7 @@ def _schur_row_task(problem, ts, us, bounds, first, th, use_picard, closing=None
         problem, ts, us, th, use_picard, column,
         lambda i: f"linearized window {first + np.searchsorted(bounds, i, 'right') - 1}",
     )
-    coarse = assemble_schur(fine, level_maps(fine, bounds), bounds)
+    coarse = assemble_schur(fine, bounds)
     return coarse.phis, coarse.gs
 
 

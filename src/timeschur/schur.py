@@ -6,17 +6,19 @@ A level system is the unit-diagonal lower block-bidiagonal problem
 
 stored as stacked propagator arrays. Each step is the affine map
 ``[[phi, g], [0, 1]]`` on ``[u; 1]``, so the whole solver is one recurrence of
-augmented maps. One reduction step takes, per subdomain, the prefix products
-of its steps from the inflow node. Their top rows ``[E | v]`` hold the
-harmonic extension ``E`` (identity inflow) and the interior correction ``v``
-(zero inflow) at once. They are a scan of an associative operator, taken by
-Hillis-Steele doubling: a batch of equal-length subdomains needs
-``ceil(log2 s)`` batched products for ``s`` steps, not ``s`` sequential
-ones. The subdomain's closing step applied to its last prefix is the coarse
-step: the Schur complement on the interface nodes has the same structure one
-level up. The full solve reduces level by level, solves the coarsest system
-by forward substitution, and reconstructs downwards as
-``u = [E | v] @ [u_inflow; 1]`` with interface values copied verbatim.
+augmented maps, ``[A | a] o [B | b] = [A B | A b + a]``. Per subdomain it is
+a work-efficient scan (Blelloch, "Prefix sums and their applications", 1990)
+over a tree of maps, batched over equal-length subdomains with the batch axes
+last. The up-sweep composes neighbouring maps level by level; each
+subdomain's root is its coarse step, so the Schur complement on the interface
+nodes has the same structure one level up. The down-sweep walks the tree from
+an inflow state: the inflow values give the solution, zero the interior
+correction ``v`` and ``[I | 0]`` the maps ``[E | v]`` with the harmonic
+extension ``E``. The two take about ``2 s`` compositions at depth
+``2 ceil(log2 s)`` for ``s`` steps, where Hillis-Steele doubling took
+``s ceil(log2 s)``. The full solve reduces level by level, solves the
+coarsest system by forward substitution, and reconstructs downwards by
+down-sweeps, with interface values copied verbatim.
 """
 
 from __future__ import annotations
@@ -83,35 +85,50 @@ def sequential_solve(sys: LevelSystem) -> np.ndarray:
     return u
 
 
-def _subdomain_setup(phis: np.ndarray, gs: np.ndarray, out: np.ndarray) -> float:
-    """Prefix maps ``[E | v]`` of a batch of equal-length subdomains, into ``out``.
+def _compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """``[A | a] o [B | b] = [A B | A b + a]``, elementwise over the trailing batch axes.
 
-    ``phis``, ``gs`` hold ``k`` subdomains of ``s`` element blocks each,
-    shaped ``(k, s, m, m)`` and ``(k, s, m)``. Entry ``j`` of a subdomain in
-    ``out``, shaped ``(k, s, m, m+1)``, is the top of the product of its first
-    ``j`` maps ``[[phi, g], [0, 1]]``: it takes ``[u_inflow; 1]`` to the
-    subdomain's node ``j``, from the inflow node (``[I | 0]``) up to, not
-    including, the right interface. Hillis-Steele doubling over the step axis
-    takes ``ceil(log2 s)`` batched products ``[A | a] o [B | b] = [A B | A b + a]``
-    in two ping-pong buffers, the last of them ``out``. Returns the thread CPU
+    ``outer`` is a map ``(m, m+1, ...)``; ``inner`` is ``(m, q, ...)``, a map
+    (``q = m + 1``) or a state (``q = 1``), whose last column takes ``a``.
+    """
+    m = outer.shape[0]
+    out = outer[:, 0, None] * inner[0, None]
+    for j in range(1, m):
+        out += outer[:, j, None] * inner[j, None]
+    out[:, -1] += outer[:, m]
+    return out
+
+
+def _up_sweep(tree: np.ndarray) -> None:
+    """Blelloch's up-sweep over the last axis of ``tree`` ``(m, m+1, k, width)``, in place.
+
+    Level by level, the last node of each block of ``2h`` leaves composes its
+    own half-block with the one ``h`` nodes back. The left halves stay for
+    the down-sweep, and the last node ends as the product of all leaves.
+    """
+    m, _, k, width = tree.shape
+    h = 1
+    while h < width:
+        pairs = tree.reshape(m, m + 1, k, -1, 2 * h)
+        pairs[..., -1] = _compose(pairs[..., -1], pairs[..., h - 1])
+        h *= 2
+
+
+def _subdomain_setup(phis: np.ndarray, gs: np.ndarray, tree: np.ndarray) -> float:
+    """Up-swept trees of ``k`` subdomains of ``s`` steps each, into ``tree``.
+
+    ``phis`` ``(k, s, m, m)`` and ``gs`` ``(k, s, m)`` include the closing
+    steps. The leaves of ``tree`` ``(m, m+1, k, width)`` are the maps
+    ``[phi | g]``, padded with ``[I | 0]``; each subdomain's root,
+    ``tree[..., -1]``, ends as its coarse step. Returns the thread CPU
     seconds the call took.
     """
     start = time.thread_time()
     k, s, m = gs.shape
-    rounds = max(s - 1, 0).bit_length()  # ceil(log2 s) doublings
-    buf, spare = (out, np.empty_like(out)) if rounds % 2 == 0 else (np.empty_like(out), out)
-    buf[:, 0] = np.eye(m, m + 1)
-    buf[:, 1:, :, :m] = phis[:, :-1]
-    buf[:, 1:, :, m] = gs[:, :-1]
-    d = 1
-    while d < s:
-        # Entry j composes the maps of the steps in (j - 2d, j] from its own
-        # (j - d, j] and those of its neighbour d steps back.
-        np.matmul(buf[:, d:, :, :m], buf[:, :-d], out=spare[:, d:])
-        spare[:, d:, :, m] += buf[:, d:, :, m]
-        spare[:, :d] = buf[:, :d]
-        buf, spare = spare, buf
-        d *= 2
+    tree[:, :m, :, :s] = phis.transpose(2, 3, 0, 1)
+    tree[:, m, :, :s] = gs.transpose(2, 0, 1)
+    tree[..., s:] = np.eye(m, m + 1)[:, :, None, None]
+    _up_sweep(tree)
     return time.thread_time() - start
 
 
@@ -120,7 +137,7 @@ def _shares(bounds: np.ndarray, workers: int) -> list[tuple[int, int, int]]:
 
     Each run of equal-length subdomains is split into ``min(workers, k)``
     contiguous shares of its ``k`` subdomains. A share is one worker's part
-    of a level's setup, assembly and reconstruction.
+    of a level's up-sweep and down-sweep.
     """
     lengths = np.diff(bounds)
     edges = np.concatenate([[0], np.flatnonzero(np.diff(lengths)) + 1, [len(lengths)]])
@@ -132,40 +149,21 @@ def _shares(bounds: np.ndarray, workers: int) -> list[tuple[int, int, int]]:
     return shares
 
 
-def _timed_shares(fn, shares: list, report: SolverReport | None, level: int) -> list:
-    """``fn(lo, hi, s)`` per share in this thread, each share timed as one task of ``level``."""
-    results, seconds = [], []
-    for share in shares:
-        start = time.thread_time()
-        results.append(fn(*share))
-        seconds.append(time.thread_time() - start)
-    if report is not None:
-        report.add_level(level, seconds)
-    return results
+def reduce_level(sys: LevelSystem, bounds: np.ndarray, pool: WorkerPool | None = None,
+                 report: SolverReport | None = None) -> tuple[list, LevelSystem]:
+    """One reduction step: ``(trees, coarse)`` of ``sys`` cut at ``bounds``.
 
-
-def level_maps(
-    sys: LevelSystem,
-    bounds: np.ndarray,
-    pool: WorkerPool | None = None,
-    report: SolverReport | None = None,
-) -> np.ndarray:
-    """``[E | v]`` of every node but the last, shape ``(n, m, m+1)``.
-
-    Row ``j`` maps ``[u_a; 1]``, with ``u_a`` the value at the inflow node of
-    ``j``'s subdomain, to node ``j``: ``E`` is the harmonic extension
-    (identity inflow) and ``v`` the interior correction (zero inflow), which
-    vanishes at the inflow nodes. Each share (``_shares``) of equal-length
-    subdomains is viewed as one batch, one task each, which writes its slice
-    of the result in place.
+    ``trees`` holds ``(lo, hi, s, tree)`` per share (``_shares``): its tree
+    is allocated here and filled in place by one task. ``coarse`` is the
+    system on the interface nodes, whose steps are the subdomains' roots.
     """
-    n, m = sys.gs.shape
-    maps = np.empty((n, m, m + 1))
-    args = []
+    m = sys.m_unk
+    trees, args = [], []
     for lo, hi, s in _shares(bounds, pool.workers if pool is not None else 1):
         a, b, k = bounds[lo], bounds[hi], hi - lo
-        args.append((sys.phis[a:b].reshape(k, s, m, m), sys.gs[a:b].reshape(k, s, m),
-                     maps[a:b].reshape(k, s, m, m + 1)))  # views, not copies
+        tree = np.empty((m, m + 1, k, 1 << (s - 1).bit_length()))  # s leaves padded to 2**p
+        trees.append((lo, hi, s, tree))
+        args.append((sys.phis[a:b].reshape(k, s, m, m), sys.gs[a:b].reshape(k, s, m), tree))
     if pool is None:
         cpu_seconds = [_subdomain_setup(*share) for share in args]
     else:
@@ -173,7 +171,58 @@ def level_maps(
         cpu_seconds, _, _ = pool.map(_subdomain_setup, args)
     if report is not None:
         report.add_level(sys.level, cpu_seconds)
-    return maps
+    roots = np.concatenate([tree[..., -1] for *_, tree in trees], axis=2).transpose(2, 0, 1)
+    return trees, LevelSystem(level=sys.level + 1, phis=roots[:, :, :m], gs=roots[:, :, m],
+                              u_init=sys.u_init.copy())
+
+
+def sweep_down(trees: list, bounds: np.ndarray, inflows: np.ndarray,
+               report: SolverReport | None = None, level: int = 0) -> np.ndarray:
+    """States ``(n, m, q)`` at every node but the last, from ``inflows[i]`` at subdomain ``i``.
+
+    ``trees`` comes from ``reduce_level`` with the same ``bounds``, and
+    ``inflows`` is ``(n1, m, q)``: the inflow values ``u`` (``q = 1``) give
+    the solution, zero the interior correction ``v`` and ``[I | 0]`` the
+    maps ``[E | v]``. Blelloch's down-sweep: a root takes its inflow state;
+    going down, a left child takes its parent's state and a right child the
+    left child's map applied to it. The shares run in this thread, each timed
+    as one task of ``level``, as a worker handles only its share.
+    """
+    m, q = inflows.shape[1:]
+    out = np.empty((bounds[-1], m, q))
+    seconds = []
+    for lo, hi, s, tree in trees:
+        start = time.thread_time()
+        k, width = hi - lo, tree.shape[-1]
+        states = np.empty((m, q, k, width))
+        states[..., -1] = inflows[lo:hi].transpose(1, 2, 0)
+        h = width // 2
+        while h:
+            maps = tree.reshape(m, m + 1, k, -1, 2 * h)
+            pairs = states.reshape(m, q, k, -1, 2 * h)
+            right = _compose(maps[..., h - 1], pairs[..., -1])
+            pairs[..., h - 1] = pairs[..., -1]
+            pairs[..., -1] = right
+            h //= 2
+        out[bounds[lo]:bounds[hi]].reshape(k, s, m, q)[...] = states[..., :s].transpose(2, 3, 0, 1)
+        seconds.append(time.thread_time() - start)
+    if report is not None:
+        report.add_level(level, seconds)
+    return out
+
+
+def level_maps(sys: LevelSystem, bounds: np.ndarray,
+               pool: WorkerPool | None = None) -> np.ndarray:
+    """``[E | v]`` of every node but the last, shape ``(n, m, m+1)``.
+
+    Row ``j`` maps ``[u_a; 1]``, with ``u_a`` the value at the inflow node of
+    ``j``'s subdomain, to node ``j``: ``E`` is the harmonic extension
+    (identity inflow) and ``v`` the interior correction (zero inflow), which
+    vanishes at the inflow nodes. It is the down-sweep from ``[I | 0]``.
+    """
+    trees, _ = reduce_level(sys, bounds, pool)
+    m, n1 = sys.m_unk, len(bounds) - 1
+    return sweep_down(trees, bounds, np.broadcast_to(np.eye(m, m + 1), (n1, m, m + 1)))
 
 
 def restriction_operator(sys: LevelSystem, bounds: np.ndarray) -> list[np.ndarray]:
@@ -193,17 +242,9 @@ def restriction_operator(sys: LevelSystem, bounds: np.ndarray) -> list[np.ndarra
     return blocks
 
 
-def assemble_schur(sys: LevelSystem, maps: np.ndarray, bounds: np.ndarray) -> LevelSystem:
-    """Coarse system on the interface nodes.
-
-    Each subdomain's closing step applied to its last prefix ``[E | v]`` is
-    the coarse step ``[phi | g]``; one batched product covers all subdomains.
-    """
-    last = bounds[1:] - 1
-    coarse = sys.phis[last] @ maps[last]
-    coarse[:, :, -1] += sys.gs[last]
-    return LevelSystem(level=sys.level + 1, phis=coarse[:, :, :-1], gs=coarse[:, :, -1],
-                       u_init=sys.u_init.copy())
+def assemble_schur(sys: LevelSystem, bounds: np.ndarray) -> LevelSystem:
+    """Coarse system on the interface nodes: the roots of ``reduce_level``'s up-sweep."""
+    return reduce_level(sys, bounds)[1]
 
 
 def ml_solve(
@@ -214,49 +255,33 @@ def ml_solve(
 ) -> np.ndarray:
     """Direct multilevel solve; exact up to round-off.
 
-    Reduces from ``sys.level`` to the partition's top level, solves the
-    coarsest system sequentially, then reconstructs each level as
-    ``u = [E | v] @ [u_inflow; 1]`` with interface values copied from the
-    coarser solution, never recomputed.
+    Reduces from ``sys.level`` to the partition's top level by up-sweeps,
+    solves the coarsest system sequentially, then reconstructs each level by
+    the down-sweep from the coarser solution's inflow values, with interface
+    values copied from it, never recomputed.
     """
     if sys.n_elements != partition.counts[sys.level]:
         raise ValidationError(
             f"system has {sys.n_elements} elements but level {sys.level} "
             f"of the partition has {partition.counts[sys.level]}"
         )
-    # Assembly and reconstruction run in this thread, but each share is timed
-    # as its own task, as the setup's are: a worker handles only its share.
-    # The gather and scatter of interface values between levels are not timed.
-    workers = pool.workers if pool is not None else 1
-    systems = [sys]
-    maps_per_level = []
+    coarse, trees_per_level = sys, []
     for level in range(sys.level, partition.top_level):
-        below, bounds = systems[-1], partition.subdomain_bounds(level)
-        maps = level_maps(below, bounds, pool, report)
-        parts = _timed_shares(lambda lo, hi, s: assemble_schur(below, maps, bounds[lo:hi + 1]),
-                              _shares(bounds, workers), report, level)
-        maps_per_level.append(maps)
-        systems.append(LevelSystem(level + 1, np.concatenate([p.phis for p in parts]),
-                                   np.concatenate([p.gs for p in parts]), parts[0].u_init))
+        trees, coarse = reduce_level(coarse, partition.subdomain_bounds(level), pool, report)
+        trees_per_level.append(trees)
 
     start = time.thread_time()
-    u = sequential_solve(systems[-1])
+    u = sequential_solve(coarse)
     if report is not None:
         report.add_level(partition.top_level, [time.thread_time() - start])
 
+    # The down-sweeps run in this thread, but each share is timed as its own
+    # task, as the up-sweeps are. The gather and scatter of interface values
+    # between levels are not timed.
     for level in range(partition.top_level - 1, sys.level - 1, -1):
         bounds = partition.subdomain_bounds(level)
-        maps = maps_per_level[level - sys.level]
-        m = u.shape[1]
-        inflow = np.column_stack([u[:-1], np.ones(len(u) - 1)])[:, None, :, None]
-        fine = np.empty((len(maps) + 1, m))
-
-        def reconstruct(lo, hi, s):
-            a, b, k = bounds[lo], bounds[hi], hi - lo
-            np.matmul(maps[a:b].reshape(k, s, m, m + 1), inflow[lo:hi],
-                      out=fine[a:b].reshape(k, s, m, 1))
-
-        _timed_shares(reconstruct, _shares(bounds, workers), report, level)
+        fine = sweep_down(trees_per_level.pop(), bounds, u[:-1, :, None], report, level)
+        fine = np.concatenate([fine[:, :, 0], u[-1:]])
         fine[bounds] = u  # interface values are copied, not recomputed
         u = fine
     return u

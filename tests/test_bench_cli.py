@@ -223,14 +223,14 @@ class TestVerify:
         assert pooled["worker_bitwise"].passed, pooled["worker_bitwise"].error
 
     def test_injected_sign_bug_is_caught(self, monkeypatch):
-        # Flip the sign of the closing-step product: the Petrov-Galerkin
-        # cross-check must fail while the dense route stays intact.
+        # Flip the sign of the coarse steps: the Petrov-Galerkin cross-check
+        # must fail while the dense route stays intact.
         from timeschur import bench, schur
 
         real = schur.assemble_schur
 
-        def broken(sys, maps, bounds):
-            out = real(sys, maps, bounds)
+        def broken(sys, bounds):
+            out = real(sys, bounds)
             out.phis = -out.phis
             return out
 

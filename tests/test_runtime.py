@@ -20,14 +20,15 @@ from timeschur import (
 )
 from timeschur import schur
 from timeschur.runtime import SolverReport, available_workers, critical_path_seconds
-from timeschur.schur import _subdomain_setup, assemble_schur, sequential_solve
+from timeschur.schur import _subdomain_setup, _up_sweep, sequential_solve
 
 
 def _chain(phis, gs):
-    # One subdomain as a batch of one.
-    maps = np.empty((1, *phis.shape[:2], phis.shape[2] + 1))
-    _subdomain_setup(phis[None], gs[None], maps)
-    return maps[0]
+    # One subdomain as a batch of one: its up-swept tree.
+    m = phis.shape[1]
+    tree = np.empty((m, m + 1, 1, 1 << (len(phis) - 1).bit_length()))
+    _subdomain_setup(phis[None], gs[None], tree)
+    return tree
 
 
 def _sleepy(seconds):
@@ -117,19 +118,20 @@ class TestLevelTimings:
         return report
 
     @staticmethod
-    def _burning(*args):
+    def _burning(tree):
+        # Burns 20 ms in the up-sweep, which computes a share's coarse steps.
         start = time.thread_time()
         while time.thread_time() - start < 0.02:
             pass
-        return assemble_schur(*args)
+        return _up_sweep(tree)
 
     def test_assembly_is_counted_in_its_level(self, monkeypatch):
-        monkeypatch.setattr(schur, "assemble_schur", self._burning)
+        monkeypatch.setattr(schur, "_up_sweep", self._burning)
         assert self._timed_ml_solve().per_level_max[0] >= 0.02
 
     def test_each_worker_assembles_only_its_share(self, monkeypatch):
         # Four subdomains, four workers: four shares, each one 20 ms task.
-        monkeypatch.setattr(schur, "assemble_schur", self._burning)
+        monkeypatch.setattr(schur, "_up_sweep", self._burning)
         report = self._timed_ml_solve(counts=(400, 4), workers=4)
         assert report.per_level_sum[0] >= 4 * 0.02
         assert 0.02 <= report.per_level_max[0] < 2 * 0.02

@@ -28,7 +28,9 @@ from timeschur.schur import (
     assemble_schur,
     dense_matrix,
     dense_restriction,
+    reduce_level,
     restriction_operator,
+    sweep_down,
 )
 
 
@@ -146,12 +148,78 @@ class TestLevelMaps:
             sys.setswitchinterval(interval)
 
 
+@st.composite
+def ragged_bounds(draw):
+    """Subdomain bounds whose lengths (1-70) include 1, 2, 2**p - 1, 2**p and 2**p + 1."""
+    p = draw(st.integers(min_value=1, max_value=6))
+    lengths = [1, 2, 2**p - 1, 2**p, 2**p + 1]
+    lengths += draw(st.lists(st.integers(min_value=1, max_value=70), max_size=6))
+    lengths = draw(st.permutations(lengths))
+    return np.concatenate([[0], np.cumsum(lengths)])
+
+
+def sweeps(sys0, bounds, inflows, pool=None):
+    """Coarse steps and the down-sweep from each of ``inflows``, through one reduction."""
+    trees, coarse = reduce_level(sys0, bounds, pool)
+    return [coarse.phis, coarse.gs] + [sweep_down(trees, bounds, f) for f in inflows]
+
+
+class TestSweeps:
+    @settings(max_examples=40, deadline=None)
+    @given(bounds=ragged_bounds(), m=st.integers(min_value=1, max_value=3),
+           shares=st.integers(min_value=1, max_value=4),
+           seed=st.integers(min_value=0, max_value=10**6))
+    def test_sweeps_match_loops_for_any_bounds(self, bounds, m, shares, seed):
+        sys0 = make_system(int(bounds[-1]), m, seed)
+        n1 = len(bounds) - 1
+        u = np.random.default_rng(seed).normal(size=(n1, m, 1))
+        identity = np.broadcast_to(np.eye(m, m + 1), (n1, m, m + 1))
+        phis, gs, solved, zero, maps = results = sweeps(
+            sys0, bounds, [u, np.zeros((n1, m, 1)), identity])
+        # The coarse steps against a plain product loop. Any order of the
+        # products is within s (m+1) eps of |A_s| ... |A_1| entrywise, and
+        # long products cancel, so the bound is entrywise, not relative.
+        eps = np.finfo(float).eps
+        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            product, scale = np.eye(m, m + 1), np.eye(m, m + 1)
+            for j in range(a, b):
+                product = sys0.phis[j] @ product
+                product[:, m] += sys0.gs[j]
+                scale = np.abs(sys0.phis[j]) @ scale
+                scale[:, m] += np.abs(sys0.gs[j])
+            error = np.abs(np.column_stack([phis[i], gs[i]]) - product)
+            assert np.all(error <= 2 * (b - a) * (m + 1) * eps * scale)
+        # The down-sweeps from the identity, zero and vector inflows.
+        assert_matches_two_loops(sys0, bounds, maps)
+        assert np.array_equal(zero[:, :, 0], maps[:, :, m])
+        owner = np.repeat(np.arange(n1), np.diff(bounds))
+        expected = (maps[:, :, :m] @ u[owner])[:, :, 0] + maps[:, :, m]
+        assert np.max(np.abs(solved[:, :, 0] - expected)) <= 1e-14 * np.max(np.abs(expected))
+        # Bitwise equal for any share count, and on two threads.
+        for workers in (shares, 2):
+            with WorkerPool(workers) as pool:
+                pooled = sweeps(sys0, bounds, [u, np.zeros((n1, m, 1)), identity], pool)
+            assert all(np.array_equal(a, b) for a, b in zip(results, pooled))
+
+    def test_ml_solve_on_chunky_decay_matches_forward_substitution(self):
+        # Eight subdomains of 20,000 steps: trees of 32,768 leaves, 15 levels
+        # deep. Every step has the same phi, so a tree level rounds all its
+        # products alike and their errors add up: the bound is n0 eps, the
+        # worst case of any order of the products.
+        part = build_explicit([8 * 20000, 8], t_end=1.0)
+        sys0 = build_linear_system(linear_decay(1.0), part.grids[0], Scheme.backward_euler())
+        exact = forward_substitution_oracle(sys0.phis, sys0.gs, sys0.u_init)
+        ml = ml_solve(sys0, part)
+        bound = part.counts[0] * np.finfo(float).eps
+        assert np.max(np.abs(ml - exact)) <= bound * np.max(np.abs(exact))
+
+
 class TestAssembleSchur:
     def test_decay_coarse_blocks_and_solution(self):
         part = build_explicit([4, 2], t_end=1.0)
         sys0 = build_linear_system(linear_decay(1.0), part.grids[0], Scheme.backward_euler())
         bounds = part.subdomain_bounds(0)
-        coarse = assemble_schur(sys0, level_maps(sys0, bounds), bounds)
+        coarse = assemble_schur(sys0, bounds)
         assert coarse.level == 1
         assert np.allclose(coarse.phis.ravel(), [0.64, 0.64], atol=1e-15)
         coarse_traj = sequential_solve(coarse)
@@ -162,7 +230,7 @@ class TestAssembleSchur:
         sys0 = LevelSystem(level=0, phis=phis, gs=np.zeros((12, 2)), u_init=np.zeros(2))
         part = build_explicit([12, 4], t_end=1.0)
         bounds = part.subdomain_bounds(0)
-        coarse = assemble_schur(sys0, level_maps(sys0, bounds), bounds)
+        coarse = assemble_schur(sys0, bounds)
         assert np.allclose(coarse.gs, 0.0)
         assert np.allclose(sequential_solve(coarse), 0.0)
 
@@ -178,7 +246,7 @@ class TestAssembleSchur:
                            gs=np.zeros((100, 2)), u_init=lv.u0.copy())
         part = build_explicit([100, 10], t_end=3.0)
         bounds = part.subdomain_bounds(0)
-        coarse = assemble_schur(sys0, level_maps(sys0, bounds), bounds)
+        coarse = assemble_schur(sys0, bounds)
         oracle = forward_substitution_oracle(sys0.phis, sys0.gs, sys0.u_init)
         interfaces = oracle[part.fine_nodes(1)]
         coarse_traj = sequential_solve(coarse)
@@ -189,7 +257,7 @@ class TestAssembleSchur:
         sys0 = make_system(30, 3, seed=5)
         part = build_explicit([30, 5], t_end=1.0)
         bounds = part.subdomain_bounds(0)
-        coarse = assemble_schur(sys0, level_maps(sys0, bounds), bounds)
+        coarse = assemble_schur(sys0, bounds)
         assert coarse.phis.shape == (5, 3, 3)
         assert coarse.gs.shape == (5, 3)
         assert np.array_equal(coarse.u_init, sys0.u_init)
@@ -222,7 +290,7 @@ class TestMlSolve:
         sys0 = make_system(24, 2, seed=7)
         part = build_explicit([24, 4], t_end=1.0)
         bounds = part.subdomain_bounds(0)
-        coarse = assemble_schur(sys0, level_maps(sys0, bounds), bounds)
+        coarse = assemble_schur(sys0, bounds)
         coarse_traj = sequential_solve(coarse)
         fine_traj = ml_solve(sys0, part)
         assert np.array_equal(fine_traj[part.fine_nodes(1)], coarse_traj)
@@ -282,7 +350,7 @@ class TestPetrovGalerkin:
         bounds = part.subdomain_bounds(0)
         maps = level_maps(sys0, bounds)
         restr = restriction_operator(sys0, bounds)
-        direct = assemble_schur(sys0, maps, bounds)
+        direct = assemble_schur(sys0, bounds)
         pg = petrov_galerkin_assemble(sys0, maps, restr, bounds)
         scale = np.max(np.abs(direct.phis)) + 1e-30
         assert np.max(np.abs(direct.phis - pg.phis)) / scale <= 1e-12
