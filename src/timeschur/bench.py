@@ -189,8 +189,25 @@ def _base_row(spec: ExperimentSpec, command: str, variant: str,
     }
 
 
-def _report_rows(base: dict, report: SolverReport,
-                 timing_max: dict, timing_sum: dict) -> list[dict]:
+@dataclass
+class _Reps:
+    """Repeated solves of one run: the first report, min-over-reps level timings, a failure."""
+
+    report: SolverReport | None = None
+    timing_max: dict = field(default_factory=dict)
+    timing_sum: dict = field(default_factory=dict)
+    error: TimeSchurError | None = None
+
+    def add(self, report: SolverReport) -> None:
+        self.report = self.report or report
+        for timing, per_level in ((self.timing_max, report.per_level_max),
+                                  (self.timing_sum, report.per_level_sum)):
+            for level, secs in (per_level or {0: report.wall_seconds}).items():
+                timing[level] = min(timing.get(level, math.inf), secs)
+
+
+def _report_rows(base: dict, reps: _Reps) -> list[dict]:
+    report, timing_max, timing_sum = reps.report, reps.timing_max, reps.timing_sum
     rows = []
     levels = sorted(timing_max) if timing_max else [0]
     for level in levels:
@@ -209,41 +226,6 @@ def _report_rows(base: dict, report: SolverReport,
     return rows
 
 
-@dataclass
-class _Reps:
-    """Repeated solves of one run: the first report, min-over-reps level timings, a failure."""
-
-    report: SolverReport | None = None
-    timing_max: dict = field(default_factory=dict)
-    timing_sum: dict = field(default_factory=dict)
-    error: TimeSchurError | None = None
-
-    def add(self, report: SolverReport) -> None:
-        self.report = self.report or report
-        for timing, per_level in ((self.timing_max, report.per_level_max),
-                                  (self.timing_sum, report.per_level_sum)):
-            for level, secs in (per_level or {0: report.wall_seconds}).items():
-                timing[level] = min(timing.get(level, math.inf), secs)
-
-
-def _run_with_reps(spec: ExperimentSpec, partition: MultilevelPartition, workers: int):
-    """Repeat one solve, keeping the first report and min-over-reps timings."""
-    reps = _Reps()
-    for _ in range(spec.reps):
-        traj, report = run_solver(spec, partition, workers)
-        reps.add(report)
-    return traj, reps.report, reps.timing_max, reps.timing_sum
-
-
-def _solver_rows(spec: ExperimentSpec, base: dict, partition: MultilevelPartition,
-                 workers: int) -> list[dict]:
-    """The solver's rows, or one ``status=failed`` row if the solve fails."""
-    try:
-        return _report_rows(base, *_run_with_reps(spec, partition, workers)[1:])
-    except TimeSchurError as exc:
-        return [{**base, "status": "failed", "message": str(exc)}]
-
-
 def _sequential_row(base: dict, reps: _Reps) -> dict:
     report, best = reps.report, f"{reps.timing_max[0]:.9f}"
     return {
@@ -258,16 +240,43 @@ def _sequential_row(base: dict, reps: _Reps) -> dict:
     }
 
 
+def _run_rep_major(runs: list[tuple], reps: int) -> list[dict]:
+    """Rows of the ``(spec, partition, workers, base row)`` runs, each solved ``reps`` times.
+
+    Each rep is one pass over every run, so that a host slowdown spreads over
+    the runs instead of landing on one run's reps. A failing run stops
+    repeating and becomes one ``status=failed`` row; the others continue. The
+    rows keep the order of ``runs``: a ``seq`` variant gives one baseline
+    row, any other the solver's rows, one per level.
+    """
+    results = [_Reps() for _ in runs]
+    for _ in range(reps):
+        for (spec, partition, workers, _), rep in zip(runs, results):
+            if rep.error is None:
+                try:
+                    rep.add(run_solver(spec, partition, workers)[1])
+                except TimeSchurError as exc:
+                    rep.error = exc
+    rows = []
+    for (*_, base), rep in zip(runs, results):
+        if rep.error is not None:
+            rows.append({**base, "status": "failed", "message": str(rep.error)})
+        elif base["variant"] == "seq":
+            rows.append(_sequential_row(base, rep))
+        else:
+            rows.extend(_report_rows(base, rep))
+    return rows
+
+
 def run_weak_scaling(spec: ExperimentSpec, n1_list: list[int],
                      local_size: int) -> list[dict]:
     """Fixed local problem size, growing subdomain count; one row per (n1, level).
 
     Each sweep point solves ``n0 = local_size * n1`` fine steps on a two-level
     partition with ``min(n1, spec workers)`` workers, plus a sequential
-    baseline row. Each rep is one pass over every point, so that a host
-    slowdown spreads over the points instead of landing on one point's reps.
-    Solver failures, the baseline's included, become ``status=failed`` rows;
-    the sweep continues.
+    baseline row. The reps run rep-major over every point. Solver failures,
+    the baseline's included, become ``status=failed`` rows; the sweep
+    continues.
     """
     if not n1_list:
         raise ValidationError("n1 list is empty")
@@ -277,7 +286,7 @@ def run_weak_scaling(spec: ExperimentSpec, n1_list: list[int],
         raise ValidationError(f"n1 entries must be >= 1, got {n1_list[0]}")
     if local_size < 1:
         raise ValidationError("local size must be >= 1")
-    runs = []  # (spec, partition, workers, base row, reps): parallel, then baseline, per point
+    runs = []  # parallel, then baseline, per point
     for n1 in n1_list:
         point = ExperimentSpec(**{**asdict(spec), "n0": local_size * n1, "n1": n1,
                                   "n2": None, "ratio": None, "adaptive": False})
@@ -286,32 +295,17 @@ def run_weak_scaling(spec: ExperimentSpec, n1_list: list[int],
         workers = n1 if spec.workers is None else min(n1, spec.workers)
         seq = ExperimentSpec(**{**asdict(point), "solver": "sequential"})
         runs += [(point, partition, workers,
-                  _base_row(point, "weak-scaling", "parallel", partition, workers), _Reps()),
+                  _base_row(point, "weak-scaling", "parallel", partition, workers)),
                  (seq, partition, 1,
-                  {**_base_row(seq, "weak-scaling", "seq", partition, 1), "level": "seq"},
-                  _Reps())]
-    for _ in range(spec.reps):
-        for run_spec, partition, workers, _, rep in runs:
-            if rep.error is None:
-                try:
-                    rep.add(run_solver(run_spec, partition, workers)[1])
-                except TimeSchurError as exc:
-                    rep.error = exc
-    rows = []
-    for *_, base, rep in runs:
-        if rep.error is not None:
-            rows.append({**base, "status": "failed", "message": str(rep.error)})
-        elif base["variant"] == "seq":
-            rows.append(_sequential_row(base, rep))
-        else:
-            rows.extend(_report_rows(base, rep.report, rep.timing_max, rep.timing_sum))
-    return rows
+                  {**_base_row(seq, "weak-scaling", "seq", partition, 1), "level": "seq"})]
+    return _run_rep_major(runs, spec.reps)
 
 
 def run_three_level(spec: ExperimentSpec, compare_two_level: bool = False) -> list[dict]:
     """One three-level run (counts n0 > n1 > n2), optionally paired with two-level.
 
     The adaptive flag rebalances the top coarsening to ``round(sqrt(n1))``.
+    The reps run rep-major over both runs.
     """
     if spec.n1 is None:
         raise ValidationError("three-level runs need n1")
@@ -325,13 +319,13 @@ def run_three_level(spec: ExperimentSpec, compare_two_level: bool = False) -> li
             raise ValidationError("three-level runs require n2 < n1 < n0")
         partition = build_explicit([spec.n0, spec.n1, spec.n2], t_end=t_end)
     workers = spec.n1 if spec.workers is None else min(spec.n1, spec.workers)
-    base = _base_row(spec, "three-level", "three-level", partition, workers)
-    rows = _solver_rows(spec, base, partition, workers)
+    runs = [(spec, partition, workers,
+             _base_row(spec, "three-level", "three-level", partition, workers))]
     if compare_two_level:
         two = build_explicit([spec.n0, spec.n1], t_end=t_end)
-        base2 = _base_row(spec, "three-level", "two-level", two, workers)
-        rows.extend(_solver_rows(spec, base2, two, workers))
-    return rows
+        runs.append((spec, two, workers, _base_row(spec, "three-level", "two-level", two,
+                                                   workers)))
+    return _run_rep_major(runs, spec.reps)
 
 
 def output_path(path: str | Path) -> Path:

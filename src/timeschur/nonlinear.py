@@ -23,11 +23,11 @@ solved in log depth by the up-sweep and the down-sweep from a zero inflow. The
 update of a window depends only on that window, so iterates do not depend on
 how windows are grouped. A window whose residual rises above its warm start's,
 turns non-finite or exhausts its budget falls back to ``_march``, which solves
-it step by step with the one-step iteration of time-marching. The Schur rows
-of the interface system are the linear reduction of ``schur`` applied to one
-batched linearization: the roots of the up-sweep over the windows' normalized
-steps (``assemble_schur``). Every linearization forms its theta steps with
-``integrators.theta_steps``.
+it step by step with ``_implicit_step``, the one-step solver of time-marching.
+The Schur rows of the interface system are the linear reduction of ``schur``
+applied to one batched linearization: the roots of the up-sweep over the
+windows' normalized steps (``assemble_schur``). Every linearization forms its
+theta steps with ``integrators.theta_steps``.
 """
 
 from __future__ import annotations
@@ -55,8 +55,9 @@ class LinearizationPolicy:
     residual norm is at or above ``switch_norm`` and Newton below it.
     ``tol_global`` stops outer loops. ``tol_local`` stops the local problems
     of the extensions: a window once every interior step residual is below
-    it, and a marched step once its own is. ``max_inner`` bounds the
-    iterations of a window, and of a marched step.
+    it, and each ``_implicit_step`` of a window that falls back to marching
+    once its own is. ``max_inner`` bounds the iterations of a window, and of
+    each such step.
     """
 
     mode: str = "hybrid"  # "newton" | "picard" | "hybrid"
@@ -208,17 +209,20 @@ def sequential_nonlinear_solve(
     traj[0] = problem.u0
     picard = newton = 0
     start = time.perf_counter()
-    for i in range(1, n + 1):
-        try:
-            traj[i], p, nw = _implicit_step(
-                problem, grid[i - 1], grid[i], traj[i - 1], traj[i - 1], th, policy, tol_step
-            )
-        except NonconvergenceError as exc:
-            raise NonconvergenceError(
-                f"time step {i} (t={grid[i]:g})", exc.iterations, exc.residual_norm, exc.reason
-            ) from exc
-        picard += p
-        newton += nw
+    with np.errstate(over="ignore", invalid="ignore"):  # the steps catch non-finite norms
+        for i in range(1, n + 1):
+            try:
+                traj[i], p, nw = _implicit_step(
+                    problem, grid[i - 1], grid[i], traj[i - 1], traj[i - 1], th, policy,
+                    tol_step
+                )
+            except NonconvergenceError as exc:
+                raise NonconvergenceError(
+                    f"time step {i} (t={grid[i]:g})", exc.iterations, exc.residual_norm,
+                    exc.reason
+                ) from exc
+            picard += p
+            newton += nw
     _, norm = global_residual(problem, traj, grid, scheme)
     report = SolverReport(solver="sequential", workers=1)
     report.wall_seconds = time.perf_counter() - start
@@ -287,7 +291,8 @@ def newton_schur_solve(
     interior_mask = _interior_mask(partition, 1)
     report = SolverReport(solver="newton-schur", workers=workers)
     start = time.perf_counter()
-    with WorkerPool(workers) as pool:
+    # The outer loop catches non-finite norms.
+    with WorkerPool(workers) as pool, np.errstate(over="ignore", invalid="ignore"):
         for it in range(policy.max_iters + 1):
             res, norm = global_residual(problem, traj, grid, scheme)
             mode = _outer_mode(report, policy, it, res, norm, interior_mask,
@@ -345,6 +350,8 @@ def nonlinear_harmonic_extension(
     fine = partition.fine_nodes(level + 1)
     if warm.shape != (fine[index + 1] - fine[index], problem.m_unk):
         raise ValidationError("warm start does not match the element's fine window")
+    if np.shape(inflow) != (problem.m_unk,):
+        raise ValidationError(f"inflow must have shape ({problem.m_unk},)")
     return _extension_task(problem, partition, level, index, index + 1,
                            np.asarray(inflow, dtype=float)[None, :], warm, th, policy)
 
@@ -362,7 +369,8 @@ def _extension_task(problem, partition, level, lo, hi, inflows, warm, th, policy
     Newton by its own residual norm and counts one inner iteration per step.
     Once every interior row of a window is below ``tol_local`` it is frozen.
     A window whose residual rises above its warm start's, turns non-finite or
-    exhausts ``max_inner`` is marched instead, from its ``warm`` values.
+    exhausts ``max_inner`` is marched instead: ``_march`` solves its steps one
+    at a time from its ``warm`` values.
     """
     m = problem.m_unk
     fine = partition.fine_nodes(level + 1)
@@ -395,8 +403,8 @@ def _extension_task(problem, partition, level, lo, hi, inflows, warm, th, policy
                                      | (it == policy.max_inner))
             for j in np.flatnonzero(failed):
                 a, b = bounds[j], bounds[j + 1]
-                u[a:b], p, nw = _march(problem, ts[a:b], bounds[j:j + 2] - a, inflows[j:j + 1],
-                                       warm[a:b], th, policy, level, lo + j)
+                u[a:b], p, nw = _march(problem, ts[a:b], inflows[j], warm[a:b], th, policy,
+                                       level, lo + j)
                 picard += p
                 newton += nw
             live &= ~done & ~failed
@@ -415,68 +423,30 @@ def _extension_task(problem, partition, level, lo, hi, inflows, warm, th, policy
     return u[:-1], picard, newton
 
 
-def _march(problem, ts, bounds, inflows, warm, th, policy, level, first):
-    """Level-``level`` extensions of the windows between consecutive ``bounds``, in lockstep.
+def _march(problem, ts, inflow, warm, th, policy, level, element):
+    """Level-``level`` extension of window ``element`` by time-marching.
 
-    Window ``j`` pins its first value to ``inflows[j]`` and solves each later
-    step to ``tol_local`` from the guess in ``warm``, by the inner iteration of
-    ``_implicit_step`` with the same arithmetic. Per local step, one
-    ``kappa_batch`` call gives every window's tail; per inner iteration, the
-    windows not yet converged share one ``kappa_batch`` call, one Picard or
-    Jacobian call per mode (picked on each window's own norm) and one batched
-    solve. ``first`` is the global index of window 0.
+    The window's first value is pinned to ``inflow``; each later step is
+    solved to ``tol_local`` from its guess in ``warm`` by ``_implicit_step``.
+    Returns ``(values, picard, newton)``; errors name the element and time.
     """
-    m = problem.m_unk
-    starts = bounds[:-1]
-    lengths = np.diff(bounds)
-    values = np.empty((len(ts), m))
-    values[starts] = inflows
+    values = np.empty((len(ts), problem.m_unk))
+    values[0] = inflow
     picard = newton = 0
-    for step in range(1, int(lengths.max())):
-        windows = np.flatnonzero(lengths > step)
-        nodes = starts[windows] + step
-        t_start, t_end = ts[nodes - 1], ts[nodes]
-
-        def where(row):  # a row of this step's arrays
-            return f"nonlinear extension (level {level}, element {first + windows[row]}, " \
-                   f"t={t_end[row]:g})"
-
-        dt = (t_end - t_start)[:, None]
-        u_prev = values[nodes - 1]
-        tail = dt * (1.0 - th) * kappa_batch(problem, t_start, u_prev) - u_prev
-        u = np.asarray(warm[nodes], dtype=float)
-        # The rows of this step's arrays still iterating, and their slices.
-        live = np.arange(len(nodes))
-        u_l, t_l, dt_l, tail_l = u, t_end, dt, tail
-        for it in range(policy.max_inner + 1):
-            r = u_l + tail_l + dt_l * th * kappa_batch(problem, t_l, u_l)
-            # Row-wise dot products, as np.linalg.norm takes them for one row.
-            norms = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
-            done = norms < policy.tol_local
-            if done.any():
-                u[live[done]] = u_l[done]
-                if done.all():
-                    break
-                keep = ~done
-                live, u_l, t_l, dt_l, tail_l, r, norms = (
-                    live[keep], u_l[keep], t_l[keep], dt_l[keep], tail_l[keep],
-                    r[keep], norms[keep])
-            finite = np.isfinite(norms)
-            if not finite.all():
-                bad = int(np.argmin(finite))
-                raise NonconvergenceError(where(live[bad]), it, float(norms[bad]), NON_FINITE)
-            if it == policy.max_inner:
-                raise NonconvergenceError(where(live[0]), policy.max_inner, float(norms[0]))
-            picks = policy.uses_picard(norms)
-            n_picard = int(np.count_nonzero(picks))
-            picard += n_picard
-            newton += len(picks) - n_picard
-            mats = _node_matrices(problem, t_l, u_l, picks)
-            u_l = u_l + step_solve(
-                step_matrices(mats, th * dt_l[:, :, None]), -r, t_start[live], t_l,
-                lambda i: where(live[i]),
-            )
-        values[nodes] = u
+    for j in range(1, len(ts)):
+        where = f"nonlinear extension (level {level}, element {element}, t={ts[j]:g})"
+        try:
+            values[j], p, nw = _implicit_step(problem, ts[j - 1], ts[j], values[j - 1], warm[j],
+                                              th, policy, policy.tol_local)
+        except NonconvergenceError as exc:
+            raise NonconvergenceError(where, exc.iterations, exc.residual_norm,
+                                      exc.reason) from exc
+        except SingularStepError as exc:
+            raise SingularStepError(
+                f"singular step matrix in {where} on element ({exc.t_start:g}, {exc.t_end:g})",
+                exc.t_start, exc.t_end) from exc
+        picard += p
+        newton += nw
     return values, picard, newton
 
 
@@ -495,7 +465,7 @@ def _node_matrices(problem, ts, us, picks):
     return mats
 
 
-def _schur_row_task(problem, ts, us, bounds, first, th, use_picard, closing=None):
+def _schur_row_task(problem, ts, us, bounds, first, th, use_picard, closing):
     """Interface block rows of the level-up Schur system for consecutive windows.
 
     Window ``j`` (global index ``first + j``) spans nodes
@@ -503,15 +473,11 @@ def _schur_row_task(problem, ts, us, bounds, first, th, use_picard, closing=None
     both interfaces included). Returns ``(phis, gs)``, stacked over windows:
     the coarse steps of the normalized fine linearization at ``us``, whose
     right-hand side is the negative one-step residual at each window's
-    closing step and zero elsewhere; ``closing`` holds those residuals when
-    the caller has them already. They are the roots of the up-sweep over
-    every window's steps (``assemble_schur``), in this task's thread.
+    closing step, held in ``closing``, and zero elsewhere. They are the roots
+    of the up-sweep over every window's steps (``assemble_schur``), in this
+    task's thread.
     """
     last = bounds[1:] - 1  # each window's closing step
-    if closing is None:
-        kappas = kappa_batch(problem, ts[last + 1], us[last + 1]) * th
-        kappas += (1.0 - th) * kappa_batch(problem, ts[last], us[last])
-        closing = us[last + 1] - us[last] + (ts[last + 1] - ts[last])[:, None] * kappas
     column = np.zeros((len(ts) - 1, problem.m_unk))
     column[last] = -closing
     fine = _linearized_steps(
@@ -533,7 +499,7 @@ def nonlinear_schur_newton_solve(
 ):
     """Outer loop on level-k interface values with nonlinear harmonic extensions.
 
-    Per outer iteration: extend every level-k element in lockstep, test the
+    Per outer iteration: extend every level-k element by window Newton, test the
     global fine residual, assemble the level-k Schur system of the fine
     linearization at the extended state, solve the interface update with the
     direct multilevel method over levels k..top, and update. The final

@@ -122,10 +122,11 @@ class TestWeakScaling:
             return np.zeros((3, 2)), report
 
         monkeypatch.setattr(bench, "run_solver", fake_run_solver)
-        spec = ExperimentSpec(**LV, reps=3)
-        _, _, tmax, tsum = bench._run_with_reps(spec, spec.build_partition(), 2)
-        assert tmax == {0: 1.0}
-        assert tsum == {0: 10.0}
+        spec = ExperimentSpec(**LV, n0=400, n1=40, n2=4, reps=3)
+        rows = run_three_level(spec, compare_two_level=True)
+        # Rep-major: the two runs take calls 1, 3, 5 and 2, 4, 6.
+        assert [(r["wall_s_max"], r["wall_s_sum"]) for r in rows] == [
+            ("1.000000000", "10.000000000"), ("2.000000000", "20.000000000")]
 
     def test_level0_critical_path_stays_flat(self):
         spec = ExperimentSpec(**LV, reps=3)
@@ -355,6 +356,16 @@ class TestCli:
                         "--subdomains", "4"])
         assert code == 3
         assert "after 0 iterations: non-finite residual" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", ["sequential", "newton-schur", "nlschur:1"])
+    @pytest.mark.parametrize("flags", [["--problem", "decay", "--lam", "inf"],
+                                       ["--u0", "1e300"], ["--alpha", "inf"]])
+    def test_non_finite_input_exits_3_without_warnings(self, solver, flags, capsys):
+        # pytest turns warnings into errors: an overflow warning would be a traceback.
+        code = cli.main(["solve", *flags, "--nsteps", "40", "--subdomains", "4",
+                         "--solver", solver, "--workers", "1"])
+        assert code == 3
+        assert "non-finite residual" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--workers", "0", "--nsteps", "100", "--subdomains", "4"],
