@@ -44,7 +44,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                        help="hybrid Picard->Newton switch norm")
     group.add_argument("--max-iters", type=int, default=50)
     group.add_argument("--workers", type=int, default=None,
-                       help="modeled workers; threads cap at the cores (default: available cores)")
+                       help="modeled workers; threads cap at the usable CPUs (default: all)")
     group.add_argument("--reps", type=int, default=1)
     group.add_argument("--out", default=None, help="output CSV path")
 

@@ -1,8 +1,4 @@
-"""Exception types shared across the package.
-
-Every type pickles with its constructor arguments, so an error survives a
-pickle round trip intact.
-"""
+"""Exception types shared across the package."""
 
 
 class TimeSchurError(Exception):
@@ -23,9 +19,6 @@ class SingularStepError(TimeSchurError):
         super().__init__(message)
         self.t_start = t_start
         self.t_end = t_end
-
-    def __reduce__(self):
-        return type(self), (self.args[0], self.t_start, self.t_end)
 
 
 class NonconvergenceError(TimeSchurError):
@@ -56,9 +49,6 @@ class NonconvergenceError(TimeSchurError):
         self.residual_norm = residual_norm
         self.reason = reason
 
-    def __reduce__(self):
-        return type(self), (self.where, self.iterations, self.residual_norm, self.reason)
-
 
 class TaskError(TimeSchurError):
     """A parallel subdomain task raised; wraps the original exception with its index."""
@@ -67,6 +57,3 @@ class TaskError(TimeSchurError):
         super().__init__(f"task {index} failed: {original!r}")
         self.index = index
         self.original = original
-
-    def __reduce__(self):
-        return type(self), (self.index, self.original)

@@ -119,10 +119,10 @@ def dg_element_system(problem: OdeProblem, grid: np.ndarray, order: int):
 
     Nodal Lagrange basis at the (q+1) right-Radau points, quadrature at the
     same points; the problem callbacks run once over all stage times. Returns
-    ``(K, inflow, forcing, stage_times)`` with ``K`` of shape
-    ``(n, s*m, s*m)``, ``inflow`` of shape ``(s*m, m)`` (shared by all
-    elements), ``forcing`` of shape ``(n, s*m)`` and ``stage_times`` of shape
-    ``(n, s)``, ``s = q + 1``, for the ``n`` elements of ``grid``.
+    ``(K, inflow, forcing)`` with ``K`` of shape ``(n, s*m, s*m)``,
+    ``inflow`` of shape ``(s*m, m)`` (shared by all elements) and
+    ``forcing`` of shape ``(n, s*m)``, ``s = q + 1``, for the ``n`` elements
+    of ``grid``.
     """
     if not problem.is_linear:
         raise ValidationError("dg_element_system requires a linear problem")
@@ -147,7 +147,7 @@ def dg_element_system(problem: OdeProblem, grid: np.ndarray, order: int):
         blocks[:, a, :, a, :] += scale[:, a, None, None] * mats[:, a]
     forcing = -(scale[:, :, None] * kappas).reshape(n, s * m)
     inflow = np.kron(ell0[:, None], np.eye(m))
-    return k_mat, inflow, forcing, stage_times
+    return k_mat, inflow, forcing
 
 
 def checked_grid(grid) -> np.ndarray:
@@ -180,7 +180,7 @@ def linear_propagator(problem: OdeProblem, grid: np.ndarray, scheme: Scheme):
         del kappas  # before the Jacobians: the build's peak memory is the solve's
         lhs, rhs = theta_steps(jacobian_batch(problem, grid, zero), dt, th, g)
     else:
-        lhs, inflow, forcing, _ = dg_element_system(problem, grid, scheme.order)
+        lhs, inflow, forcing = dg_element_system(problem, grid, scheme.order)
         rhs = np.empty(forcing.shape + (m + 1,))
         rhs[:, :, :m] = inflow
         rhs[:, :, m] = forcing
@@ -220,19 +220,18 @@ def theta_steps(mats, dt, th, column):
 
 
 def step_solve(mats, rhs, t_start, t_end, where=None):
-    """Solve stacked step matrices; vector or matrix right-hand sides.
+    """Solve stacked step matrices for stacked matrix right-hand sides.
 
-    Matrix right-hand sides of blocks with m <= 6 go to ``_eliminate``; the
-    rest, and stacks with an exactly zero pivot there, to LAPACK, whose LU
-    decides singularity. A singular matrix raises ``SingularStepError`` with
-    the times of its element; ``where(i)``, if given, names row ``i``.
+    Blocks with m <= 6 go to ``_eliminate``; larger ones, and stacks with an
+    exactly zero pivot there, to LAPACK, whose LU decides singularity. A
+    singular matrix raises ``SingularStepError`` with the times of its
+    element; ``where(i)``, if given, names row ``i``.
     """
-    vector = rhs.ndim == mats.ndim - 1
     try:
-        if not vector and mats.shape[-1] <= _ELIMINATE_MAX_M:
+        if mats.shape[-1] <= _ELIMINATE_MAX_M:
             with contextlib.suppress(np.linalg.LinAlgError):
                 return _eliminate(mats, rhs)
-        out = np.linalg.solve(mats, rhs[..., None] if vector else rhs)
+        return np.linalg.solve(mats, rhs)
     except np.linalg.LinAlgError as exc:
         bad = int(np.argmax((np.linalg.det(mats) == 0.0)
                             | ~np.isfinite(mats).all(axis=(-2, -1))))
@@ -241,7 +240,6 @@ def step_solve(mats, rhs, t_start, t_end, where=None):
             f"singular step matrix{place} on element ({t_start[bad]:g}, {t_end[bad]:g})",
             float(t_start[bad]), float(t_end[bad])
         ) from exc
-    return out[..., 0] if vector else out
 
 
 def _eliminate(mats, rhs):

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import NonconvergenceError, SingularStepError, ValidationError
 from .integrators import Scheme, checked_grid, step_matrices, step_solve, theta_steps
 from .partition import MultilevelPartition
-from .problems import OdeProblem, jacobian_batch, kappa_batch, picard_batch
+from .problems import OdeProblem, jacobian_batch, kappa_batch, picard_batch, picard_operator
 from .runtime import SolverReport, WorkerPool
 from .schur import LevelSystem, assemble_schur, cost_model, ml_solve, reduce_level, sweep_down
 
@@ -112,18 +112,17 @@ def linearize_global(
     traj: np.ndarray,
     grid: np.ndarray,
     scheme: Scheme,
+    residual: np.ndarray,
     use_picard: bool = False,
-    residual: np.ndarray | None = None,
 ) -> LevelSystem:
     """Normalized update system of the global linearization at ``traj``.
 
     Each block row of the raw linearization is left-multiplied by the inverse
     of its diagonal block, yielding the unit-diagonal bidiagonal form the
-    multilevel solver consumes; solving it gives the Newton (or Picard)
+    multilevel solver consumes; solving it against ``residual``, the stacked
+    one-step residuals of ``global_residual``, gives the Newton (or Picard)
     update, with a zero initial-value row since ``traj[0]`` is pinned.
     """
-    if residual is None:
-        residual, _ = global_residual(problem, traj, grid, scheme)
     return _linearized_steps(problem, grid, traj, scheme.effective_theta(), use_picard,
                              -residual, lambda i: "the linearization")
 
@@ -167,11 +166,7 @@ def _implicit_step(problem, t_start, t_end, u_prev, guess, th, policy, tol):
         if it == policy.max_inner:
             break
         if policy.uses_picard(norm):
-            mat = problem.picard_matrix(t_end, u)[0] if problem.picard_matrix is not None else None
-            if mat is None:
-                raise ValidationError(
-                    f"problem {problem.name!r} has no Picard splitting; use mode='newton'"
-                )
+            mat = np.asarray(picard_operator(problem)(t_end, u), dtype=float)
             picard += 1
         else:
             mat = np.asarray(problem.jacobian(t_end, u), dtype=float)
@@ -253,7 +248,6 @@ def _outer_mode(report, policy, it, res, norm, interior_mask, where):
     interior = np.linalg.norm(res, axis=1)[interior_mask]
     report.interior_residual_history.append(float(interior.max()) if interior.size else 0.0)
     if norm < policy.tol_global:
-        report.converged = True
         return None
     if not math.isfinite(norm):
         raise NonconvergenceError(where, it, norm, NON_FINITE)
@@ -299,8 +293,8 @@ def newton_schur_solve(
                                "global linearization loop")
             if mode is None:
                 break
-            system = linearize_global(problem, traj, grid, scheme,
-                                      use_picard=(mode == "picard"), residual=res)
+            system = linearize_global(problem, traj, grid, scheme, res,
+                                      use_picard=(mode == "picard"))
             traj = traj + ml_solve(system, partition, pool=pool, report=report)
             report.outer_iterations += 1
     report.wall_seconds = time.perf_counter() - start
@@ -456,11 +450,11 @@ def _node_matrices(problem, ts, us, picks):
     One batched call per mode in use.
     """
     if picks.all():
-        return picard_batch(problem, ts, us)[0]
+        return picard_batch(problem, ts, us)
     if not picks.any():
         return jacobian_batch(problem, ts, us)
     mats = np.empty((len(ts), problem.m_unk, problem.m_unk))
-    mats[picks] = picard_batch(problem, ts[picks], us[picks])[0]
+    mats[picks] = picard_batch(problem, ts[picks], us[picks])
     mats[~picks] = jacobian_batch(problem, ts[~picks], us[~picks])
     return mats
 
@@ -520,9 +514,6 @@ def nonlinear_schur_newton_solve(
     report = SolverReport(solver=f"nlschur:{k}", workers=workers)
     start = time.perf_counter()
     with WorkerPool(workers) as pool:
-        # The extensions and the Schur rows of all elements are one task each:
-        # they are Python-bound, so a second thread would only contend for
-        # the interpreter lock.
         w = _extend_all(problem, partition, k - 1, z, traj, th, policy, pool, report)
         for it in range(policy.max_iters + 1):
             res, norm = global_residual(problem, w, grid, scheme)

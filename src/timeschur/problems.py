@@ -17,8 +17,7 @@ import numpy as np
 from .errors import ValidationError
 
 KappaFn = Callable[[float, np.ndarray], np.ndarray]
-JacobianFn = Callable[[float, np.ndarray], np.ndarray]
-PicardFn = Callable[[float, np.ndarray], "tuple[np.ndarray, np.ndarray]"]
+MatrixFn = Callable[[float, np.ndarray], np.ndarray]
 AnalyticFn = Callable[[float], np.ndarray]
 
 
@@ -36,9 +35,13 @@ class OdeProblem:
         Derivative of ``kappa`` with respect to ``u``.
     u0 : array
         Initial value.
-    picard_matrix : callable ``(t, u_bar) -> (matrix, vector)``, optional
-        Frozen-coefficient splitting ``kappa(t, u) ~ A(u_bar) @ u + c(t)``,
-        exact at ``u = u_bar``; enables Picard iterations.
+    picard_matrix : callable ``(t, u_bar) -> matrix``, optional
+        Picard's frozen-coefficient operator ``A(u_bar)``, such that
+        ``kappa(t, u) - A(u) @ u`` depends on ``t`` only; enables Picard
+        iterations. A Picard increment solves the frozen linearization
+        against the true residual, so no forcing is needed; a callback that
+        returns a pair ``(A, c)`` fails inside numpy with a ragged-array
+        ``ValueError``.
     analytic : callable ``t -> vector``, optional
         Closed-form solution, used by accuracy checks.
     is_linear : bool
@@ -50,9 +53,9 @@ class OdeProblem:
 
     m_unk: int
     kappa: KappaFn
-    jacobian: JacobianFn
+    jacobian: MatrixFn
     u0: np.ndarray
-    picard_matrix: PicardFn | None = None
+    picard_matrix: MatrixFn | None = None
     analytic: AnalyticFn | None = None
     is_linear: bool = False
     vectorized: bool = False
@@ -77,35 +80,31 @@ def kappa_batch(problem: OdeProblem, ts: np.ndarray, us: np.ndarray) -> np.ndarr
     return np.stack([np.asarray(problem.kappa(t, u), dtype=float) for t, u in zip(ts, us)])
 
 
-def jacobian_batch(problem: OdeProblem, ts: np.ndarray, us: np.ndarray) -> np.ndarray:
+def _matrix_batch(problem: OdeProblem, fn: MatrixFn, ts: np.ndarray, us: np.ndarray):
+    """``(n, m, m)`` matrices of ``fn``, the Jacobian or the Picard operator, at each row."""
     m = problem.m_unk
     if problem.vectorized:
-        out = np.asarray(problem.jacobian(ts, us), dtype=float)
+        out = np.asarray(fn(ts, us), dtype=float)
         if out.shape != (len(ts), m, m):
             out = np.broadcast_to(out, (len(ts), m, m)).copy()
         return out
-    return np.stack([np.asarray(problem.jacobian(t, u), dtype=float) for t, u in zip(ts, us)])
+    return np.stack([np.asarray(fn(t, u), dtype=float) for t, u in zip(ts, us)])
 
 
-def picard_batch(problem: OdeProblem, ts: np.ndarray, us: np.ndarray):
+def jacobian_batch(problem: OdeProblem, ts: np.ndarray, us: np.ndarray) -> np.ndarray:
+    return _matrix_batch(problem, problem.jacobian, ts, us)
+
+
+def picard_operator(problem: OdeProblem) -> MatrixFn:
+    """``problem.picard_matrix``; the one error of every solver that finds none."""
     if problem.picard_matrix is None:
-        raise ValidationError(f"problem {problem.name!r} has no Picard splitting")
-    m = problem.m_unk
-    if problem.vectorized:
-        a, c = problem.picard_matrix(ts, us)
-        a = np.asarray(a, dtype=float)
-        c = np.asarray(c, dtype=float)
-        if a.shape != (len(ts), m, m):
-            a = np.broadcast_to(a, (len(ts), m, m)).copy()
-        if c.shape != (len(ts), m):
-            c = np.broadcast_to(c, (len(ts), m)).copy()
-        return a, c
-    mats, offs = [], []
-    for t, u in zip(ts, us):
-        a, c = problem.picard_matrix(t, u)
-        mats.append(np.asarray(a, dtype=float))
-        offs.append(np.asarray(c, dtype=float))
-    return np.stack(mats), np.stack(offs)
+        raise ValidationError(f"problem {problem.name!r} has no Picard operator; "
+                              "use mode='newton'")
+    return problem.picard_matrix
+
+
+def picard_batch(problem: OdeProblem, ts: np.ndarray, us: np.ndarray) -> np.ndarray:
+    return _matrix_batch(problem, picard_operator(problem), ts, us)
 
 
 # Shipped problems ------------------------------------------------------------
@@ -119,11 +118,6 @@ def _decay_jacobian(lam, t, u):
     return lam * np.ones_like(u)[..., None]
 
 
-def _decay_picard(lam, t, u):
-    tt = np.asarray(t, dtype=float)
-    return lam * np.ones_like(u)[..., None], np.zeros(tt.shape + (1,))
-
-
 def _decay_analytic(lam, t):
     return np.array([np.exp(-lam * t)])
 
@@ -135,7 +129,7 @@ def linear_decay(lam: float) -> OdeProblem:
         kappa=partial(_decay_kappa, lam),
         jacobian=partial(_decay_jacobian, lam),
         u0=np.array([1.0]),
-        picard_matrix=partial(_decay_picard, lam),
+        picard_matrix=partial(_decay_jacobian, lam),
         analytic=partial(_decay_analytic, lam),
         is_linear=True,
         vectorized=True,
@@ -153,9 +147,7 @@ def _riccati_jacobian(t, u):
 
 
 def _riccati_picard(t, u):
-    tt = np.asarray(t, dtype=float)[..., None]
-    forcing = -np.cos(tt) + np.sin(tt) ** 2
-    return (-u)[..., None], np.broadcast_to(forcing, u.shape).copy()
+    return (-u)[..., None]
 
 
 def _riccati_analytic(t):
@@ -201,7 +193,7 @@ def _lv_picard(alpha, beta, gamma, delta, t, y):
     mat = np.zeros(y.shape[:-1] + (2, 2))
     mat[..., 0, 0] = -alpha + beta * v
     mat[..., 1, 1] = -delta * u + gamma
-    return mat, np.zeros_like(y)
+    return mat
 
 
 def lotka_volterra(
@@ -243,12 +235,6 @@ def _matrix_jacobian(a, t, u):
     return a
 
 
-def _matrix_picard(a, t, u):
-    tt = np.asarray(t, dtype=float)
-    mat = np.broadcast_to(a, tt.shape + a.shape).copy() if tt.ndim else a
-    return mat, np.zeros(tt.shape + (a.shape[0],))
-
-
 def random_stable_linear(m_unk: int, seed: int = 0) -> OdeProblem:
     """Random linear system ``du/dt + A u = 0`` with spd ``A`` (all modes decay)."""
     rng = np.random.default_rng(seed)
@@ -260,7 +246,7 @@ def random_stable_linear(m_unk: int, seed: int = 0) -> OdeProblem:
         kappa=partial(_matrix_kappa, a),
         jacobian=partial(_matrix_jacobian, a),
         u0=u0,
-        picard_matrix=partial(_matrix_picard, a),
+        picard_matrix=partial(_matrix_jacobian, a),
         is_linear=True,
         vectorized=True,
         name=f"random-linear(m={m_unk},seed={seed})",

@@ -23,6 +23,9 @@ from .errors import TaskError, TimeSchurError, ValidationError
 
 
 def available_workers() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -41,10 +44,10 @@ class WorkerPool:
     """Maps independent tasks over a fixed number of worker threads.
 
     ``workers`` is the requested (modeled) parallelism used for critical-path
-    aggregation, all cores if None; the thread count, ``processes``, is capped
-    at the core count, which changes nothing but wall clocks. With one thread,
-    or one task, tasks run in the calling thread. The threads start with the
-    first parallel map and live as long as the pool.
+    aggregation, all usable CPUs if None; the thread count, ``processes``, is
+    capped at ``available_workers()``, which changes nothing but wall clocks.
+    With one thread, or one task, tasks run in the calling thread. The threads
+    start with the first parallel map and live as long as the pool.
     """
 
     def __init__(self, workers: int | None = None):
@@ -127,7 +130,6 @@ class SolverReport:
 
     solver: str = ""
     workers: int = 1
-    converged: bool = True
     outer_iterations: int = 0
     picard_iterations: int = 0
     newton_iterations: int = 0

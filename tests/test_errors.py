@@ -1,7 +1,3 @@
-import pickle
-
-import pytest
-
 from timeschur import errors
 from timeschur.errors import (
     NonconvergenceError,
@@ -31,17 +27,3 @@ def _subclasses(cls):
 def test_every_error_type_has_a_sample():
     package_types = {c for c in _subclasses(TimeSchurError) if c.__module__ == errors.__name__}
     assert package_types == set(SAMPLES)
-
-
-@pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda cls: cls.__name__)
-def test_pickle_round_trip(cls):
-    original = SAMPLES[cls]
-    copy = pickle.loads(pickle.dumps(original))
-    assert type(copy) is cls
-    assert str(copy) == str(original)
-    for name, value in vars(original).items():
-        if isinstance(value, BaseException):
-            assert type(getattr(copy, name)) is type(value)
-            assert str(getattr(copy, name)) == str(value)
-        else:
-            assert getattr(copy, name) == value

@@ -160,7 +160,7 @@ def test_batched_build_equals_element_by_element_builds(problem, scheme, widths)
 
 def _dense_endpoint_rows(problem, t_start, t_end, order):
     """Oracle: the endpoint stage of one element's uncondensed DG system, solved densely."""
-    k_mat, inflow, forcing, _ = dg_element_system(problem, np.array([t_start, t_end]), order)
+    k_mat, inflow, forcing = dg_element_system(problem, np.array([t_start, t_end]), order)
     full = np.linalg.solve(k_mat[0], np.column_stack([inflow, forcing[0]]))
     m = problem.m_unk
     return full[order * m:, :m], full[order * m:, m]
@@ -224,7 +224,7 @@ class TestEliminationKernel:
     @pytest.mark.parametrize("order", [1, 2])
     def test_dg_element_blocks(self, order):
         problem = random_stable_linear(2, seed=3)
-        k_mat, inflow, forcing, _ = dg_element_system(problem, np.linspace(0.0, 2.0, 9), order)
+        k_mat, inflow, forcing = dg_element_system(problem, np.linspace(0.0, 2.0, 9), order)
         rhs = np.concatenate([np.broadcast_to(inflow, (8,) + inflow.shape),
                               forcing[:, :, None]], axis=2)
         sol = _eliminate(k_mat, rhs)
@@ -282,8 +282,9 @@ def _step_residual(problem, t_start, t_end, u_in, u_out, scheme):
 
 
 def _step_phi(problem, t_start, t_end, u_in, u_out, scheme):
-    return linearize_global(problem, np.stack([u_in, u_out]), np.array([t_start, t_end]),
-                            scheme).phis[0]
+    traj, grid = np.stack([u_in, u_out]), np.array([t_start, t_end])
+    res, _ = global_residual(problem, traj, grid, scheme)
+    return linearize_global(problem, traj, grid, scheme, res).phis[0]
 
 
 def _fd_step_jacobians(problem, t_start, t_end, u_in, u_out, scheme, eps=1e-6):

@@ -107,14 +107,19 @@ class TestProblemContracts:
             assert np.linalg.norm(approx - jac) <= bound
 
     def test_picard_splitting_is_exact_at_the_freeze_point(self, problem, rng):
+        # kappa(t, u) - A(u) @ u depends on t only: the splitting's remainder
+        # is one forcing c(t) whatever state A is frozen at.
         if problem.picard_matrix is None:
-            pytest.skip("no Picard splitting")
+            pytest.skip("no Picard operator")
         for _ in range(25):
             t = rng.uniform(0.0, 3.0)
-            u = rng.uniform(0.5, 2.0, size=problem.m_unk)
-            mat, off = problem.picard_matrix(t, u)
-            recon = np.asarray(mat) @ u + np.asarray(off)
-            assert np.allclose(recon, problem.kappa(t, u), atol=1e-12)
+            remainders = []
+            for _ in range(2):
+                u = rng.uniform(0.5, 2.0, size=problem.m_unk)
+                mat = np.asarray(problem.picard_matrix(t, u), dtype=float)
+                assert mat.shape == (problem.m_unk, problem.m_unk)
+                remainders.append(np.asarray(problem.kappa(t, u)) - mat @ u)
+            assert np.allclose(remainders[0], remainders[1], atol=1e-12)
 
     def test_linear_flag_means_state_free_jacobian(self, problem, rng):
         if not problem.is_linear:
@@ -133,11 +138,8 @@ class TestProblemContracts:
         loop_jac = np.stack([problem.jacobian(t, u) for t, u in zip(ts, us)])
         assert np.allclose(jacobian_batch(problem, ts, us), loop_jac, atol=1e-15)
         if problem.picard_matrix is not None:
-            mats, offs = picard_batch(problem, ts, us)
-            for i, (t, u) in enumerate(zip(ts, us)):
-                mat, off = problem.picard_matrix(t, u)
-                assert np.allclose(mats[i], mat, atol=1e-15)
-                assert np.allclose(offs[i], off, atol=1e-15)
+            loop_picard = np.stack([problem.picard_matrix(t, u) for t, u in zip(ts, us)])
+            assert np.allclose(picard_batch(problem, ts, us), loop_picard, atol=1e-15)
 
 
 @pytest.mark.parametrize("problem,solver", [
