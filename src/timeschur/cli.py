@@ -4,7 +4,9 @@ Subcommands: ``solve`` (one run, trajectory export), ``weak-scaling``
 (two-level sweep at fixed local size), ``three-level`` (multilevel run),
 ``figure`` (tidy CSV plus plot script for the built-in figure setups) and
 ``verify`` (oracle suite). Exit codes: 0 success, 1 failed verification,
-2 validation error, 3 solver nonconvergence, 4 singular step matrix.
+2 validation error, 3 solver nonconvergence, 4 singular step matrix, 5 any
+other package error (such as a failed pool task). Errors print one
+``error:`` line and no traceback.
 """
 
 from __future__ import annotations
@@ -14,9 +16,13 @@ import json
 import sys
 
 from . import bench
-from .errors import NonconvergenceError, SingularStepError, ValidationError
+from .errors import NonconvergenceError, SingularStepError, TimeSchurError, ValidationError
 from .problems import default_t_end
 from .runtime import available_workers
+
+# Exit code of each package error type; the base class, last, takes the rest.
+_EXIT_CODES = ((ValidationError, 2), (NonconvergenceError, 3), (SingularStepError, 4),
+              (TimeSchurError, 5))
 
 
 def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
@@ -214,15 +220,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ValidationError as exc:
+    except TimeSchurError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NonconvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SingularStepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -53,7 +53,7 @@ class NonconvergenceError(TimeSchurError):
 class TaskError(TimeSchurError):
     """A parallel subdomain task raised; wraps the original exception with its index."""
 
-    def __init__(self, index: int, original: BaseException):
+    def __init__(self, index: int, original: Exception):
         super().__init__(f"task {index} failed: {original!r}")
         self.index = index
         self.original = original

@@ -1,16 +1,15 @@
 """Nonlinear parallel-in-time solvers.
 
-Two strategies around the linear multilevel direct solver:
-
-* a global linearization loop (Newton or Picard per a hybrid policy) whose
-  update systems are block-bidiagonal and solved exactly by the multilevel
-  Schur machinery, and
-* a nonlinear-Schur loop at a chosen level k: interface values are the only
-  outer unknowns, interior values follow them through nonlinear harmonic
-  extensions (independent local solves), and the interface update system is
-  the Schur complement of the fine Jacobian at the extended state (implicit
-  function theorem), again solved by the direct multilevel method over
-  levels k..top.
+Both strategies are one outer loop around the linear multilevel direct
+solver, the nonlinear Schur loop at a level k: interface values are the only
+outer unknowns, interior values follow them through nonlinear harmonic
+extensions (independent local solves), and the interface update system is the
+Schur complement of the fine Jacobian at the extended state (implicit function
+theorem), solved by the direct multilevel method over levels k..top. Each
+linearization is Newton's or Picard's, as a hybrid policy picks. At k = 0
+every node is an interface node: nothing is extended, and the Schur complement
+is the block-bidiagonal global linearization. That is ``newton_schur_solve``;
+``nonlinear_schur_newton_solve`` runs the loop at a level k >= 1.
 
 The partition is the only description of the windows. An extension task
 takes a level and a range of elements of the level above it, and reads their
@@ -26,8 +25,8 @@ turns non-finite or exhausts its budget falls back to ``_march``, which solves
 it step by step with ``_implicit_step``, the one-step solver of time-marching.
 The Schur rows of the interface system are the linear reduction of ``schur``
 applied to one batched linearization: the roots of the up-sweep over the
-windows' normalized steps (``assemble_schur``). Every linearization forms its
-theta steps with ``integrators.theta_steps``.
+windows' normalized steps (``assemble_schur``), which one-step windows skip.
+Every linearization forms its theta steps with ``integrators.theta_steps``.
 """
 
 from __future__ import annotations
@@ -229,39 +228,6 @@ def sequential_nonlinear_solve(
     return traj, report
 
 
-def _interior_mask(partition: MultilevelPartition, level: int) -> np.ndarray:
-    """Boolean mask over residual rows 1..n0 selecting non-interface rows."""
-    n0 = partition.counts[0]
-    mask = np.ones(n0 + 1, dtype=bool)
-    mask[partition.fine_nodes(level)] = False
-    return mask[1:]
-
-
-def _outer_mode(report, policy, it, res, norm, interior_mask, where):
-    """Record outer iterate ``it`` of residual ``res`` in ``report``.
-
-    Returns the mode of the next linearization, or None once ``norm`` meets
-    ``tol_global``. A non-finite norm stops the loop at once; an exhausted
-    budget raises too.
-    """
-    report.residual_history.append(norm)
-    interior = np.linalg.norm(res, axis=1)[interior_mask]
-    report.interior_residual_history.append(float(interior.max()) if interior.size else 0.0)
-    if norm < policy.tol_global:
-        return None
-    if not math.isfinite(norm):
-        raise NonconvergenceError(where, it, norm, NON_FINITE)
-    if it == policy.max_iters:
-        raise NonconvergenceError(where, policy.max_iters, norm)
-    mode = policy.pick_mode(norm)
-    report.mode_history.append(mode)
-    if mode == "picard":
-        report.picard_iterations += 1
-    else:
-        report.newton_iterations += 1
-    return mode
-
-
 def newton_schur_solve(
     problem: OdeProblem,
     partition: MultilevelPartition,
@@ -272,46 +238,120 @@ def newton_schur_solve(
 ):
     """Global linearization loop with an exact multilevel direct solve per update.
 
-    Every update is the exact solution of the linearized system, so iterates
-    (hence iteration counts) do not depend on the partition. Returns
-    ``(trajectory, report)``.
+    It is the nonlinear Schur loop at level 0. Every update is the exact
+    solution of the linearized system, so iterates (hence iteration counts)
+    do not depend on the partition. Returns ``(trajectory, report)``.
     """
-    policy = policy or LinearizationPolicy()
     scheme.effective_theta()  # validates scheme for nonlinear use
     if partition.n_levels < 2:
         raise ValidationError("newton_schur_solve needs a partition with at least 2 levels")
+    return _schur_loop(problem, partition, 0, scheme, policy, initial, workers)
+
+
+def nonlinear_schur_newton_solve(
+    problem: OdeProblem,
+    partition: MultilevelPartition,
+    k: int,
+    scheme: Scheme,
+    policy: LinearizationPolicy | None = None,
+    initial: np.ndarray | None = None,
+    workers: int = 1,
+):
+    """Outer loop on level-k interface values with nonlinear harmonic extensions.
+
+    The final trajectory is the extensions plus the interface values. A
+    ``TimeSchurError`` raised in a task re-raises as itself; its message names
+    the element and time.
+    """
+    scheme.effective_theta()  # validates scheme for nonlinear use
+    if not 1 <= k <= partition.top_level:
+        raise ValidationError(f"level k={k} outside 1..{partition.top_level}")
+    return _schur_loop(problem, partition, k, scheme, policy, initial, workers)
+
+
+def _schur_loop(problem, partition, k, scheme, policy, initial, workers):
+    """Outer loop on the level-k interface values; returns ``(trajectory, report)``.
+
+    Per outer iteration: extend the interface values into every level-k
+    element by window Newton (at k = 0 every node is an interface node and
+    nothing is extended), test the global fine residual, zero its rows inside
+    the windows, which the extensions own, build the level-k Schur system of
+    the fine linearization at the extended state with that column
+    (``_schur_row_task``), and update the interface values by the direct
+    multilevel solve over levels k..top. The extensions and the Schur rows
+    are one pool task each; only ``ml_solve`` uses the pool's threads.
+    """
+    policy = policy or LinearizationPolicy()
+    th = scheme.effective_theta()
     grid = partition.grids[0]
-    traj = _initial_trajectory(problem, partition, initial)
-    interior_mask = _interior_mask(partition, 1)
-    report = SolverReport(solver="newton-schur", workers=workers)
+    n0, m = partition.counts[0], problem.m_unk
+    if initial is None:
+        w = np.tile(problem.u0, (n0 + 1, 1))
+    else:
+        w = np.array(initial, dtype=float)
+        if w.shape != (n0 + 1, m):
+            raise ValidationError(f"initial guess must have shape ({n0 + 1}, {m})")
+        w[0] = problem.u0
+    fine_k = partition.fine_nodes(k)
+    z = w[fine_k]
+    inside = _interior_mask(partition, k)
+    interior_mask = _interior_mask(partition, max(k, 1))  # newton-schur reports level 1's
+    where = f"nonlinear Schur loop at level {k}" if k else "global linearization loop"
+    report = SolverReport(solver=f"nlschur:{k}" if k else "newton-schur", workers=workers)
     start = time.perf_counter()
     # The outer loop catches non-finite norms.
     with WorkerPool(workers) as pool, np.errstate(over="ignore", invalid="ignore"):
         for it in range(policy.max_iters + 1):
-            res, norm = global_residual(problem, traj, grid, scheme)
-            mode = _outer_mode(report, policy, it, res, norm, interior_mask,
-                               "global linearization loop")
-            if mode is None:
+            w = _extend_all(problem, partition, k, z, w, th, policy, pool, report)
+            res, norm = global_residual(problem, w, grid, scheme)
+            report.residual_history.append(norm)
+            interior = np.linalg.norm(res, axis=1)[interior_mask]
+            report.interior_residual_history.append(float(interior.max(initial=0.0)))
+            if norm < policy.tol_global:
                 break
-            system = linearize_global(problem, traj, grid, scheme, res,
-                                      use_picard=(mode == "picard"))
-            traj = traj + ml_solve(system, partition, pool=pool, report=report)
+            if not math.isfinite(norm):
+                raise NonconvergenceError(where, it, norm, NON_FINITE)
+            if it == policy.max_iters:
+                raise NonconvergenceError(where, policy.max_iters, norm)
+            mode = policy.pick_mode(norm)
+            report.mode_history.append(mode)
+            report.picard_iterations += mode == "picard"
+            report.newton_iterations += mode == "newton"
+            column = -res
+            column[inside] = 0.0
+            rows_start = time.thread_time()  # a one-task map runs in this thread
+            ((phis, gs),), _, _ = pool.map(_schur_row_task, [
+                (problem, grid, w, fine_k, 0, th, mode == "picard", column)])
+            if k:  # newton-schur's serial linearization would grow level 0 with n1
+                report.add_level(0, [time.thread_time() - rows_start])
+            z = z + ml_solve(LevelSystem(level=k, phis=phis, gs=gs, u_init=np.zeros(m)),
+                             partition, pool=pool, report=report)
             report.outer_iterations += 1
     report.wall_seconds = time.perf_counter() - start
-    report.cost_estimate = cost_model(partition, problem.m_unk)
-    return traj, report
+    report.cost_estimate = cost_model(partition, m)
+    return w, report
 
 
-def _initial_trajectory(problem, partition, initial):
-    n0 = partition.counts[0]
-    if initial is None:
-        traj = np.tile(problem.u0, (n0 + 1, 1))
-    else:
-        traj = np.array(initial, dtype=float)
-        if traj.shape != (n0 + 1, problem.m_unk):
-            raise ValidationError(f"initial guess must have shape ({n0 + 1}, {problem.m_unk})")
-        traj[0] = problem.u0
-    return traj
+def _interior_mask(partition: MultilevelPartition, level: int) -> np.ndarray:
+    """Boolean mask over residual rows 1..n0 selecting non-interface rows."""
+    mask = np.ones(partition.counts[0] + 1, dtype=bool)
+    mask[partition.fine_nodes(level)] = False
+    return mask[1:]
+
+
+def _extend_all(problem, partition, k, z, warm_traj, th, policy, pool, report):
+    """Extend the level-k interface values ``z`` into every level-k element, as one pool task."""
+    if k == 0:  # every node is an interface node
+        return z
+    start = time.thread_time()  # a one-task map runs in this thread
+    results, _, _ = pool.map(_extension_task, [
+        (problem, partition, k - 1, 0, partition.counts[k], z[:-1], warm_traj[:-1], th,
+         policy)])
+    report.add_level(0, [time.thread_time() - start])
+    (values, picard, newton), = results
+    report.inner_picard += picard
+    report.inner_newton += newton
+    return np.concatenate([values, z[-1:]])
 
 
 def nonlinear_harmonic_extension(
@@ -459,91 +499,24 @@ def _node_matrices(problem, ts, us, picks):
     return mats
 
 
-def _schur_row_task(problem, ts, us, bounds, first, th, use_picard, closing):
+def _schur_row_task(problem, ts, us, bounds, first, th, use_picard, column):
     """Interface block rows of the level-up Schur system for consecutive windows.
 
     Window ``j`` (global index ``first + j``) spans nodes
-    ``bounds[j]..bounds[j+1]`` of ``ts`` (times) and ``us`` (extended values,
-    both interfaces included). Returns ``(phis, gs)``, stacked over windows:
-    the coarse steps of the normalized fine linearization at ``us``, whose
-    right-hand side is the negative one-step residual at each window's
-    closing step, held in ``closing``, and zero elsewhere. They are the roots
-    of the up-sweep over every window's steps (``assemble_schur``), in this
-    task's thread.
+    ``bounds[j]..bounds[j+1]`` of ``ts`` (times) and ``us`` (values, both
+    interfaces included). Returns ``(phis, gs)``, stacked over windows: the
+    coarse steps of the normalized fine linearization at ``us`` with the
+    right-hand column ``column``. They are the roots of the up-sweep over
+    every window's steps (``assemble_schur``), in this task's thread. One-step
+    windows are their own coarse steps: the level-0 linearization is returned
+    as it is, and no up-sweep runs.
     """
-    last = bounds[1:] - 1  # each window's closing step
-    column = np.zeros((len(ts) - 1, problem.m_unk))
-    column[last] = -closing
-    fine = _linearized_steps(
-        problem, ts, us, th, use_picard, column,
-        lambda i: f"linearized window {first + np.searchsorted(bounds, i, 'right') - 1}",
-    )
-    coarse = assemble_schur(fine, bounds)
+    one_step = len(bounds) == len(ts)
+
+    def where(i):  # a step of the run
+        window = first + np.searchsorted(bounds, i, "right") - 1
+        return "the linearization" if one_step else f"linearized window {window}"
+
+    fine = _linearized_steps(problem, ts, us, th, use_picard, column, where)
+    coarse = fine if one_step else assemble_schur(fine, bounds)
     return coarse.phis, coarse.gs
-
-
-def nonlinear_schur_newton_solve(
-    problem: OdeProblem,
-    partition: MultilevelPartition,
-    k: int,
-    scheme: Scheme,
-    policy: LinearizationPolicy | None = None,
-    initial: np.ndarray | None = None,
-    workers: int = 1,
-):
-    """Outer loop on level-k interface values with nonlinear harmonic extensions.
-
-    Per outer iteration: extend every level-k element by window Newton, test the
-    global fine residual, assemble the level-k Schur system of the fine
-    linearization at the extended state, solve the interface update with the
-    direct multilevel method over levels k..top, and update. The final
-    trajectory is the extensions plus the interface values. The extensions
-    and Schur rows of all elements are one task each; only the multilevel
-    solve uses the pool's threads. A ``TimeSchurError`` raised in a task
-    re-raises as itself; its message names the element and time.
-    """
-    policy = policy or LinearizationPolicy()
-    th = scheme.effective_theta()
-    if not 1 <= k <= partition.top_level:
-        raise ValidationError(f"level k={k} outside 1..{partition.top_level}")
-    grid = partition.grids[0]
-    fine_k = partition.fine_nodes(k)
-    traj = _initial_trajectory(problem, partition, initial)
-    z = traj[fine_k].copy()
-    interior_mask = _interior_mask(partition, k)
-    report = SolverReport(solver=f"nlschur:{k}", workers=workers)
-    start = time.perf_counter()
-    with WorkerPool(workers) as pool:
-        w = _extend_all(problem, partition, k - 1, z, traj, th, policy, pool, report)
-        for it in range(policy.max_iters + 1):
-            res, norm = global_residual(problem, w, grid, scheme)
-            mode = _outer_mode(report, policy, it, res, norm, interior_mask,
-                               f"nonlinear Schur loop at level {k}")
-            if mode is None:
-                break
-            # The windows' closing residuals are rows of ``res`` already.
-            rows_start = time.thread_time()
-            rows, _, _ = pool.map(_schur_row_task, [
-                (problem, grid, w, fine_k, 0, th, mode == "picard", res[fine_k[1:] - 1])])
-            report.add_level(0, [time.thread_time() - rows_start])
-            (phis, gs), = rows
-            system = LevelSystem(level=k, phis=phis, gs=gs, u_init=np.zeros(problem.m_unk))
-            z = z + ml_solve(system, partition, pool=pool, report=report)
-            report.outer_iterations += 1
-            w = _extend_all(problem, partition, k - 1, z, w, th, policy, pool, report)
-    report.wall_seconds = time.perf_counter() - start
-    report.cost_estimate = cost_model(partition, problem.m_unk)
-    return w, report
-
-
-def _extend_all(problem, partition, level, z, warm_traj, th, policy, pool, report):
-    """Extend the interface values ``z`` into every level-(level+1) element, as one pool task."""
-    start = time.thread_time()  # a one-task map runs in this thread
-    results, _, _ = pool.map(_extension_task, [
-        (problem, partition, level, 0, partition.counts[level + 1], z[:-1], warm_traj[:-1], th,
-         policy)])
-    report.add_level(0, [time.thread_time() - start])
-    (values, picard, newton), = results
-    report.inner_picard += picard
-    report.inner_newton += newton
-    return np.concatenate([values, z[-1:]])

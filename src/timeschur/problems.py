@@ -3,7 +3,7 @@
 Problems are stated in the convention ``du/dt + kappa(t, u) = 0`` with initial
 value ``u(0) = u0``; any time-dependent forcing is absorbed into ``kappa``.
 All callables built here are module-level functions bound with
-``functools.partial`` so problem objects pickle.
+``functools.partial``.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ def _run_task(fn, index, args):
     start = time.perf_counter()
     try:
         result = fn(*args)
-    except BaseException as exc:  # propagated with the task index by the caller
+    except Exception as exc:  # propagated with the task index by the caller
         return index, None, time.perf_counter() - start, exc
     return index, result, time.perf_counter() - start, None
 
@@ -72,7 +72,9 @@ class WorkerPool:
         Returns ``(results, task_seconds, elapsed)`` where ``task_seconds[i]``
         is task i's own wall clock and ``elapsed`` is the whole region's.
         A task's ``TimeSchurError`` re-raises as itself; other exceptions
-        re-raise as ``TaskError`` carrying the task index.
+        re-raise as ``TaskError`` carrying the task index. ``SystemExit`` and
+        ``KeyboardInterrupt`` are not exceptions of a task and propagate as
+        they are.
         """
         args_list = list(args_list)
         region_start = time.perf_counter()

@@ -557,9 +557,11 @@ class TestNonlinearSchurNewton:
 
 
 def schur_rows(problem, ts, us, bounds, first, th, use_picard):
-    """``_schur_row_task`` with the closing residuals taken from ``global_residual``."""
+    """``_schur_row_task`` whose column is the negative closing residuals, zero elsewhere."""
     res, _ = global_residual(problem, us, ts, Scheme.theta_method(th))
-    return _schur_row_task(problem, ts, us, bounds, first, th, use_picard, res[bounds[1:] - 1])
+    column = np.zeros_like(res)
+    column[bounds[1:] - 1] = -res[bounds[1:] - 1]
+    return _schur_row_task(problem, ts, us, bounds, first, th, use_picard, column)
 
 
 def schur_rows_reference(problem, ts, us, bounds, th, use_picard):
@@ -627,6 +629,22 @@ class TestSchurRows:
                                             bounds[i:j + 1] - a, i, th, use_picard)
             assert np.array_equal(part_phis, phis[i:j])
             assert np.array_equal(part_gs, gs[i:j])
+
+    @pytest.mark.parametrize("scheme", [BE, Scheme.theta_method(0.5)])
+    @pytest.mark.parametrize("use_picard", [False, True])
+    def test_one_step_windows_give_the_global_linearization(self, scheme, use_picard,
+                                                            monkeypatch):
+        # newton-schur is the Schur loop at level 0 and rests on this identity.
+        monkeypatch.setattr(nonlinear, "assemble_schur", None)  # no up-sweep runs
+        prob = benchmark_lv()
+        grid = np.linspace(0.0, 3.0, 41)
+        rng = np.random.default_rng(5)
+        traj = prob.u0 * (1.0 + 0.3 * rng.normal(size=(41, 2)))
+        res, _ = global_residual(prob, traj, grid, scheme)
+        system = linearize_global(prob, traj, grid, scheme, res, use_picard)
+        phis, gs = _schur_row_task(prob, grid, traj, np.arange(41), 0,
+                                   scheme.effective_theta(), use_picard, -res)
+        assert np.array_equal(phis, system.phis) and np.array_equal(gs, system.gs)
 
 
 class TestSchurJacobianConsistency:

@@ -44,6 +44,10 @@ def _stalls(x):
     raise NonconvergenceError(f"task {x}", 50, 1.0)
 
 
+def _stops(kind):
+    raise kind("stop")
+
+
 class TestParallelMap:
     def test_results_identical_across_worker_counts(self, rng):
         args = [(rng.normal(size=(30, 2, 2)) * 0.4, rng.normal(size=(30, 2)))
@@ -96,6 +100,13 @@ class TestParallelMap:
         with pytest.raises(NonconvergenceError) as err, WorkerPool(2) as pool:
             pool.map(_stalls, [(1,), (2,), (3,)])
         assert err.value.where == "task 1" and err.value.iterations == 50
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", [SystemExit, KeyboardInterrupt])
+    def test_exit_and_interrupt_surface_unwrapped(self, kind, workers):
+        # A signal handler's SystemExit must stop the caller, not count as a failed task.
+        with pytest.raises(kind), WorkerPool(workers) as pool:
+            pool.map(_stops, [(kind,), (kind,)])
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_pooled_solves_leave_no_descriptors_open(self):
