@@ -4,13 +4,13 @@ A single implicit step over an element ``(t_start, t_end)`` of a linear ODE
 ``du/dt + A(t) u + c(t) = 0`` is the affine map ``u_out = phi @ u_in + g``.
 ``linear_propagator`` builds the maps of every element of a grid at once: the
 problem callbacks run once over all evaluation times, and one batched solve
-over the stacked step matrices gives every ``[phi | g]``. theta-methods
-evaluate at the grid nodes. DG(q) assembles a ``(q+1)*m_unk`` element system
-on right-Radau nodes and keeps the endpoint-stage rows of its solution.
-``step_matrices`` is the one place theta step matrices are formed, and
-``step_solve`` the one guarded batched solve of them; the nonlinear solvers
-share both. Blocks of size m <= 6 are normalized by ``_eliminate``, whose row
-operations each act on a chunk of blocks at once (Kim et al., SC 2017).
+gives every ``[phi | g]``. theta-methods evaluate at the grid nodes. DG(q)
+assembles a ``(q+1)*m_unk`` element system on right-Radau nodes and keeps the
+endpoint-stage rows of its solution. A batch of steps is one workspace
+``[A | B]``, batch axis last as in the linear core's trees (Kim et al.,
+SC 2017). ``theta_steps`` writes it through ``step_matrices``, the one place
+theta step matrices are formed; ``step_solve`` (``_eliminate`` for m <= 6)
+turns it into ``[phi | g]`` in place. The nonlinear solvers share all three.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import SingularStepError, ValidationError
 from .problems import OdeProblem, jacobian_batch, kappa_batch
 
 _ELIMINATE_MAX_M = 6  # largest block size for ``_eliminate``; LAPACK is faster above it
-_ELIMINATE_CHUNK = 8192  # blocks per pass of ``_eliminate``: its workspace stays in cache
+_ELIMINATE_CHUNK = 8192  # blocks per pass of ``_eliminate``: the chunk stays in cache
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ def linear_propagator(problem: OdeProblem, grid: np.ndarray, scheme: Scheme):
     ``phis[i]`` (shape ``(m, m)``) and ``gs[i]`` (shape ``(m,)``) map the value
     at ``grid[i]`` to the value at ``grid[i + 1]``. One batched solve covers
     every element; a singular element raises ``SingularStepError`` with its
-    times.
+    times. Both are views of one ``(m, m+1, n)`` block, batch axis last.
     """
     if not problem.is_linear:
         raise ValidationError("linear_propagator requires a linear problem")
@@ -178,14 +178,14 @@ def linear_propagator(problem: OdeProblem, grid: np.ndarray, scheme: Scheme):
         g += (1.0 - th) * kappas[:-1]
         g *= -dt[:, None]
         del kappas  # before the Jacobians: the build's peak memory is the solve's
-        lhs, rhs = theta_steps(jacobian_batch(problem, grid, zero), dt, th, g)
+        mats = jacobian_batch(problem, grid, zero)
+        sol = step_solve(lambda: theta_steps(mats, dt, th, g), grid[:-1], grid[1:])
     else:
-        lhs, inflow, forcing = dg_element_system(problem, grid, scheme.order)
-        rhs = np.empty(forcing.shape + (m + 1,))
-        rhs[:, :, :m] = inflow
-        rhs[:, :, m] = forcing
-    sol = step_solve(lhs, rhs, grid[:-1], grid[1:])[:, -m:]  # DG: the endpoint stage
-    return sol[:, :, :m], sol[:, :, m]
+        k_mat, inflow, forcing = dg_element_system(problem, grid, scheme.order)
+        stacks = [k_mat, np.broadcast_to(inflow, (len(k_mat),) + inflow.shape), forcing[..., None]]
+        sol = step_solve(lambda: np.concatenate(stacks, axis=2).transpose(1, 2, 0).copy(),
+                         grid[:-1], grid[1:])[-m:].copy()  # the endpoint stage alone
+    return sol[:, :m].transpose(2, 0, 1), sol[:, m].T
 
 
 @functools.cache
@@ -195,43 +195,57 @@ def _eye(m: int) -> np.ndarray:
     return eye
 
 
-def step_matrices(mats, scale):
-    """``I + scale*M`` for each matrix ``M`` of a stack; ``scale`` broadcasts against it.
+def step_matrices(mats, scale, out=None):
+    """``I + scale*M`` for a matrix ``M`` ``(m, m)`` or each one of a stack ``(m, m, n)``.
 
     A theta step of width ``dt`` has the step matrix ``I + th*dt*M(t_end)``
-    and the inflow block ``I - (1-th)*dt*M(t_start)``. ``mats`` is only read,
-    so it may be an array a problem callback keeps.
+    and the inflow block ``I - (1-th)*dt*M(t_start)``; ``scale`` broadcasts
+    against ``mats``. ``mats`` is only read, so it may view an array a
+    problem callback keeps; ``out``, if given, takes the result.
     """
-    out = scale * mats
-    out += _eye(mats.shape[-1])
+    out = np.multiply(scale, mats, out=out)
+    eye = _eye(len(mats))
+    out += eye if out.ndim == 2 else eye[:, :, None]
     return out
 
 
-def theta_steps(mats, dt, th, column):
-    """Step matrices and right-hand sides ``[I - (1-th)*dt*M(t_start) | column]``
-    of the ``n`` theta steps between ``n + 1`` nodes, from the stacked node
-    matrices ``mats``, the step widths ``dt`` and the ``(n, m)`` ``column``.
+def theta_steps(mats, dt, th, column, skip=None):
+    """Workspace ``[I + th*dt*M(t_end) | I - (1-th)*dt*M(t_start) | column]``, shape
+    ``(m, 2m+1, n)``, of the ``n`` theta steps between the node matrices ``mats``.
+
+    ``dt`` holds the step widths and ``column`` is ``(n, m)``. The steps in
+    the mask ``skip`` are ``[I | 0 | 0]``, zero maps once normalized.
     """
     n, m = column.shape
-    rhs = np.empty((n, m, m + 1))
-    rhs[:, :, :m] = step_matrices(mats[:-1], -((1.0 - th) * dt)[:, None, None])
-    rhs[:, :, m] = column
-    return step_matrices(mats[1:], (th * dt)[:, None, None]), rhs
+    space = np.empty((m, 2 * m + 1, n))
+    nodes = mats.transpose(1, 2, 0)
+    step_matrices(nodes[..., 1:], th * dt, space[:, :m])
+    step_matrices(nodes[..., :-1], -((1.0 - th) * dt), space[:, m:2 * m])
+    space[:, 2 * m] = column.T
+    if skip is not None:
+        space[..., skip] = np.eye(m, 2 * m + 1)[:, :, None]
+    return space
 
 
-def step_solve(mats, rhs, t_start, t_end, where=None):
-    """Solve stacked step matrices for stacked matrix right-hand sides.
+def step_solve(build, t_start, t_end, where=None):
+    """Normalize the workspace ``[A | B]`` ``(m, m+k, n)`` that ``build()`` returns, in place.
 
-    Blocks with m <= 6 go to ``_eliminate``; larger ones, and stacks with an
-    exactly zero pivot there, to LAPACK, whose LU decides singularity. A
+    Returns the view ``space[:, m:]``, now ``A^{-1} B``. Blocks with m <= 6 go
+    to ``_eliminate``; larger ones, and stacks with an exactly zero pivot
+    there, to LAPACK on a fresh ``build()``, whose LU decides singularity. A
     singular matrix raises ``SingularStepError`` with the times of its
-    element; ``where(i)``, if given, names row ``i``.
+    element; ``where(i)``, if given, names step ``i``.
     """
+    space = build()
+    m = space.shape[0]
     try:
-        if mats.shape[-1] <= _ELIMINATE_MAX_M:
+        if m <= _ELIMINATE_MAX_M:
             with contextlib.suppress(np.linalg.LinAlgError):
-                return _eliminate(mats, rhs)
-        return np.linalg.solve(mats, rhs)
+                return _eliminate(space)
+            space = build()  # the elimination overwrote the blocks it reached
+        mats = space[:, :m].transpose(2, 0, 1)
+        space[:, m:] = np.linalg.solve(mats, space[:, m:].transpose(2, 0, 1)).transpose(1, 2, 0)
+        return space[:, m:]
     except np.linalg.LinAlgError as exc:
         bad = int(np.argmax((np.linalg.det(mats) == 0.0)
                             | ~np.isfinite(mats).all(axis=(-2, -1))))
@@ -242,24 +256,18 @@ def step_solve(mats, rhs, t_start, t_end, where=None):
         ) from exc
 
 
-def _eliminate(mats, rhs):
-    """``np.linalg.solve`` of ``(n, m, m)`` matrices and ``(n, m, k)`` right-hand sides.
+def _eliminate(space):
+    """Solve the workspace ``[A | B]`` ``(m, m+k, n)`` in place; returns the view ``A^{-1} B``.
 
-    Gaussian elimination with partial pivoting, one chunk of blocks at a time,
-    on an ``(m, m + k, chunk)`` workspace with the batch axis last: each step
-    is elementwise along it, so a block's result does not depend on the
-    others. An exactly zero pivot raises ``LinAlgError``; NaN and inf pass
-    through, as in LAPACK.
+    Gaussian elimination with partial pivoting, one chunk of blocks at a
+    time: each step is elementwise along the batch axis, so a block's result
+    does not depend on the others. ``A`` is left overwritten. An exactly
+    zero pivot raises ``LinAlgError``; NaN and inf pass through, as in LAPACK.
     """
-    n, m, k = rhs.shape
-    out = np.empty((n, m, k))
-    space = np.empty((m, m + k, min(n, _ELIMINATE_CHUNK)))
+    m, n = space.shape[0], space.shape[-1]
     with np.errstate(invalid="ignore", over="ignore"):
         for lo in range(0, n, _ELIMINATE_CHUNK):
-            hi = min(lo + _ELIMINATE_CHUNK, n)
-            work = space[:, :, :hi - lo]
-            work[:, :m] = mats[lo:hi].transpose(1, 2, 0)
-            work[:, m:] = rhs[lo:hi].transpose(1, 2, 0)
+            work = space[..., lo:lo + _ELIMINATE_CHUNK]
             for j in range(m):
                 top = work[j, j:]
                 for row in work[j + 1:, j:]:  # a larger |entry| in column j moves up
@@ -274,5 +282,4 @@ def _eliminate(mats, rhs):
                 for r in range(j + 1, m):
                     work[j, m:] -= work[j, r] * work[r, m:]
                 work[j, m:] /= work[j, j]
-            out[lo:hi] = work[:, m:].transpose(2, 0, 1)
-    return out
+    return space[:, m:]

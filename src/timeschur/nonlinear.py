@@ -130,17 +130,16 @@ def _linearized_steps(problem, ts, us, th, use_picard, column, where, skip=None)
     """Level system of the theta steps along ``(ts, us)``, linearized and normalized.
 
     ``theta_steps`` at the nodes' Jacobians, or Picard matrices where
-    ``use_picard`` (a flag, or one per node) holds, and one batched
-    ``step_solve``; ``where(i)`` names row ``i`` if its step matrix is singular.
-    The steps in the mask ``skip`` are not solved but left as zero maps.
+    ``use_picard`` (a flag, or one per node) holds, normalized in place by one
+    batched ``step_solve``; ``where(i)`` names row ``i`` if its step matrix is
+    singular. The steps in the mask ``skip`` are left as zero maps.
     """
     mats = _node_matrices(problem, ts, us, np.broadcast_to(use_picard, len(ts)))
-    lhs, rhs = theta_steps(mats, np.diff(ts), th, column)
     m = problem.m_unk
-    if skip is not None:
-        lhs[skip], rhs[skip] = np.eye(m), 0.0
-    solved = step_solve(lhs, rhs, ts[:-1], ts[1:], where)
-    return LevelSystem(level=0, phis=solved[:, :, :m], gs=solved[:, :, m], u_init=np.zeros(m))
+    solved = step_solve(lambda: theta_steps(mats, np.diff(ts), th, column, skip),
+                        ts[:-1], ts[1:], where)
+    return LevelSystem(level=0, phis=solved[:, :m].transpose(2, 0, 1), gs=solved[:, m].T,
+                       u_init=np.zeros(m))
 
 
 def _implicit_step(problem, t_start, t_end, u_prev, guess, th, policy, tol):

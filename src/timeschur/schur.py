@@ -4,7 +4,8 @@ A level system is the unit-diagonal lower block-bidiagonal problem
 
     u^0 = u_init,    u^i = phi^i @ u^{i-1} + g^i    (i = 1..n),
 
-stored as stacked propagator arrays. Each step is the affine map
+stored as propagators ``phis``/``gs``, mostly views of one batch-last block
+``[phi | g]``, the layout of the trees below. Each step is the affine map
 ``[[phi, g], [0, 1]]`` on ``[u; 1]``, so the whole solver is one recurrence of
 augmented maps, ``[A | a] o [B | b] = [A B | A b + a]``. Per subdomain it is
 a work-efficient scan (Blelloch, "Prefix sums and their applications", 1990)
@@ -40,7 +41,9 @@ class LevelSystem:
     """Block-bidiagonal system of one partition level.
 
     ``phis[i]`` and ``gs[i]`` form the propagator of element ``i + 1`` (the
-    map from node ``i`` to node ``i + 1``); ``u_init`` pins node 0.
+    map from node ``i`` to node ``i + 1``); ``u_init`` pins node 0. ``phis``
+    and ``gs`` may be views of one ``(m, m+1, n)`` array ``[phi | g]``, as
+    ``step_solve`` and ``reduce_level`` leave them.
     """
 
     level: int
@@ -119,9 +122,9 @@ def _subdomain_setup(phis: np.ndarray, gs: np.ndarray, tree: np.ndarray) -> floa
 
     ``phis`` ``(k, s, m, m)`` and ``gs`` ``(k, s, m)`` include the closing
     steps. The leaves of ``tree`` ``(m, m+1, k, width)`` are the maps
-    ``[phi | g]``, padded with ``[I | 0]``; each subdomain's root,
-    ``tree[..., -1]``, ends as its coarse step. Returns the thread CPU
-    seconds the call took.
+    ``[phi | g]`` (copied in memory order from a batch-last block), padded
+    with ``[I | 0]``; each subdomain's root, ``tree[..., -1]``, ends as its
+    coarse step. Returns the thread CPU seconds the call took.
     """
     start = time.thread_time()
     k, s, m = gs.shape
@@ -171,9 +174,9 @@ def reduce_level(sys: LevelSystem, bounds: np.ndarray, pool: WorkerPool | None =
         cpu_seconds, _, _ = pool.map(_subdomain_setup, args)
     if report is not None:
         report.add_level(sys.level, cpu_seconds)
-    roots = np.concatenate([tree[..., -1] for *_, tree in trees], axis=2).transpose(2, 0, 1)
-    return trees, LevelSystem(level=sys.level + 1, phis=roots[:, :, :m], gs=roots[:, :, m],
-                              u_init=sys.u_init.copy())
+    roots = np.concatenate([tree[..., -1] for *_, tree in trees], axis=2)  # (m, m+1, n1)
+    return trees, LevelSystem(level=sys.level + 1, phis=roots[:, :m].transpose(2, 0, 1),
+                              gs=roots[:, m].T, u_init=sys.u_init.copy())
 
 
 def sweep_down(trees: list, bounds: np.ndarray, inflows: np.ndarray,

@@ -24,6 +24,9 @@ from timeschur import (
 )
 from timeschur.integrators import (_ELIMINATE_CHUNK, _eliminate, dg_element_system,
                                    step_solve)
+from timeschur.nonlinear import _linearized_steps, _node_matrices, _schur_row_task
+
+import batch_first_oracle as oracle
 
 ALL_SCHEMES = [Scheme.theta_method(0.5), Scheme.backward_euler(),
                Scheme.dg(0), Scheme.dg(1), Scheme.dg(2)]
@@ -201,14 +204,33 @@ def _solve_residual(mats, rhs, sol):
     return np.max(np.abs(mats @ sol - rhs)) / np.max(np.abs(rhs))
 
 
+def _workspace(mats, rhs):
+    """The batch-last workspace ``[A | B]`` ``(m, m+k, n)`` of batch-first stacks."""
+    return np.concatenate([mats, rhs], axis=2).transpose(1, 2, 0).copy()
+
+
+def _eliminated(mats, rhs):
+    """``_eliminate`` of the stacks' workspace, batch-first; checks the result is its block."""
+    space = _workspace(mats, rhs)
+    sol = _eliminate(space)
+    assert sol.base is space
+    assert sol.__array_interface__ == space[:, mats.shape[-1]:].__array_interface__
+    return sol.transpose(2, 0, 1)
+
+
+def _step_solved(mats, rhs, t):
+    """``step_solve`` of the stacks' workspace, batch-first."""
+    return step_solve(lambda: _workspace(mats, rhs), t[:-1], t[1:]).transpose(2, 0, 1)
+
+
 class TestEliminationKernel:
     @pytest.mark.parametrize("m", range(1, 7))
     def test_agrees_with_lapack(self, m, rng):
         mats = rng.normal(size=(200, m, m)) + 2.0 * np.eye(m)
         rhs = rng.normal(size=(200, m, m + 1))
-        sol = _eliminate(mats, rhs)
+        sol = _eliminated(mats, rhs)
         expected = np.linalg.solve(mats, rhs)
-        assert sol.shape == expected.shape and sol.flags.c_contiguous
+        assert sol.shape == expected.shape
         assert _solve_residual(mats, rhs, sol) <= 1e-13
         assert np.max(np.abs(sol - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -217,7 +239,7 @@ class TestEliminationKernel:
         # all digits of the second unknown.
         mats = np.array([[[1e-17, 1.0], [1.0, 1.0]], [[-0.5, 2.0], [3.0, 1.0]]])
         rhs = np.array([[[1.0], [2.0]], [[1.0], [-2.0]]])
-        sol = _eliminate(mats, rhs)
+        sol = _eliminated(mats, rhs)
         assert np.allclose(sol[0, :, 0], [1.0, 1.0], rtol=1e-15, atol=0)
         assert _solve_residual(mats, rhs, sol) <= 1e-15
 
@@ -227,7 +249,7 @@ class TestEliminationKernel:
         k_mat, inflow, forcing = dg_element_system(problem, np.linspace(0.0, 2.0, 9), order)
         rhs = np.concatenate([np.broadcast_to(inflow, (8,) + inflow.shape),
                               forcing[:, :, None]], axis=2)
-        sol = _eliminate(k_mat, rhs)
+        sol = _eliminated(k_mat, rhs)
         assert _solve_residual(k_mat, rhs, sol) <= 1e-14
         expected = np.linalg.solve(k_mat, rhs)
         assert np.max(np.abs(sol - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -239,9 +261,9 @@ class TestEliminationKernel:
         mats = rng.normal(size=(n, 4, 4))
         mats[:37] = 0.1 * mats[:37] + np.eye(4)
         rhs = rng.normal(size=(n, 4, 5))
-        whole = _eliminate(mats, rhs)
-        parts = np.concatenate([_eliminate(mats[:37], rhs[:37]),
-                                _eliminate(mats[37:], rhs[37:])])
+        whole = _eliminated(mats, rhs)
+        parts = np.concatenate([_eliminated(mats[:37], rhs[:37]),
+                                _eliminated(mats[37:], rhs[37:])])
         assert np.array_equal(whole, parts)
 
     def test_singular_rows_name_the_lowest(self, rng):
@@ -250,7 +272,7 @@ class TestEliminationKernel:
         mats[2, :, 1] = 0.0
         t = np.arange(7.0)
         with pytest.raises(SingularStepError) as err:
-            step_solve(mats, rng.normal(size=(6, 3, 4)), t[:-1], t[1:])
+            _step_solved(mats, rng.normal(size=(6, 3, 4)), t)
         assert (err.value.t_start, err.value.t_end) == (2.0, 3.0)
 
     def test_zero_pivot_of_a_nonsingular_lapack_block_is_left_to_lapack(self):
@@ -260,19 +282,133 @@ class TestEliminationKernel:
         mats = np.stack([np.eye(2), np.array([[10.0, 10.0], [3.0, 3.0]])])
         rhs = np.ones((2, 2, 3))
         with pytest.raises(np.linalg.LinAlgError):
-            _eliminate(mats, rhs)
+            _eliminate(_workspace(mats, rhs))
         t = np.arange(3.0)
-        assert np.array_equal(step_solve(mats, rhs, t[:-1], t[1:]), np.linalg.solve(mats, rhs))
+        assert np.array_equal(_step_solved(mats, rhs, t), np.linalg.solve(mats, rhs))
+
+    def test_lapack_gets_the_blocks_an_earlier_chunk_overwrote(self, rng):
+        # The first chunk is eliminated in place before the zero pivot of the
+        # second stops the kernel; LAPACK solves a fresh workspace.
+        n = _ELIMINATE_CHUNK + 2
+        mats = rng.normal(size=(n, 2, 2)) + 2.0 * np.eye(2)
+        mats[-1] = [[10.0, 10.0], [3.0, 3.0]]
+        rhs = rng.normal(size=(n, 2, 3))
+        t = np.arange(n + 1.0)
+        assert np.array_equal(_step_solved(mats, rhs, t), np.linalg.solve(mats, rhs))
 
     def test_nan_block_passes_through(self, rng):
         mats = rng.normal(size=(3, 2, 2)) + 2.0 * np.eye(2)
         mats[1, 0, 1] = np.nan
         rhs = rng.normal(size=(3, 2, 3))
-        sol = _eliminate(mats, rhs)
+        sol = _eliminated(mats, rhs)
         assert np.isnan(sol[1]).any()
-        assert np.array_equal(sol[[0, 2]], _eliminate(mats[[0, 2]], rhs[[0, 2]]))
+        assert np.array_equal(sol[[0, 2]], _eliminated(mats[[0, 2]], rhs[[0, 2]]))
         t = np.arange(4.0)
-        assert np.array_equal(step_solve(mats, rhs, t[:-1], t[1:]), sol, equal_nan=True)
+        assert np.array_equal(_step_solved(mats, rhs, t), sol, equal_nan=True)
+
+
+def _random_field(m, seed, swaps):
+    """Vectorized problem whose Jacobian and Picard matrix vary with every node's value.
+
+    With ``swaps`` a cyclic shift of weight 40 dominates every Jacobian, so
+    the step matrices need row swaps wherever ``th*dt`` is not tiny.
+    """
+    rng = np.random.default_rng(seed)
+    a, b, c, d = 3.0 * rng.normal(size=(4, m, m))
+    shift = 40.0 * np.roll(np.eye(m), 1, axis=1) if swaps and m > 1 else 0.0
+
+    def jacobian(t, u):
+        return a + b * u[..., :, None] + shift
+
+    def picard(t, u):
+        return c + d * u[..., None, :]
+
+    return OdeProblem(m_unk=m, kappa=lambda t, u: u, jacobian=jacobian, picard_matrix=picard,
+                      u0=np.zeros(m), vectorized=True, name="random field")
+
+
+def _assert_build_matches_oracle(m, th, n, seed, swaps, picks, skips):
+    """The in-place build's ``phis``/``gs`` against the batch-first oracle's, bitwise.
+
+    ``picks`` is "newton", "picard" or "mixed" (a random mode per node);
+    ``skips`` draws a random ``skip`` mask.
+    """
+    rng = np.random.default_rng(seed)
+    problem = _random_field(m, seed, swaps)
+    ts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.5, n))])
+    us = rng.normal(size=(n + 1, m))
+    column = rng.normal(size=(n, m))
+    use_picard = {"newton": False, "picard": True,
+                  "mixed": rng.uniform(size=n + 1) < 0.5}[picks]
+    skip = rng.uniform(size=n) < 0.3 if skips else None
+    system = _linearized_steps(problem, ts, us, th, use_picard, column, None, skip)
+    phis, gs = oracle.linearized_steps(problem, ts, us, th, use_picard, column, skip)
+    assert np.array_equal(system.phis, phis) and np.array_equal(system.gs, gs)
+
+
+class TestInPlaceBuild:
+    """``theta_steps`` and ``step_solve`` in the batch-last workspace, against the
+    batch-first build they replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(min_value=1, max_value=8),  # 7 and 8 take the LAPACK path
+        th=st.sampled_from([0.0, 0.5, 1.0]),
+        n=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=10**6),
+        swaps=st.booleans(),
+        picks=st.sampled_from(["newton", "picard", "mixed"]),
+        skips=st.booleans(),
+    )
+    def test_equals_the_batch_first_build(self, m, th, n, seed, swaps, picks, skips):
+        _assert_build_matches_oracle(m, th, n, seed, swaps, picks, skips)
+
+    @pytest.mark.parametrize("m", [2, 7])
+    def test_equals_the_batch_first_build_over_two_chunks(self, m):
+        _assert_build_matches_oracle(m, 1.0, _ELIMINATE_CHUNK + 101, m, True, "mixed", True)
+
+    def test_shifted_jacobians_need_row_swaps(self):
+        # The oracle's first pivot search swaps rows in every block.
+        problem = _random_field(3, 0, True)
+        mats = _node_matrices(problem, np.arange(3.0), np.ones((3, 3)), np.zeros(3, bool))
+        lhs, _ = oracle.theta_steps(mats, np.full(2, 0.1), 1.0, np.zeros((2, 3)))
+        assert np.all(np.abs(lhs[:, 2, 0]) > np.abs(lhs[:, 0, 0]))
+
+    @pytest.mark.parametrize("scheme", [Scheme.theta_method(0.5), Scheme.backward_euler(),
+                                        Scheme.dg(1)], ids=lambda s: s.label)
+    def test_propagators_view_one_block(self, scheme):
+        phis, gs = linear_propagator(random_stable_linear(2, seed=2), np.linspace(0, 1, 9),
+                                     scheme)
+        assert phis.base is gs.base and phis.base.shape[-1] == 8  # batch axis last
+
+
+class TestSingularPastTheFirstChunk:
+    """An exactly singular step after the kernel's first chunk is named by its times."""
+
+    bad = _ELIMINATE_CHUNK + 17
+
+    def _grid(self):
+        # 1 - 4*dt vanishes on the one step of width 0.25.
+        widths = np.full(_ELIMINATE_CHUNK + 50, 0.125)
+        widths[self.bad] = 0.25
+        return np.concatenate([[0.0], np.cumsum(widths)])
+
+    def test_linear_propagator(self):
+        grid = self._grid()
+        with pytest.raises(SingularStepError) as err:
+            linear_propagator(linear_decay(-4.0), grid, Scheme.backward_euler())
+        assert (err.value.t_start, err.value.t_end) == (grid[self.bad], grid[self.bad + 1])
+        assert f"({grid[self.bad]:g}, {grid[self.bad + 1]:g})" in str(err.value)
+
+    def test_schur_row_task(self):
+        grid = self._grid()
+        bounds = np.append(np.arange(0, len(grid) - 1, 100), len(grid) - 1)
+        window = 3 + self.bad // 100
+        with pytest.raises(SingularStepError) as err:
+            _schur_row_task(linear_decay(-4.0), grid, np.zeros((len(grid), 1)), bounds, 3,
+                            1.0, False, np.zeros((len(grid) - 1, 1)))
+        assert (err.value.t_start, err.value.t_end) == (grid[self.bad], grid[self.bad + 1])
+        assert f"linearized window {window} " in str(err.value)
 
 
 def _step_residual(problem, t_start, t_end, u_in, u_out, scheme):
