@@ -523,13 +523,13 @@ def _random_system(n: int, m: int, rng: np.random.Generator) -> LevelSystem:
 
 def verify(workers: int = 1) -> list[CheckResult]:
     """Run the built-in oracle suite; failures are entries, never exceptions."""
-    checks = []
+    checks, be = [], Scheme.backward_euler()
 
     # Direct-method exactness against plain forward substitution.
     worst = 0.0
     for problem in (linear_decay(1.0), random_stable_linear(2, seed=3)):
         partition = build_uniform(1.0, 2000, 50)
-        sys0 = build_linear_system(problem, partition.grids[0], Scheme.backward_euler())
+        sys0 = build_linear_system(problem, partition.grids[0], be)
         exact = sequential_solve(sys0)
         ml = ml_solve(sys0, partition)
         # Relative per time step: an elementwise ratio is unbounded where a
@@ -559,8 +559,8 @@ def verify(workers: int = 1) -> list[CheckResult]:
     counts = []
     for n1 in (2, 5, 10):
         partition = build_explicit([200, n1], t_end=2.0 * math.pi)
-        _, report = newton_schur_solve(problem, partition, Scheme.backward_euler(),
-                                       LinearizationPolicy(), workers=workers)
+        _, report = newton_schur_solve(problem, partition, be, LinearizationPolicy(),
+                                       workers=workers)
         counts.append(report.outer_iterations)
     spread = float(max(counts) - min(counts))
     checks.append(CheckResult("newton_partition_independence", spread == 0.0,
@@ -569,24 +569,30 @@ def verify(workers: int = 1) -> list[CheckResult]:
     # All three nonlinear strategies solve the same discrete system.
     partition = build_explicit([300, 10], t_end=2.0 * math.pi)
     policy = LinearizationPolicy()
-    grid = partition.grids[0]
-    seq, _ = sequential_nonlinear_solve(problem, grid, Scheme.backward_euler(), policy)
-    gns, _ = newton_schur_solve(problem, partition, Scheme.backward_euler(), policy,
-                                workers=workers)
-    nls, _ = nonlinear_schur_newton_solve(problem, partition, 1, Scheme.backward_euler(),
-                                          policy, workers=workers)
+    seq, _ = sequential_nonlinear_solve(problem, partition.grids[0], be, policy)
+    gns, _ = newton_schur_solve(problem, partition, be, policy, workers=workers)
+    nls, _ = nonlinear_schur_newton_solve(problem, partition, 1, be, policy, workers=workers)
     worst = max(float(np.max(np.abs(a - b))) for a, b in ((seq, gns), (seq, nls), (gns, nls)))
     checks.append(CheckResult("nonlinear_agreement", worst <= 1e-6, worst, 1e-6))
 
     # The pool reproduces the in-process results bitwise.
-    inproc, _ = newton_schur_solve(problem, partition, Scheme.backward_euler(), policy)
+    inproc, _ = newton_schur_solve(problem, partition, be, policy)
     worst = float(np.max(np.abs(gns - inproc)))
     partition = build_explicit([2003, 40, 7], t_end=1.0)  # ragged subdomains
-    sys0 = build_linear_system(random_stable_linear(2, seed=3), partition.grids[0],
-                               Scheme.backward_euler())
+    sys0 = build_linear_system(random_stable_linear(2, seed=3), partition.grids[0], be)
     with WorkerPool(workers) as pool:
         pooled = ml_solve(sys0, partition, pool=pool)
     worst = max(worst, float(np.max(np.abs(pooled - ml_solve(sys0, partition)))))
     checks.append(CheckResult("worker_bitwise", worst == 0.0, worst, 0.0,
                               detail=f"workers={workers}"))
+
+    # Beyond one Lotka-Volterra period newton-schur converges from its coarse-grid start.
+    lv, partition = by_name("lotka-volterra"), build_explicit([2000, 20], t_end=5.0)
+    seq, _ = sequential_nonlinear_solve(lv, partition.grids[0], be, policy)
+    try:
+        worst = float(np.max(np.abs(newton_schur_solve(lv, partition, be, policy,
+                                                       workers=workers)[0] - seq)))
+    except TimeSchurError:
+        worst = math.inf
+    checks.append(CheckResult("long_horizon", worst <= 1e-6, worst, 1e-6))
     return checks

@@ -145,6 +145,8 @@ def _cmd_solve(args) -> int:
     else:
         print(f"outer iterations: {report.outer_iterations} "
               f"(picard {report.picard_iterations}, newton {report.newton_iterations})")
+        print(f"start: {report.start} (coarse outer iterations {report.coarse_iterations}"
+              f"{', abandoned for the flat start' if report.coarse_abandoned else ''})")
     if report.residual_final is not None:
         print(f"final residual norm: {report.residual_final:.3e}")
     for level in sorted(report.per_level_max):

@@ -9,7 +9,10 @@ theorem), solved by the direct multilevel method over levels k..top. Each
 linearization is Newton's or Picard's, as a hybrid policy picks. At k = 0
 every node is an interface node: nothing is extended, and the Schur complement
 is the block-bidiagonal global linearization. That is ``newton_schur_solve``;
-``nonlinear_schur_newton_solve`` runs the loop at a level k >= 1.
+``nonlinear_schur_newton_solve`` runs the loop at a level k >= 1. Without an
+``initial`` guess both start by nested iteration: the level-0 loop's solution on
+a coarse grid, interpolated, if its fine residual is below the flat guess's
+(``u0`` everywhere). If either loop fails, the level-k loop runs from that guess.
 
 The partition is the only description of the windows. An extension task
 takes a level and a range of elements of the level above it, and reads their
@@ -39,12 +42,14 @@ import numpy as np
 
 from .errors import NonconvergenceError, SingularStepError, ValidationError
 from .integrators import Scheme, checked_grid, step_matrices, step_solve, theta_steps
-from .partition import MultilevelPartition
+from .partition import MultilevelPartition, build_explicit
 from .problems import OdeProblem, jacobian_batch, kappa_batch, picard_batch, picard_operator
 from .runtime import SolverReport, WorkerPool
 from .schur import LevelSystem, assemble_schur, cost_model, ml_solve, reduce_level, sweep_down
 
 NON_FINITE = "non-finite residual"  # NonconvergenceError reason: the iteration stopped at once
+_COARSE_ELEMENTS = 100  # the nested-iteration start's coarse grid, at most
+_COARSE_MIN = 25  # and at least, or the loop starts flat
 
 @dataclass(frozen=True)
 class LinearizationPolicy:
@@ -205,25 +210,17 @@ def sequential_nonlinear_solve(
     with np.errstate(over="ignore", invalid="ignore"):  # the steps catch non-finite norms
         for i in range(1, n + 1):
             try:
-                traj[i], p, nw = _implicit_step(
-                    problem, grid[i - 1], grid[i], traj[i - 1], traj[i - 1], th, policy,
-                    tol_step
-                )
+                traj[i], p, nw = _implicit_step(problem, grid[i - 1], grid[i], traj[i - 1],
+                                                traj[i - 1], th, policy, tol_step)
             except NonconvergenceError as exc:
-                raise NonconvergenceError(
-                    f"time step {i} (t={grid[i]:g})", exc.iterations, exc.residual_norm,
-                    exc.reason
-                ) from exc
+                raise NonconvergenceError(f"time step {i} (t={grid[i]:g})", exc.iterations,
+                                          exc.residual_norm, exc.reason) from exc
             picard += p
             newton += nw
     _, norm = global_residual(problem, traj, grid, scheme)
-    report = SolverReport(solver="sequential", workers=1)
+    report = SolverReport(solver="sequential", inner_picard=picard, inner_newton=newton,
+                          avg_iterations_per_step=(picard + newton) / n, residual_history=[norm])
     report.wall_seconds = time.perf_counter() - start
-    report.inner_picard = picard
-    report.inner_newton = newton
-    report.avg_iterations_per_step = (picard + newton) / n
-    report.residual_history = [norm]
-    report.outer_iterations = 0
     return traj, report
 
 
@@ -239,12 +236,13 @@ def newton_schur_solve(
 
     It is the nonlinear Schur loop at level 0. Every update is the exact
     solution of the linearized system, so iterates (hence iteration counts)
-    do not depend on the partition. Returns ``(trajectory, report)``.
+    do not depend on the partition. It starts as the module docstring says.
+    Returns ``(trajectory, report)``.
     """
     scheme.effective_theta()  # validates scheme for nonlinear use
     if partition.n_levels < 2:
         raise ValidationError("newton_schur_solve needs a partition with at least 2 levels")
-    return _schur_loop(problem, partition, 0, scheme, policy, initial, workers)
+    return _solve(problem, partition, 0, scheme, policy, initial, workers)
 
 
 def nonlinear_schur_newton_solve(
@@ -258,18 +256,83 @@ def nonlinear_schur_newton_solve(
 ):
     """Outer loop on level-k interface values with nonlinear harmonic extensions.
 
-    The final trajectory is the extensions plus the interface values. A
-    ``TimeSchurError`` raised in a task re-raises as itself; its message names
-    the element and time.
+    The final trajectory is the extensions plus the interface values; the
+    start is ``newton_schur_solve``'s. A ``TimeSchurError`` raised in a task
+    re-raises as itself; its message names the element and time.
     """
     scheme.effective_theta()  # validates scheme for nonlinear use
     if not 1 <= k <= partition.top_level:
         raise ValidationError(f"level k={k} outside 1..{partition.top_level}")
-    return _schur_loop(problem, partition, k, scheme, policy, initial, workers)
+    return _solve(problem, partition, k, scheme, policy, initial, workers)
 
 
-def _schur_loop(problem, partition, k, scheme, policy, initial, workers):
-    """Outer loop on the level-k interface values; returns ``(trajectory, report)``.
+def _solve(problem, partition, k, scheme, policy, initial, workers):
+    """Start and run the level-k loop on one pool; returns ``(trajectory, report)``."""
+    policy = policy or LinearizationPolicy()
+    n0, m = partition.counts[0], problem.m_unk
+    flat = np.tile(problem.u0, (n0 + 1, 1))
+    report = SolverReport(solver=f"nlschur:{k}" if k else "newton-schur", workers=workers)
+    start = time.perf_counter()
+    # The loops and the start's residual test catch non-finite norms.
+    with WorkerPool(workers) as pool, np.errstate(over="ignore", invalid="ignore"):
+        if initial is not None:
+            w = np.array(initial, dtype=float)
+            if w.shape != (n0 + 1, m):
+                raise ValidationError(f"initial guess must have shape ({n0 + 1}, {m})")
+            w[0] = problem.u0
+            report.start = "given"
+        else:
+            w = _coarse_start(problem, partition.grids[0], k, scheme, policy, pool, report, flat)
+        try:
+            w = _schur_loop(problem, partition, k, scheme, policy,
+                            flat if w is None else w, pool, report)
+        except (NonconvergenceError, SingularStepError):
+            if report.start != "coarse":
+                raise
+            # Count the flat loop alone; keep the timings of all that ran.
+            report = SolverReport(report.solver, workers, per_level_max=report.per_level_max,
+                                  per_level_sum=report.per_level_sum, coarse_abandoned=True,
+                                  coarse_iterations=report.coarse_iterations)
+            w = _schur_loop(problem, partition, k, scheme, policy, flat, pool, report)
+    report.wall_seconds = time.perf_counter() - start
+    report.cost_estimate = cost_model(partition, m)
+    return w, report
+
+
+def _coarse_start(problem, grid, k, scheme, policy, pool, report, flat):
+    """Nested-iteration start: the level-0 loop's solution on a coarse grid, interpolated.
+
+    The coarse grid's ``min(_COARSE_ELEMENTS, n0 // 2)`` elements are evenly
+    spaced in the fine node index. At k >= 1 its solve is one serial level-0
+    region on the process's CPU clock, as its multilevel solves may use the
+    pool's threads. Returns None, the flat start, for a linear problem, below
+    ``_COARSE_MIN`` elements, when the coarse loop fails and when the start's
+    fine residual is not below ``flat``'s (a spurious discrete solution).
+    """
+    nc = min(_COARSE_ELEMENTS, (len(grid) - 1) // 2)
+    if problem.is_linear or nc < _COARSE_MIN:
+        return None
+    nodes = np.arange(nc + 1) * (len(grid) - 1) // nc
+    coarse = build_explicit([nc, round(math.sqrt(nc))], grid=grid[nodes])
+    inner, start = SolverReport(), time.process_time()
+    try:
+        w = _schur_loop(problem, coarse, 0, scheme, policy, np.tile(problem.u0, (nc + 1, 1)),
+                        pool, inner)
+    except (NonconvergenceError, SingularStepError):
+        w = None
+    if w is not None:
+        w = np.stack([np.interp(grid, grid[nodes], u) for u in w.T], axis=1)
+        norms = [global_residual(problem, v, grid, scheme)[1] for v in (w, flat)]
+        w = w if norms[0] < norms[1] else None
+    if k:  # newton-schur's level 0 holds its multilevel solves' shares alone
+        report.add_level(0, [time.process_time() - start])
+    report.coarse_iterations, report.coarse_abandoned = inner.outer_iterations, w is None
+    report.start = "flat" if w is None else "coarse"
+    return w
+
+
+def _schur_loop(problem, partition, k, scheme, policy, w, pool, report):
+    """Outer loop on the level-k interface values from the trajectory ``w``; returns the solution.
 
     Per outer iteration: extend the interface values into every level-k
     element by window Newton (at k = 0 every node is an interface node and
@@ -279,56 +342,40 @@ def _schur_loop(problem, partition, k, scheme, policy, initial, workers):
     (``_schur_row_task``), and update the interface values by the direct
     multilevel solve over levels k..top. The extensions and the Schur rows
     are one pool task each; only ``ml_solve`` uses the pool's threads.
+    ``w`` is the start; counts and timings go to ``report``.
     """
-    policy = policy or LinearizationPolicy()
-    th = scheme.effective_theta()
-    grid = partition.grids[0]
-    n0, m = partition.counts[0], problem.m_unk
-    if initial is None:
-        w = np.tile(problem.u0, (n0 + 1, 1))
-    else:
-        w = np.array(initial, dtype=float)
-        if w.shape != (n0 + 1, m):
-            raise ValidationError(f"initial guess must have shape ({n0 + 1}, {m})")
-        w[0] = problem.u0
+    th, grid, m = scheme.effective_theta(), partition.grids[0], problem.m_unk
     fine_k = partition.fine_nodes(k)
     z = w[fine_k]
     inside = _interior_mask(partition, k)
     interior_mask = _interior_mask(partition, max(k, 1))  # newton-schur reports level 1's
     where = f"nonlinear Schur loop at level {k}" if k else "global linearization loop"
-    report = SolverReport(solver=f"nlschur:{k}" if k else "newton-schur", workers=workers)
-    start = time.perf_counter()
-    # The outer loop catches non-finite norms.
-    with WorkerPool(workers) as pool, np.errstate(over="ignore", invalid="ignore"):
-        for it in range(policy.max_iters + 1):
-            w = _extend_all(problem, partition, k, z, w, th, policy, pool, report)
-            res, norm = global_residual(problem, w, grid, scheme)
-            report.residual_history.append(norm)
-            interior = np.linalg.norm(res, axis=1)[interior_mask]
-            report.interior_residual_history.append(float(interior.max(initial=0.0)))
-            if norm < policy.tol_global:
-                break
-            if not math.isfinite(norm):
-                raise NonconvergenceError(where, it, norm, NON_FINITE)
-            if it == policy.max_iters:
-                raise NonconvergenceError(where, policy.max_iters, norm)
-            mode = policy.pick_mode(norm)
-            report.mode_history.append(mode)
-            report.picard_iterations += mode == "picard"
-            report.newton_iterations += mode == "newton"
-            column = -res
-            column[inside] = 0.0
-            rows_start = time.thread_time()  # a one-task map runs in this thread
-            ((phis, gs),), _, _ = pool.map(_schur_row_task, [
-                (problem, grid, w, fine_k, 0, th, mode == "picard", column)])
-            if k:  # newton-schur's serial linearization would grow level 0 with n1
-                report.add_level(0, [time.thread_time() - rows_start])
-            z = z + ml_solve(LevelSystem(level=k, phis=phis, gs=gs, u_init=np.zeros(m)),
-                             partition, pool=pool, report=report)
-            report.outer_iterations += 1
-    report.wall_seconds = time.perf_counter() - start
-    report.cost_estimate = cost_model(partition, m)
-    return w, report
+    for it in range(policy.max_iters + 1):
+        w = _extend_all(problem, partition, k, z, w, th, policy, pool, report)
+        res, norm = global_residual(problem, w, grid, scheme)
+        report.residual_history.append(norm)
+        interior = np.linalg.norm(res, axis=1)[interior_mask]
+        report.interior_residual_history.append(float(interior.max(initial=0.0)))
+        if norm < policy.tol_global:
+            return w
+        if not math.isfinite(norm):
+            raise NonconvergenceError(where, it, norm, NON_FINITE)
+        if it == policy.max_iters:
+            raise NonconvergenceError(where, policy.max_iters, norm)
+        mode = policy.pick_mode(norm)
+        report.mode_history.append(mode)
+        report.picard_iterations += mode == "picard"
+        report.newton_iterations += mode == "newton"
+        column = -res
+        column[inside] = 0.0
+        rows_start = time.thread_time()  # a one-task map runs in this thread
+        ((phis, gs),), _, _ = pool.map(_schur_row_task, [
+            (problem, grid, w, fine_k, 0, th, mode == "picard", column)])
+        if k:  # newton-schur's serial linearization would grow level 0 with n1
+            report.add_level(0, [time.thread_time() - rows_start])
+        z = z + ml_solve(LevelSystem(level=k, phis=phis, gs=gs, u_init=np.zeros(m)),
+                         partition, pool=pool, report=report)
+        report.outer_iterations += 1
 
 
 def _interior_mask(partition: MultilevelPartition, level: int) -> np.ndarray:

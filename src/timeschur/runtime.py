@@ -144,6 +144,9 @@ class SolverReport:
     per_level_max: dict[int, float] = field(default_factory=dict)
     per_level_sum: dict[int, float] = field(default_factory=dict)
     wall_seconds: float = 0.0
+    start: str = "flat"  # where a Schur loop started: flat, coarse or given
+    coarse_iterations: int = 0  # the coarse-grid start's, outside outer_iterations
+    coarse_abandoned: bool = False  # a coarse start failed and the loop ran from the flat one
     cost_estimate: CostEstimate | None = None
 
     def add_level(self, level: int, task_seconds: list[float]) -> None:

@@ -81,10 +81,12 @@ def build_linear_system(problem: OdeProblem, grid: np.ndarray, scheme: Scheme) -
 def sequential_solve(sys: LevelSystem) -> np.ndarray:
     """Plain forward substitution; the baseline every parallel path must match."""
     n, m = sys.n_elements, sys.m_unk
+    # Batch-last for every input layout: strided blocks skip BLAS, which rounds otherwise.
+    phis = np.moveaxis(np.ascontiguousarray(np.moveaxis(sys.phis, 0, -1)), -1, 0)
     u = np.empty((n + 1, m))
     u[0] = sys.u_init
     for i in range(n):
-        u[i + 1] = sys.phis[i] @ u[i] + sys.gs[i]
+        u[i + 1] = phis[i] @ u[i] + sys.gs[i]
     return u
 
 

@@ -219,7 +219,7 @@ class TestVerify:
         names = {c.name for c in checks}
         assert names == {"linear_exactness", "petrov_galerkin",
                          "newton_partition_independence", "nonlinear_agreement",
-                         "worker_bitwise"}
+                         "worker_bitwise", "long_horizon"}
         pooled = {c.name: c for c in verify(workers=2)}
         assert pooled["worker_bitwise"].passed, pooled["worker_bitwise"].error
 
@@ -264,6 +264,13 @@ class TestCli:
         assert len(rows) == 201
         assert abs(float(rows[-1]["u0"]) - math.sin(2 * math.pi)) < 0.1
         assert "outer iterations" in capsys.readouterr().out
+
+    def test_solve_prints_one_start_line(self, capsys):
+        code = cli.main(["solve", "--nsteps", "400", "--subdomains", "8", "--workers", "1"])
+        assert code == 0
+        starts = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("start:")]
+        assert starts == ["start: coarse (coarse outer iterations 7)"]
 
     def test_solve_with_ratio_builds_hierarchy(self, capsys):
         code = cli.main(["solve", "--problem", "decay", "--lam", "2.0",

@@ -1,3 +1,5 @@
+import itertools
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -696,3 +698,111 @@ class TestSchurJacobianConsistency:
             action[i] = d_close @ direction[i + 1] - d_close @ blk @ direction[i]
         scale = np.max(np.abs(action)) + 1e-30
         assert np.max(np.abs(action - fd)) / scale <= 1e-5
+
+
+def spy_on_loops(monkeypatch):
+    """Record each ``_schur_loop`` call as ``(fine elements, k, seconds)``."""
+    calls = []
+    real = nonlinear._schur_loop
+
+    def spy(problem, partition, k, *args):
+        start = time.perf_counter()
+        try:
+            return real(problem, partition, k, *args)
+        finally:
+            calls.append((partition.counts[0], k, time.perf_counter() - start))
+
+    monkeypatch.setattr(nonlinear, "_schur_loop", spy)
+    return calls
+
+
+class TestNestedStart:
+    """The coarse-grid start of the Schur loop, its report and its fallback."""
+
+    def test_report_records_the_coarse_start(self, monkeypatch):
+        prob = benchmark_lv()
+        part = build_explicit([2000, 20], t_end=3.0)
+        clock = itertools.count(0.0, 1000.0)  # the coarse region reads 1000 s
+        monkeypatch.setattr(nonlinear.time, "process_time", lambda: next(clock))
+        calls = spy_on_loops(monkeypatch)
+        _, gns = newton_schur_solve(prob, part, BE)
+        _, nls = nonlinear_schur_newton_solve(prob, part, 1, BE)
+        assert [c[:2] for c in calls] == [(100, 0), (2000, 0), (100, 0), (2000, 1)]
+        for report, (coarse, fine) in ((gns, calls[:2]), (nls, calls[2:])):
+            assert (report.start, report.coarse_abandoned) == ("coarse", False)
+            assert report.coarse_iterations == 7
+            assert report.outer_iterations == len(report.mode_history) == 4
+            assert report.wall_seconds >= coarse[2] + fine[2]
+        # One serial level-0 region at k >= 1; newton-schur's level 0 holds
+        # its multilevel solves' shares alone.
+        assert 1000.0 <= nls.per_level_max[0] < 1001.0
+        assert gns.per_level_max[0] < 1.0
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_one_period_beyond_the_benchmark_horizon_converges(self, k):
+        # From the flat start newton-schur stops at a non-finite residual here.
+        prob = benchmark_lv()
+        part = build_explicit([2000, 20], t_end=5.0)
+        policy = LinearizationPolicy()
+        if k:
+            traj, report = nonlinear_schur_newton_solve(prob, part, k, BE, policy)
+        else:
+            traj, report = newton_schur_solve(prob, part, BE, policy)
+        assert report.start == "coarse" and report.residual_final < policy.tol_global
+        seq, _ = sequential_nonlinear_solve(prob, part.grids[0], BE, policy)
+        assert np.max(np.abs(traj - seq)) <= 1e-6
+
+    def test_failed_coarse_start_falls_back_to_the_flat_start(self):
+        prob = benchmark_lv()
+        part = build_explicit([80, 4], t_end=10.0)
+        traj, report = nonlinear_schur_newton_solve(prob, part, 1, BE)
+        assert (report.start, report.coarse_abandoned) == ("flat", True)
+        assert report.coarse_iterations > 0 and report.residual_final < 1e-8
+        seq, _ = sequential_nonlinear_solve(prob, part.grids[0], BE)
+        assert np.max(np.abs(traj - seq)) <= 1e-6 * np.max(np.abs(seq))
+        # The fallback is the flat-start loop as it runs on its own.
+        flat, rep_flat = nonlinear_schur_newton_solve(prob, part, 1, BE,
+                                                      initial=np.tile(prob.u0, (81, 1)))
+        assert np.array_equal(traj, flat)
+        assert report.residual_history == rep_flat.residual_history
+        assert report.outer_iterations == rep_flat.outer_iterations
+
+    def test_the_user_sees_the_flat_start_error(self, monkeypatch):
+        real = nonlinear._schur_loop
+        fine_calls = []
+
+        def failing(problem, partition, k, *args):
+            if partition.counts[0] == 100:  # the coarse loop converges
+                return real(problem, partition, k, *args)
+            fine_calls.append(len(fine_calls))
+            raise NonconvergenceError(f"fine loop {len(fine_calls)}", 1, 1.0)
+
+        monkeypatch.setattr(nonlinear, "_schur_loop", failing)
+        with pytest.raises(NonconvergenceError, match="fine loop 2"):
+            newton_schur_solve(benchmark_lv(), build_explicit([400, 8], t_end=3.0), BE)
+        assert fine_calls == [0, 1]
+
+    def test_given_initial_and_linear_problems_run_no_coarse_solve(self, monkeypatch):
+        calls = spy_on_loops(monkeypatch)
+        prob = benchmark_lv()
+        part = build_explicit([400, 8], t_end=3.0)
+        _, report = newton_schur_solve(prob, part, BE, initial=np.tile(prob.u0, (401, 1)))
+        assert (report.start, report.coarse_iterations) == ("given", 0)
+        _, report = nonlinear_schur_newton_solve(random_stable_linear(2, seed=6),
+                                                 build_explicit([600, 6], t_end=1.0), 1, BE)
+        assert (report.start, report.coarse_iterations) == ("flat", 0)
+        assert not report.coarse_abandoned
+        assert [c[:2] for c in calls] == [(400, 0), (600, 1)]
+
+    def test_small_grids_start_flat(self, monkeypatch):
+        calls = spy_on_loops(monkeypatch)
+        _, report = newton_schur_solve(benchmark_lv(), build_explicit([48, 4], t_end=3.0), BE)
+        assert report.start == "flat" and [c[:2] for c in calls] == [(48, 0)]
+
+    def test_newton_schur_counts_do_not_depend_on_the_subdomain_count(self):
+        prob = benchmark_lv()
+        counts = []
+        for n1 in (10, 20, 40):
+            _, report = newton_schur_solve(prob, build_explicit([2000, n1], t_end=3.0), BE)
+            counts.append((report.coarse_iterations, report.outer_iterations))
+        assert counts[0] == counts[1] == counts[2]

@@ -470,3 +470,14 @@ def test_ml_solve_bitwise_equal_across_worker_counts(two_workers, counts, m, see
     with WorkerPool(1) as one_worker:
         serial = ml_solve(sys0, part, pool=one_worker)
     assert np.array_equal(serial, ml_solve(sys0, part, pool=two_workers))
+
+
+def test_forward_substitution_does_not_depend_on_the_layout_of_phis():
+    # build_linear_system leaves phis a strided view of the [phi | g] block.
+    for seed in (1, 2, 3):
+        view = build_linear_system(random_stable_linear(2, seed=seed), np.linspace(0, 1, 2001),
+                                   Scheme.backward_euler())
+        assert not view.phis.flags.c_contiguous
+        contiguous = LevelSystem(level=0, phis=np.ascontiguousarray(view.phis),
+                                 gs=np.ascontiguousarray(view.gs), u_init=view.u_init)
+        assert np.array_equal(sequential_solve(view), sequential_solve(contiguous))
