@@ -12,7 +12,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,11 +71,7 @@ class ExperimentSpec:
     ratio: int | None = None
     levels: int | None = None
     adaptive: bool = False
-    mode: str = "hybrid"
-    switch_norm: float = 1e2
-    tol_global: float = 1e-8
-    tol_local: float = 1e-10
-    max_iters: int = 50
+    policy: LinearizationPolicy = field(default_factory=LinearizationPolicy)
     workers: int | None = None
     reps: int = 1
 
@@ -100,15 +96,6 @@ class ExperimentSpec:
 
     def scheme_obj(self) -> Scheme:
         return parse_scheme(self.scheme)
-
-    def policy(self) -> LinearizationPolicy:
-        return LinearizationPolicy(
-            mode=self.mode,
-            switch_norm=self.switch_norm,
-            tol_global=self.tol_global,
-            tol_local=self.tol_local,
-            max_iters=self.max_iters,
-        )
 
     def build_partition(self) -> MultilevelPartition:
         t_end = self.resolved_t_end()
@@ -148,15 +135,14 @@ def run_solver(spec: ExperimentSpec, partition: MultilevelPartition | None = Non
     """Dispatch one solve; returns ``(trajectory, report)``."""
     problem = spec.build_problem()
     scheme = spec.scheme_obj()
-    policy = spec.policy()
     partition = partition if partition is not None else spec.build_partition()
     workers = workers if workers is not None else spec.run_workers()
     kind, level = parse_solver(spec.solver)
     if kind == "sequential":
-        return sequential_nonlinear_solve(problem, partition.grids[0], scheme, policy)
+        return sequential_nonlinear_solve(problem, partition.grids[0], scheme, spec.policy)
     if kind == "newton-schur":
-        return newton_schur_solve(problem, partition, scheme, policy, workers=workers)
-    return nonlinear_schur_newton_solve(problem, partition, level, scheme, policy,
+        return newton_schur_solve(problem, partition, scheme, spec.policy, workers=workers)
+    return nonlinear_schur_newton_solve(problem, partition, level, scheme, spec.policy,
                                         workers=workers)
 
 
@@ -286,12 +272,11 @@ def run_weak_scaling(spec: ExperimentSpec, n1_list: list[int],
         raise ValidationError("local size must be >= 1")
     runs = []  # parallel, then baseline, per point
     for n1 in n1_list:
-        point = ExperimentSpec(**{**asdict(spec), "n0": local_size * n1, "n1": n1,
-                                  "n2": None, "ratio": None, "adaptive": False})
+        point = replace(spec, n0=local_size * n1, n1=n1, n2=None, ratio=None, adaptive=False)
         partition = point.build_partition()
         # One modeled worker per subdomain (threads cap at the usable CPUs).
         workers = n1 if spec.workers is None else min(n1, spec.workers)
-        seq = ExperimentSpec(**{**asdict(point), "solver": "sequential"})
+        seq = replace(point, solver="sequential")
         runs += [(point, partition, workers,
                   _base_row(point, "weak-scaling", "parallel", partition, workers)),
                  (seq, partition, 1,
@@ -490,7 +475,7 @@ def _lv_phase_rows(spec: ExperimentSpec):
     t_end = spec.t_end if spec.t_end is not None else 3.0
     n0 = spec.n0
     grid = np.linspace(0.0, t_end, n0 + 1)
-    traj, _ = sequential_nonlinear_solve(problem, grid, spec.scheme_obj(), spec.policy())
+    traj, _ = sequential_nonlinear_solve(problem, grid, spec.scheme_obj(), spec.policy)
     return [row for t, (u, v) in zip(grid, traj) for row in ((t, "prey", u), (t, "predator", v))]
 
 
@@ -499,7 +484,7 @@ def _convergence_rows(spec: ExperimentSpec):
     # (0, 2*pi], 15 subdomains, one-point DG.
     partition = build_explicit([500, 15], t_end=2.0 * math.pi)
     problem = forced_riccati()
-    _, report = newton_schur_solve(problem, partition, Scheme.dg(0), spec.policy())
+    _, report = newton_schur_solve(problem, partition, Scheme.dg(0), spec.policy)
     return [(float(i), "residual", r) for i, r in enumerate(report.residual_history)]
 
 

@@ -17,12 +17,12 @@ import sys
 
 from . import bench
 from .errors import NonconvergenceError, SingularStepError, TimeSchurError, ValidationError
-from .problems import default_t_end
-from .runtime import available_workers
+from .nonlinear import LinearizationPolicy
 
 # Exit code of each package error type; the base class, last, takes the rest.
 _EXIT_CODES = ((ValidationError, 2), (NonconvergenceError, 3), (SingularStepError, 4),
               (TimeSchurError, 5))
+_POLICY = LinearizationPolicy()  # the run flags' defaults
 
 
 def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
@@ -44,11 +44,11 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--scheme", default="be", help="be | theta:<v> | dg0 | dg1 | dg2")
     group.add_argument("--solver", default="newton-schur",
                        help="sequential | newton-schur | nlschur:<k>")
-    group.add_argument("--tol-global", type=float, default=1e-8)
-    group.add_argument("--tol-local", type=float, default=1e-10)
-    group.add_argument("--picard-switch", type=float, default=1e2,
+    group.add_argument("--tol-global", type=float, default=_POLICY.tol_global)
+    group.add_argument("--tol-local", type=float, default=_POLICY.tol_local)
+    group.add_argument("--picard-switch", type=float, default=_POLICY.switch_norm,
                        help="hybrid Picard->Newton switch norm")
-    group.add_argument("--max-iters", type=int, default=50)
+    group.add_argument("--max-iters", type=int, default=_POLICY.max_iters)
     group.add_argument("--workers", type=int, default=None,
                        help="modeled workers; threads cap at the usable CPUs (default: all)")
     group.add_argument("--reps", type=int, default=1)
@@ -64,21 +64,18 @@ def _spec_from_args(args: argparse.Namespace, **overrides) -> bench.ExperimentSp
             value = getattr(args, key)
             if value is not None:
                 params[key] = value
-    fields = dict(
+    return bench.ExperimentSpec(
         problem=args.problem,
         problem_params=params,
         scheme=args.scheme,
         solver=args.solver,
         t_end=args.t_end,
-        switch_norm=args.picard_switch,
-        tol_global=args.tol_global,
-        tol_local=args.tol_local,
-        max_iters=args.max_iters,
+        policy=LinearizationPolicy(switch_norm=args.picard_switch, tol_global=args.tol_global,
+                                   tol_local=args.tol_local, max_iters=args.max_iters),
         workers=args.workers,
         reps=args.reps,
+        **overrides,
     )
-    fields.update(overrides)
-    return bench.ExperimentSpec(**fields)
 
 
 def _build_parser() -> argparse.ArgumentParser:

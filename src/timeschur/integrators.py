@@ -182,8 +182,10 @@ def linear_propagator(problem: OdeProblem, grid: np.ndarray, scheme: Scheme):
         sol = step_solve(lambda: theta_steps(mats, dt, th, g), grid[:-1], grid[1:])
     else:
         k_mat, inflow, forcing = dg_element_system(problem, grid, scheme.order)
-        stacks = [k_mat, np.broadcast_to(inflow, (len(k_mat),) + inflow.shape), forcing[..., None]]
-        sol = step_solve(lambda: np.concatenate(stacks, axis=2).transpose(1, 2, 0).copy(),
+        n, sm = forcing.shape  # one copy into the batch-last workspace; no callbacks on rebuild
+        stacks = [k_mat.transpose(1, 2, 0), np.broadcast_to(inflow[..., None], inflow.shape + (n,)),
+                  forcing.T[:, None]]
+        sol = step_solve(lambda: np.concatenate(stacks, axis=1, out=np.empty((sm, sm + m + 1, n))),
                          grid[:-1], grid[1:])[-m:].copy()  # the endpoint stage alone
     return sol[:, :m].transpose(2, 0, 1), sol[:, m].T
 

@@ -24,8 +24,9 @@ windows of a task at once, and the update is a linear recurrence per window,
 solved in log depth by the up-sweep and the down-sweep from a zero inflow. The
 update of a window depends only on that window, so iterates do not depend on
 how windows are grouped. A window whose residual rises above its warm start's,
-turns non-finite or exhausts its budget falls back to ``_march``, which solves
-it step by step with ``_implicit_step``, the one-step solver of time-marching.
+turns non-finite or exhausts its budget falls back to ``_march``, the
+time-marching loop of ``sequential_nonlinear_solve``, which solves it step by
+step with ``_implicit_step``.
 The Schur rows of the interface system are the linear reduction of ``schur``
 applied to one batched linearization: the roots of the up-sweep over the
 windows' normalized steps (``assemble_schur``), which one-step windows skip.
@@ -192,7 +193,7 @@ def sequential_nonlinear_solve(
     scheme: Scheme,
     policy: LinearizationPolicy | None = None,
 ):
-    """Time-marching solve with a Picard/Newton inner loop at every step.
+    """Time-marching solve, ``_march`` over the whole grid, from the previous value each step.
 
     Per-step solves stop at ``tol_global / sqrt(n)`` so that the returned
     trajectory's stacked global residual norm meets ``tol_global``. Reports
@@ -202,21 +203,11 @@ def sequential_nonlinear_solve(
     th = scheme.effective_theta()
     grid = checked_grid(grid)
     n = len(grid) - 1
-    tol_step = policy.tol_global / np.sqrt(n)
-    traj = np.empty((n + 1, problem.m_unk))
-    traj[0] = problem.u0
-    picard = newton = 0
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):  # the steps catch non-finite norms
-        for i in range(1, n + 1):
-            try:
-                traj[i], p, nw = _implicit_step(problem, grid[i - 1], grid[i], traj[i - 1],
-                                                traj[i - 1], th, policy, tol_step)
-            except NonconvergenceError as exc:
-                raise NonconvergenceError(f"time step {i} (t={grid[i]:g})", exc.iterations,
-                                          exc.residual_norm, exc.reason) from exc
-            picard += p
-            newton += nw
+        traj, picard, newton = _march(problem, grid, problem.u0, None, th, policy,
+                                      policy.tol_global / np.sqrt(n),
+                                      lambda i: f"time step {i} (t={grid[i]:g})")
     _, norm = global_residual(problem, traj, grid, scheme)
     report = SolverReport(solver="sequential", inner_picard=picard, inner_newton=newton,
                           avg_iterations_per_step=(picard + newton) / n, residual_history=[norm])
@@ -483,8 +474,10 @@ def _extension_task(problem, partition, level, lo, hi, inflows, warm, th, policy
                                      | (it == policy.max_inner))
             for j in np.flatnonzero(failed):
                 a, b = bounds[j], bounds[j + 1]
-                u[a:b], p, nw = _march(problem, ts[a:b], inflows[j], warm[a:b], th, policy,
-                                       level, lo + j)
+                u[a:b], p, nw = _march(
+                    problem, ts[a:b], inflows[j], warm[a:b], th, policy, policy.tol_local,
+                    lambda i: f"nonlinear extension (level {level}, element {lo + j}, "
+                              f"t={ts[a + i]:g})")
                 picard += p
                 newton += nw
             live &= ~done & ~failed
@@ -503,27 +496,27 @@ def _extension_task(problem, partition, level, lo, hi, inflows, warm, th, policy
     return u[:-1], picard, newton
 
 
-def _march(problem, ts, inflow, warm, th, policy, level, element):
-    """Level-``level`` extension of window ``element`` by time-marching.
+def _march(problem, ts, inflow, warm, th, policy, tol, where):
+    """Time-march the steps of ``ts`` from ``inflow``; returns ``(values, picard, newton)``.
 
-    The window's first value is pinned to ``inflow``; each later step is
-    solved to ``tol_local`` from its guess in ``warm`` by ``_implicit_step``.
-    Returns ``(values, picard, newton)``; errors name the element and time.
+    ``values[0]`` is ``inflow``; each later step is solved to ``tol`` by
+    ``_implicit_step`` from its guess in ``warm``, or from the previous value
+    if ``warm`` is None. Errors name step ``j`` as ``where(j)``.
     """
     values = np.empty((len(ts), problem.m_unk))
     values[0] = inflow
     picard = newton = 0
     for j in range(1, len(ts)):
-        where = f"nonlinear extension (level {level}, element {element}, t={ts[j]:g})"
+        guess = values[j - 1] if warm is None else warm[j]
         try:
-            values[j], p, nw = _implicit_step(problem, ts[j - 1], ts[j], values[j - 1], warm[j],
-                                              th, policy, policy.tol_local)
+            values[j], p, nw = _implicit_step(problem, ts[j - 1], ts[j], values[j - 1], guess,
+                                              th, policy, tol)
         except NonconvergenceError as exc:
-            raise NonconvergenceError(where, exc.iterations, exc.residual_norm,
+            raise NonconvergenceError(where(j), exc.iterations, exc.residual_norm,
                                       exc.reason) from exc
         except SingularStepError as exc:
             raise SingularStepError(
-                f"singular step matrix in {where} on element ({exc.t_start:g}, {exc.t_end:g})",
+                f"singular step matrix in {where(j)} on element ({exc.t_start:g}, {exc.t_end:g})",
                 exc.t_start, exc.t_end) from exc
         picard += p
         newton += nw

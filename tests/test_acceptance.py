@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import forward_substitution_oracle
+from oracles import forward_substitution_oracle
 from timeschur import (
     LinearizationPolicy,
     Scheme,

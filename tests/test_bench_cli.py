@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from timeschur import ValidationError, bench, cli
+from timeschur import LinearizationPolicy, ValidationError, bench, cli
 from timeschur.bench import (
     CSV_COLUMNS,
     ExperimentSpec,
@@ -56,6 +56,24 @@ class TestSpec:
         with pytest.raises(ValidationError):
             ExperimentSpec(n0=n0)
 
+    @pytest.mark.parametrize("spec, counts", [
+        (ExperimentSpec(n0=100, n1=10, n2=2), (100, 10, 2)),
+        (ExperimentSpec(n0=64, ratio=4), (64, 16, 4, 1)),
+        (ExperimentSpec(n0=2000, n1=100, adaptive=True), (2000, 45)),  # round(sqrt(2000))
+    ])
+    def test_builds_its_partition(self, spec, counts):
+        assert spec.build_partition().counts == counts
+
+    @pytest.mark.parametrize("call, text", [
+        (lambda: run_weak_scaling(ExperimentSpec(**LV), [2, 4], 0), "local size must be >= 1"),
+        (lambda: run_three_level(ExperimentSpec(**LV, n1=None, n2=4)),
+         "three-level runs need n1"),
+    ])
+    def test_runs_reject_missing_sizes(self, call, text):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == text
+
 
 class TestWeakScaling:
     def test_rows_have_expected_shape(self, tmp_path):
@@ -87,7 +105,7 @@ class TestWeakScaling:
             run_weak_scaling(ExperimentSpec(**LV), [4, 2], 10)
 
     def test_solver_failure_becomes_row_and_run_continues(self):
-        spec = ExperimentSpec(**LV, mode="newton", max_iters=1)
+        spec = ExperimentSpec(**LV, policy=LinearizationPolicy(mode="newton", max_iters=1))
         rows = run_weak_scaling(spec, [2, 4], 25)
         failed = [r for r in rows if r["status"] == "failed"]
         assert len(failed) == 2
@@ -399,6 +417,26 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["weak-scaling", "--local-size", "5", "--n1-list", "2,4"],
+        ["three-level", "--nsteps", "40", "--subdomains", "4", "--n2", "2",
+         "--compare-two-level"],
+    ])
+    @pytest.mark.parametrize("flag", ["--tol-global", "--tol-local", "--picard-switch"])
+    def test_nan_tolerance_exits_2_before_any_run(self, argv, flag, tmp_path, monkeypatch,
+                                                  capsys):
+        monkeypatch.chdir(tmp_path)  # where the CSV would go
+        assert cli.main([*argv, "--problem", "decay", flag, "nan"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["solve"], ["weak-scaling"], ["three-level"],
+                                      ["figure", "--kind", "lv-phase"]])
+    def test_run_flags_default_to_the_default_policy(self, argv):
+        args, policy = cli._build_parser().parse_args(argv), LinearizationPolicy()
+        assert (args.tol_global, args.tol_local, args.picard_switch, args.max_iters) == \
+            (policy.tol_global, policy.tol_local, policy.switch_norm, policy.max_iters)
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_nonconvergent_extension_exits_3(self, workers, capsys):
         code = cli.main(["solve", "--problem", "lotka-volterra", "--nsteps", "40",
@@ -411,4 +449,5 @@ class TestCli:
         code = cli.main(["solve", "--problem", "decay", "--lam=-10", "--t-end", "1",
                         "--nsteps", "10", "--subdomains", "2", "--solver", "sequential"])
         assert code == 4
-        assert "singular step matrix on element (0, 0.1)" in capsys.readouterr().err
+        assert ("singular step matrix in time step 1 (t=0.1) on element (0, 0.1)"
+                in capsys.readouterr().err)

@@ -479,3 +479,47 @@ class TestNonlinearStepResidual:
         j_out, j_in = _fd_step_jacobians(problem, 0.1, 0.13, u_in, u_out, scheme)
         expected = -np.linalg.solve(j_out, j_in)
         assert np.max(np.abs(phi - expected)) <= 1e-6 * max(1.0, np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: Scheme(kind="dg", order=3), "DG order must be 0, 1, or 2"),
+    (lambda: Scheme(kind="rk"), "unknown scheme kind 'rk'"),
+    (lambda: dg_element_system(forced_riccati(), np.array([0.0, 0.1]), 1),
+     "dg_element_system requires a linear problem"),
+])
+def test_rejects_invalid_schemes_and_nonlinear_dg_systems(call, text):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == text
+
+
+class TestDgWorkspace:
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("problem", [cosine_drive(), VARYING, random_stable_linear(3, seed=4)],
+                             ids=lambda p: f"m{p.m_unk}")
+    def test_equals_a_solve_of_the_concatenated_element_systems(self, problem, order):
+        # The batch-first build it replaced, bitwise. Up to 6 unknowns per
+        # element run ``_eliminate``; m = 3 at DG(2) has 9 and runs LAPACK.
+        grid = np.linspace(0.0, 1.0, 41)
+        k_mat, inflow, forcing = dg_element_system(problem, grid, order)
+        space = np.concatenate([k_mat, np.broadcast_to(inflow, (40,) + inflow.shape),
+                                forcing[..., None]], axis=2).transpose(1, 2, 0).copy()
+        sol = step_solve(lambda: space, grid[:-1], grid[1:])[-problem.m_unk:]
+        phis, gs = linear_propagator(problem, grid, Scheme.dg(order))
+        assert np.array_equal(phis, sol[:, :problem.m_unk].transpose(2, 0, 1))
+        assert np.array_equal(gs, sol[:, problem.m_unk].T)
+
+    def test_rebuild_after_a_zero_pivot_runs_no_callbacks(self):
+        # DG(0) of du/dt = 4 u is singular on the element of width 0.25: the
+        # elimination stops at its zero pivot and LAPACK gets a rebuilt workspace.
+        calls = []
+
+        def jacobian(t, u):
+            calls.append(t)
+            return np.array([[-4.0]])
+
+        problem = OdeProblem(m_unk=1, kappa=lambda t, u: -4.0 * u, jacobian=jacobian,
+                             u0=np.ones(1), is_linear=True)
+        with pytest.raises(SingularStepError):
+            linear_propagator(problem, np.array([0.0, 0.125, 0.375, 0.5]), Scheme.dg(0))
+        assert len(calls) == 3

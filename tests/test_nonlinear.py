@@ -308,7 +308,7 @@ def run_against_single_windows(prob, part, level, inflows, warm, policy):
         assert np.array_equal(values[a:b], one)
         counts.append((one_picard, one_newton))
         marched[a:b], one_picard, one_newton = _march(prob, ts[a:b], inflows[i], warm[a:b], 1.0,
-                                                      policy, level, i)
+                                                      policy, policy.tol_local, str)
         marched_counts.append((one_picard, one_newton))
     assert (picard, newton) == tuple(map(sum, zip(*counts)))
     return values, counts, marched, marched_counts
@@ -425,9 +425,10 @@ class TestWindowNewton:
         # marching converges on them.
         marched = []
 
-        def spy(*args):
-            marched.append(args[-1])  # the global index of the marched window
-            return _march(*args)
+        def spy(problem, ts, inflow, warm, th, policy, tol, where):
+            if warm is not None:  # a window, not the sequential solve's whole grid
+                marched.append(where(1))  # names the marched window
+            return _march(problem, ts, inflow, warm, th, policy, tol, where)
 
         monkeypatch.setattr(nonlinear, "_march", spy)
         prob = benchmark_lv()
@@ -435,7 +436,9 @@ class TestWindowNewton:
         traj, report = nonlinear_schur_newton_solve(prob, part, 1, BE)
         # Both windows of the first extension, from the flat initial guess;
         # window Newton alone extends the later, closer guesses.
-        assert marched == [0, 1] and report.outer_iterations > 1
+        assert marched == ["nonlinear extension (level 0, element 0, t=0.5)",
+                           "nonlinear extension (level 0, element 1, t=10.5)"]
+        assert report.outer_iterations > 1
         assert report.residual_final < 1e-8
         seq, _ = sequential_nonlinear_solve(prob, part.grids[0], BE)
         assert np.max(np.abs(traj - seq)) <= 1e-6 * np.max(np.abs(seq))
@@ -806,3 +809,26 @@ class TestNestedStart:
             _, report = newton_schur_solve(prob, build_explicit([2000, n1], t_end=3.0), BE)
             counts.append((report.coarse_iterations, report.outer_iterations))
         assert counts[0] == counts[1] == counts[2]
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: newton_schur_solve(benchmark_lv(), build_explicit([40, 4], t_end=3.0), BE,
+                                initial=np.zeros((40, 2))),
+     ValidationError, "initial guess must have shape (41, 2)"),
+    (lambda: nonlinear_harmonic_extension(benchmark_lv(), build_explicit([40, 4], t_end=3.0),
+                                          0, 1, np.ones(2), np.ones((9, 2)), BE,
+                                          LinearizationPolicy()),
+     ValidationError, "warm start does not match the element's fine window"),
+    # A NaN warm value sends the window to marching at once; its first step,
+    # (1.25, 1.375) with dt*lam = -1, is singular.
+    (lambda: nonlinear_harmonic_extension(linear_decay(-8.0), build_explicit([20, 2], t_end=2.5),
+                                          0, 1, np.ones(1),
+                                          np.where(np.arange(10) == 5, np.nan, 1.0)[:, None],
+                                          BE, LinearizationPolicy()),
+     SingularStepError, "singular step matrix in nonlinear extension (level 0, element 1, "
+                        "t=1.375) on element (1.25, 1.375)"),
+])
+def test_rejected_inputs_and_singular_marched_steps_are_named(call, error, text):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == text

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,3 +138,28 @@ def test_uniform_invariants(n0, theta):
         assert np.all(np.diff(m) >= 1)
     if n0 > theta:
         assert part.n_levels >= 2
+
+
+def _broken(**fields):
+    """A two-level partition of 10 elements into 2 with ``fields`` replaced."""
+    return replace(build_explicit([10, 2], t_end=1.0), **fields)
+
+
+@pytest.mark.parametrize("part, text", [
+    (_broken(t_end=math.nan), "t_end must be finite and positive, got nan"),
+    (_broken(aggs=()), "inconsistent level bookkeeping"),
+    (_broken(counts=(0, 2)), "level 0 has no elements"),
+    (_broken(counts=(9, 2)), "level 0 grid size mismatch"),
+    (_broken(grids=(np.linspace(0.0, 0.9, 11), np.array([0.0, 0.45, 0.9]))),
+     "level 0 grid does not span [0, t_end]"),
+    (_broken(grids=(np.r_[0.0, 0.2, 0.1, np.linspace(0.3, 1.0, 8)], np.array([0.0, 0.5, 1.0]))),
+     "level 0 grid is not strictly increasing"),
+    (_broken(aggs=(np.array([0, 5, 9]),)), "aggregation to level 1 misses the endpoints"),
+    (_broken(aggs=(np.array([0, 5, 5, 10]),)), "aggregation to level 1 is not strictly increasing"),
+    (_broken(grids=(np.linspace(0.0, 1.0, 11), np.array([0.0, 0.55, 1.0]))),
+     "level 1 grid is not nested in level 0"),
+])
+def test_validate_names_each_broken_invariant(part, text):
+    with pytest.raises(ValidationError) as info:
+        part.validate()
+    assert str(info.value) == text

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import fd_jacobian
+from oracles import fd_jacobian
 from timeschur import (
     LinearizationPolicy,
+    OdeProblem,
     Scheme,
     ValidationError,
     build_linear_system,
@@ -172,3 +173,20 @@ def test_problem_lookup_by_name():
     assert lv.m_unk == 2
     with pytest.raises(ValidationError):
         by_name("heat-equation")
+
+
+
+@pytest.mark.parametrize("u0", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
+def test_rejects_an_initial_value_of_the_wrong_shape(u0):
+    with pytest.raises(ValidationError, match=r"u0 must have shape \(2,\)"):
+        OdeProblem(m_unk=2, kappa=lambda t, u: u, jacobian=lambda t, u: np.eye(2), u0=u0)
+
+
+@pytest.mark.parametrize("batch", [jacobian_batch, picard_batch])
+def test_one_matrix_from_a_vectorized_callback_is_broadcast_to_every_row(batch):
+    mat = np.array([[0.0, 1.0], [-2.0, 0.5]])
+    problem = OdeProblem(m_unk=2, kappa=lambda t, u: u @ mat.T, jacobian=lambda t, u: mat,
+                         u0=np.ones(2), picard_matrix=lambda t, u: mat, vectorized=True)
+    mats = batch(problem, np.linspace(0.0, 1.0, 4), np.ones((4, 2)))
+    assert mats.shape == (4, 2, 2) and mats.flags.writeable  # a copy, not a broadcast view
+    assert all(np.array_equal(row, mat) for row in mats)

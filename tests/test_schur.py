@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import forward_substitution_oracle, random_system
+from oracles import forward_substitution_oracle, random_system
 from timeschur import (
     LevelSystem,
     Scheme,
+    ValidationError,
     WorkerPool,
     build_explicit,
     build_linear_system,
@@ -481,3 +482,14 @@ def test_forward_substitution_does_not_depend_on_the_layout_of_phis():
         contiguous = LevelSystem(level=0, phis=np.ascontiguousarray(view.phis),
                                  gs=np.ascontiguousarray(view.gs), u_init=view.u_init)
         assert np.array_equal(sequential_solve(view), sequential_solve(contiguous))
+
+
+@pytest.mark.parametrize("phis, gs, u_init", [
+    (np.zeros((4, 2, 2)), np.zeros((3, 2)), np.zeros(2)),
+    (np.zeros((4, 2, 3)), np.zeros((4, 2)), np.zeros(2)),
+    (np.zeros((4, 2, 2)), np.zeros((4, 2)), np.zeros(3)),
+    (np.zeros((4, 2, 2)), np.zeros((4, 2)), np.zeros((1, 2))),
+])
+def test_level_system_rejects_inconsistent_block_shapes(phis, gs, u_init):
+    with pytest.raises(ValidationError, match="inconsistent LevelSystem block shapes"):
+        LevelSystem(level=0, phis=phis, gs=gs, u_init=u_init)
