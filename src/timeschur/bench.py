@@ -98,18 +98,33 @@ class ExperimentSpec:
         return parse_scheme(self.scheme)
 
     def build_partition(self) -> MultilevelPartition:
+        """Uniform by ``ratio`` (up to ``levels`` levels), else the given counts n0, n1, n2.
+
+        ``adaptive`` gives the top ``round(sqrt(n))`` elements, ``n`` the count
+        below it: a level above n1, or the uniform top rebalanced. A count the
+        partition would not read raises ``ValidationError``.
+        """
+        if self.levels is not None and self.ratio is None:
+            raise ValidationError("levels applies only with ratio")
+        if self.n2 is not None and self.ratio is not None:
+            raise ValidationError("n2 conflicts with ratio, which sets every level")
+        if self.n2 is not None and self.adaptive:
+            raise ValidationError("n2 conflicts with adaptive, which sets the level above n1")
         t_end = self.resolved_t_end()
         if self.ratio is not None:
             part = build_uniform(t_end, self.n0, self.ratio, max_levels=self.levels)
         else:
             counts = [n for n in (self.n0, self.n1, self.n2) if n is not None]
-            part = build_explicit(counts, t_end=t_end)
-        if self.adaptive:
-            part = build_adaptive_top(part)
-        return part
+            # A one-element top for ``adaptive`` to rebalance.
+            part = build_explicit(counts + [1] * self.adaptive, t_end=t_end)
+        return build_adaptive_top(part) if self.adaptive else part
 
     def run_workers(self) -> int:
         return self.workers if self.workers is not None else available_workers()
+
+    def subdomain_workers(self) -> int:
+        """One modeled worker per level-1 subdomain, capped by ``workers``."""
+        return self.n1 if self.workers is None else min(self.n1, self.workers)
 
 
 def parse_solver(text: str):
@@ -147,32 +162,14 @@ def run_solver(spec: ExperimentSpec, partition: MultilevelPartition | None = Non
 
 
 def _base_row(spec: ExperimentSpec, command: str, variant: str,
-              partition: MultilevelPartition | None, workers: int) -> dict:
-    counts = partition.counts if partition is not None else (spec.n0,)
-    return {
-        "spec_hash": spec.fingerprint(),
-        "command": command,
-        "variant": variant,
-        "problem": spec.problem,
-        "solver": spec.solver,
-        "scheme": spec.scheme,
-        "n0": counts[0],
-        "n1": counts[1] if len(counts) > 1 else "",
-        "n2": counts[2] if len(counts) > 2 else "",
-        "level": "",
-        "workers": workers,
-        "oversubscribed": workers > available_workers(),
-        "reps": spec.reps,
-        "outer_iters": "",
-        "picard_iters": "",
-        "newton_iters": "",
-        "avg_step_iters": "",
-        "residual_final": "",
-        "wall_s_max": "",
-        "wall_s_sum": "",
-        "status": "ok",
-        "message": "",
-    }
+              partition: MultilevelPartition, workers: int) -> dict:
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    row.update(spec_hash=spec.fingerprint(), command=command, variant=variant,
+               problem=spec.problem, solver=spec.solver, scheme=spec.scheme,
+               workers=workers, oversubscribed=workers > available_workers(),
+               reps=spec.reps, status="ok")
+    row.update(zip(("n0", "n1", "n2"), partition.counts))
+    return row
 
 
 @dataclass
@@ -193,21 +190,13 @@ class _Reps:
 
 
 def _report_rows(base: dict, reps: _Reps) -> list[dict]:
-    report, timing_max, timing_sum = reps.report, reps.timing_max, reps.timing_sum
-    rows = []
-    levels = sorted(timing_max) if timing_max else [0]
-    for level in levels:
-        row = dict(base)
-        row["level"] = level
-        row["outer_iters"] = report.outer_iterations
-        row["picard_iters"] = report.picard_iterations
-        row["newton_iters"] = report.newton_iterations
-        if report.residual_final is not None:
-            row["residual_final"] = f"{report.residual_final:.17g}"
-        row["wall_s_max"] = f"{timing_max.get(level, 0.0):.9f}"
-        row["wall_s_sum"] = f"{timing_sum.get(level, 0.0):.9f}"
-        rows.append(row)
-    return rows
+    report = reps.report
+    row = {**base, "outer_iters": report.outer_iterations,
+           "picard_iters": report.picard_iterations, "newton_iters": report.newton_iterations}
+    if report.residual_final is not None:
+        row["residual_final"] = f"{report.residual_final:.17g}"
+    return [{**row, "level": level, "wall_s_max": f"{reps.timing_max[level]:.9f}",
+             "wall_s_sum": f"{reps.timing_sum[level]:.9f}"} for level in sorted(reps.timing_max)]
 
 
 def _sequential_row(base: dict, reps: _Reps) -> dict:
@@ -272,10 +261,9 @@ def run_weak_scaling(spec: ExperimentSpec, n1_list: list[int],
         raise ValidationError("local size must be >= 1")
     runs = []  # parallel, then baseline, per point
     for n1 in n1_list:
-        point = replace(spec, n0=local_size * n1, n1=n1, n2=None, ratio=None, adaptive=False)
-        partition = point.build_partition()
-        # One modeled worker per subdomain (threads cap at the usable CPUs).
-        workers = n1 if spec.workers is None else min(n1, spec.workers)
+        point = replace(spec, n0=local_size * n1, n1=n1, n2=None, ratio=None, levels=None,
+                        adaptive=False)
+        partition, workers = point.build_partition(), point.subdomain_workers()
         seq = replace(point, solver="sequential")
         runs += [(point, partition, workers,
                   _base_row(point, "weak-scaling", "parallel", partition, workers)),
@@ -287,25 +275,21 @@ def run_weak_scaling(spec: ExperimentSpec, n1_list: list[int],
 def run_three_level(spec: ExperimentSpec, compare_two_level: bool = False) -> list[dict]:
     """One three-level run (counts n0 > n1 > n2), optionally paired with two-level.
 
-    The adaptive flag rebalances the top coarsening to ``round(sqrt(n1))``.
-    The reps run rep-major over both runs.
+    The partition is the spec's (with ``adaptive``, n2 = ``round(sqrt(n1))``);
+    the two-level partner is the same spec without n2. The reps run rep-major
+    over both runs.
     """
     if spec.n1 is None:
         raise ValidationError("three-level runs need n1")
-    t_end = spec.resolved_t_end()
-    if spec.adaptive:
-        partition = build_adaptive_top(build_explicit([spec.n0, spec.n1, 1], t_end=t_end))
-    else:
-        if spec.n2 is None:
-            raise ValidationError("three-level runs need n2 (or the adaptive flag)")
-        if not spec.n2 < spec.n1 < spec.n0:
-            raise ValidationError("three-level runs require n2 < n1 < n0")
-        partition = build_explicit([spec.n0, spec.n1, spec.n2], t_end=t_end)
-    workers = spec.n1 if spec.workers is None else min(spec.n1, spec.workers)
+    partition = spec.build_partition()
+    counts = partition.counts
+    if len(counts) != 3 or not counts[0] > counts[1] > counts[2]:
+        raise ValidationError(f"three-level runs need counts n0 > n1 > n2, got {counts}")
+    workers = spec.subdomain_workers()
     runs = [(spec, partition, workers,
              _base_row(spec, "three-level", "three-level", partition, workers))]
     if compare_two_level:
-        two = build_explicit([spec.n0, spec.n1], t_end=t_end)
+        two = replace(spec, n2=None, adaptive=False).build_partition()
         runs.append((spec, two, workers, _base_row(spec, "three-level", "two-level", two,
                                                    workers)))
     return _run_rep_major(runs, spec.reps)

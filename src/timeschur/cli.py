@@ -23,6 +23,7 @@ from .nonlinear import LinearizationPolicy
 _EXIT_CODES = ((ValidationError, 2), (NonconvergenceError, 3), (SingularStepError, 4),
               (TimeSchurError, 5))
 _POLICY = LinearizationPolicy()  # the run flags' defaults
+_ADAPTIVE_HELP = "add a top level of round(sqrt(n1)) elements above n1"
 
 
 def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
@@ -94,7 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--ratio", type=int, default=None,
                        help="coarsening ratio theta (builds the full hierarchy)")
     solve.add_argument("--adaptive", action="store_true",
-                       help="rebalance the top coarsening to sqrt of the level below")
+                       help=_ADAPTIVE_HELP + "; with --ratio, rebalance the top to "
+                       "round(sqrt) of the level below")
 
     weak = sub.add_parser("weak-scaling", help="fixed local size, growing subdomain count")
     _add_problem_flags(weak)
@@ -110,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     three.add_argument("--subdomains", type=int, default=20, help="level-1 elements n1")
     three.add_argument("--n2", type=int, default=None, help="level-2 elements")
     three.add_argument("--adaptive", action="store_true",
-                       help="use n2 = round(sqrt(n1)) instead of --n2")
+                       help=_ADAPTIVE_HELP + " (in place of --n2)")
     three.add_argument("--compare-two-level", action="store_true")
 
     figure = sub.add_parser("figure", help="emit figure data CSV plus a plot script")
@@ -162,20 +164,19 @@ def _cmd_weak_scaling(args) -> int:
         n1_list = [int(v) for v in args.n1_list.split(",") if v.strip()]
     except ValueError as exc:
         raise ValidationError(f"bad n1 list {args.n1_list!r}") from exc
-    spec = _spec_from_args(args)
-    rows = bench.run_weak_scaling(spec, n1_list, args.local_size)
-    out = args.out or "weak_scaling.csv"
-    path = bench.write_rows(rows, out)
-    failed = sum(1 for r in rows if r["status"] != "ok")
-    print(f"{len(rows)} rows written to {path}" + (f" ({failed} failed)" if failed else ""))
-    return 0
+    rows = bench.run_weak_scaling(_spec_from_args(args), n1_list, args.local_size)
+    return _write_sweep(rows, args.out or "weak_scaling.csv")
 
 
 def _cmd_three_level(args) -> int:
     spec = _spec_from_args(args, n0=args.nsteps, n1=args.subdomains,
                            n2=args.n2, adaptive=args.adaptive)
     rows = bench.run_three_level(spec, compare_two_level=args.compare_two_level)
-    out = args.out or "three_level.csv"
+    return _write_sweep(rows, args.out or "three_level.csv")
+
+
+def _write_sweep(rows: list[dict], out: str) -> int:
+    """Write the rows as CSV and report how many, and how many failed."""
     path = bench.write_rows(rows, out)
     failed = sum(1 for r in rows if r["status"] != "ok")
     print(f"{len(rows)} rows written to {path}" + (f" ({failed} failed)" if failed else ""))

@@ -59,12 +59,6 @@ class Scheme:
     def dg(cls, order: int) -> "Scheme":
         return cls(kind="dg", order=int(order))
 
-    @property
-    def label(self) -> str:
-        if self.kind == "dg":
-            return f"dg{self.order}"
-        return "be" if self.theta == 1.0 else f"theta:{self.theta:g}"
-
     def effective_theta(self) -> float:
         """theta value for nonlinear stepping; DG(0) coincides with backward Euler."""
         if self.kind == "theta":

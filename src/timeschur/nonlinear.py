@@ -361,7 +361,7 @@ def _schur_loop(problem, partition, k, scheme, policy, w, pool, report):
         column[inside] = 0.0
         rows_start = time.thread_time()  # a one-task map runs in this thread
         ((phis, gs),), _, _ = pool.map(_schur_row_task, [
-            (problem, grid, w, fine_k, 0, th, mode == "picard", column)])
+            (problem, grid, w, fine_k, th, mode == "picard", column)])
         if k:  # newton-schur's serial linearization would grow level 0 with n1
             report.add_level(0, [time.thread_time() - rows_start])
         z = z + ml_solve(LevelSystem(level=k, phis=phis, gs=gs, u_init=np.zeros(m)),
@@ -538,22 +538,21 @@ def _node_matrices(problem, ts, us, picks):
     return mats
 
 
-def _schur_row_task(problem, ts, us, bounds, first, th, use_picard, column):
+def _schur_row_task(problem, ts, us, bounds, th, use_picard, column):
     """Interface block rows of the level-up Schur system for consecutive windows.
 
-    Window ``j`` (global index ``first + j``) spans nodes
-    ``bounds[j]..bounds[j+1]`` of ``ts`` (times) and ``us`` (values, both
-    interfaces included). Returns ``(phis, gs)``, stacked over windows: the
-    coarse steps of the normalized fine linearization at ``us`` with the
-    right-hand column ``column``. They are the roots of the up-sweep over
-    every window's steps (``assemble_schur``), in this task's thread. One-step
-    windows are their own coarse steps: the level-0 linearization is returned
-    as it is, and no up-sweep runs.
+    Window ``j`` spans nodes ``bounds[j]..bounds[j+1]`` of ``ts`` (times) and
+    ``us`` (values, both interfaces included). Returns ``(phis, gs)``, stacked
+    over windows: the coarse steps of the normalized fine linearization at
+    ``us`` with the right-hand column ``column``. They are the roots of the
+    up-sweep over every window's steps (``assemble_schur``), in this task's
+    thread. One-step windows are their own coarse steps: the level-0
+    linearization is returned as it is, and no up-sweep runs.
     """
     one_step = len(bounds) == len(ts)
 
     def where(i):  # a step of the run
-        window = first + np.searchsorted(bounds, i, "right") - 1
+        window = np.searchsorted(bounds, i, "right") - 1
         return "the linearization" if one_step else f"linearized window {window}"
 
     fine = _linearized_steps(problem, ts, us, th, use_picard, column, where)

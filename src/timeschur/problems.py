@@ -18,7 +18,6 @@ from .errors import ValidationError
 
 KappaFn = Callable[[float, np.ndarray], np.ndarray]
 MatrixFn = Callable[[float, np.ndarray], np.ndarray]
-AnalyticFn = Callable[[float], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -42,8 +41,6 @@ class OdeProblem:
         against the true residual, so no forcing is needed; a callback that
         returns a pair ``(A, c)`` fails inside numpy with a ragged-array
         ``ValueError``.
-    analytic : callable ``t -> vector``, optional
-        Closed-form solution, used by accuracy checks.
     is_linear : bool
         True iff ``kappa`` is affine in ``u``.
     vectorized : bool
@@ -56,7 +53,6 @@ class OdeProblem:
     jacobian: MatrixFn
     u0: np.ndarray
     picard_matrix: MatrixFn | None = None
-    analytic: AnalyticFn | None = None
     is_linear: bool = False
     vectorized: bool = False
     name: str = field(default="", compare=False)
@@ -118,10 +114,6 @@ def _decay_jacobian(lam, t, u):
     return lam * np.ones_like(u)[..., None]
 
 
-def _decay_analytic(lam, t):
-    return np.array([np.exp(-lam * t)])
-
-
 def linear_decay(lam: float) -> OdeProblem:
     """Scalar ``du/dt + lam*u = 0`` with ``u(0) = 1``; solution ``exp(-lam*t)``."""
     return OdeProblem(
@@ -130,7 +122,6 @@ def linear_decay(lam: float) -> OdeProblem:
         jacobian=partial(_decay_jacobian, lam),
         u0=np.array([1.0]),
         picard_matrix=partial(_decay_jacobian, lam),
-        analytic=partial(_decay_analytic, lam),
         is_linear=True,
         vectorized=True,
         name=f"decay(lam={lam})",
@@ -150,10 +141,6 @@ def _riccati_picard(t, u):
     return (-u)[..., None]
 
 
-def _riccati_analytic(t):
-    return np.array([np.sin(t)])
-
-
 def forced_riccati() -> OdeProblem:
     """Scalar nonlinear problem whose exact solution is ``sin(t)`` on ``(0, 2*pi]``.
 
@@ -165,7 +152,6 @@ def forced_riccati() -> OdeProblem:
         jacobian=_riccati_jacobian,
         u0=np.array([0.0]),
         picard_matrix=_riccati_picard,
-        analytic=_riccati_analytic,
         is_linear=False,
         vectorized=True,
         name="riccati",
@@ -218,7 +204,6 @@ def lotka_volterra(
         jacobian=partial(_lv_jacobian, *args),
         u0=np.array([float(u0), float(v0)]),
         picard_matrix=partial(_lv_picard, *args),
-        analytic=None,
         is_linear=False,
         vectorized=True,
         name="lotka-volterra",
@@ -279,10 +264,6 @@ def _cos_kappa(t, u):
     return np.broadcast_to(-np.cos(tt), u.shape).copy()
 
 
-def _cos_analytic(t):
-    return np.array([np.sin(t)])
-
-
 def cosine_drive() -> OdeProblem:
     """Scalar quadrature problem ``du/dt = cos(t)``, ``u(0) = 0``; solution ``sin(t)``."""
     return OdeProblem(
@@ -290,7 +271,6 @@ def cosine_drive() -> OdeProblem:
         kappa=_cos_kappa,
         jacobian=_zero_jacobian,
         u0=np.array([0.0]),
-        analytic=_cos_analytic,
         is_linear=True,
         vectorized=True,
         name="cosine-drive",

@@ -32,3 +32,20 @@ def random_system(n, m, seed, level=0):
     gs = rng.normal(size=(n, m))
     u_init = rng.normal(size=m)
     return phis, gs, u_init
+
+
+def decay_solution(lam, t):
+    """``exp(-lam t)``, the solution of ``linear_decay(lam)``."""
+    return np.array([np.exp(-lam * t)])
+
+
+def sin_solution(t):
+    """``sin t``, the solution of ``forced_riccati()`` and of ``cosine_drive()``."""
+    return np.array([np.sin(t)])
+
+
+def scheme_label(scheme):
+    """The CLI spelling of ``scheme`` (``be``, ``theta:<v>``, ``dg<q>``), for test ids."""
+    if scheme.kind == "dg":
+        return f"dg{scheme.order}"
+    return "be" if scheme.theta == 1.0 else f"theta:{scheme.theta:g}"

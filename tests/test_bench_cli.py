@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,10 +61,24 @@ class TestSpec:
     @pytest.mark.parametrize("spec, counts", [
         (ExperimentSpec(n0=100, n1=10, n2=2), (100, 10, 2)),
         (ExperimentSpec(n0=64, ratio=4), (64, 16, 4, 1)),
-        (ExperimentSpec(n0=2000, n1=100, adaptive=True), (2000, 45)),  # round(sqrt(2000))
+        # adaptive adds a level of round(sqrt(n1)) above n1 ...
+        (ExperimentSpec(n0=2000, n1=100, adaptive=True), (2000, 100, 10)),
+        # ... and rebalances the top of a uniform hierarchy to round(sqrt) of the level below.
+        (ExperimentSpec(n0=64, ratio=4, adaptive=True), (64, 16, 4, 2)),
+        (ExperimentSpec(n0=64, ratio=4, levels=2), (64, 16)),
+        (ExperimentSpec(n0=64, ratio=4, levels=2, adaptive=True), (64, 8)),
     ])
     def test_builds_its_partition(self, spec, counts):
         assert spec.build_partition().counts == counts
+
+    @pytest.mark.parametrize("spec, text", [
+        (ExperimentSpec(n0=64, ratio=4, n2=2), "n2 conflicts with ratio"),
+        (ExperimentSpec(n0=64, n1=8, n2=2, adaptive=True), "n2 conflicts with adaptive"),
+        (ExperimentSpec(n0=64, n1=8, levels=3), "levels applies only with ratio"),
+    ])
+    def test_rejects_counts_its_partition_would_not_read(self, spec, text):
+        with pytest.raises(ValidationError, match=text):
+            spec.build_partition()
 
     @pytest.mark.parametrize("call, text", [
         (lambda: run_weak_scaling(ExperimentSpec(**LV), [2, 4], 0), "local size must be >= 1"),
@@ -295,6 +311,36 @@ class TestCli:
                         "--nsteps", "64", "--ratio", "4", "--solver", "sequential"])
         assert code == 0
         assert "levels=(64, 16, 4, 1)" in capsys.readouterr().out
+
+    def test_solve_adaptive_adds_a_level_above_n1(self, capsys):
+        code = cli.main(["solve", "--nsteps", "2000", "--subdomains", "100", "--adaptive"])
+        assert code == 0
+        assert "levels=(2000, 100, 10) " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["three-level", "--nsteps", "2000", "--subdomains", "100", "--n2", "5", "--adaptive"],
+        ["solve", "--nsteps", "1000", "--subdomains", "10", "--levels", "3",
+         "--out", "traj.csv"],
+    ])
+    def test_unread_count_exits_2_before_any_solve(self, argv, tmp_path, monkeypatch,
+                                                    capsys):
+        monkeypatch.chdir(tmp_path)  # where the CSV would go
+        monkeypatch.setattr(bench, "run_solver", None)  # a solve would raise TypeError
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+    def test_readme_cli_examples_parse(self):
+        # Each ``timeschur ...`` command of README's CLI block, continuation lines joined.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("timeschur ")]
+        assert len(commands) == 7
+        parser = cli._build_parser()
+        for command in commands:
+            parser.parse_args(command[1:])
 
     def test_weak_scaling_csv(self, tmp_path):
         out = tmp_path / "weak.csv"

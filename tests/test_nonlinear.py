@@ -365,10 +365,10 @@ class TestLockstepExtension:
         grid = part.grids[0]
         fine = part.fine_nodes(1)
         traj, _ = sequential_nonlinear_solve(prob, grid, BE)
-        blocks, rhs = schur_rows(prob, grid, traj, fine, 0, 1.0, False)
+        blocks, rhs = schur_rows(prob, grid, traj, fine, 1.0, False)
         for i, (a, b) in enumerate(zip(fine, fine[1:])):
             one_blocks, one_rhs = schur_rows(prob, grid[a:b + 1], traj[a:b + 1],
-                                             np.array([0, b - a]), i, 1.0, False)
+                                             np.array([0, b - a]), 1.0, False)
             assert np.array_equal(blocks[i], one_blocks[0])
             assert np.array_equal(rhs[i], one_rhs[0])
 
@@ -561,12 +561,12 @@ class TestNonlinearSchurNewton:
         assert np.max(np.abs(traj - seq)) <= 1e-6
 
 
-def schur_rows(problem, ts, us, bounds, first, th, use_picard):
+def schur_rows(problem, ts, us, bounds, th, use_picard):
     """``_schur_row_task`` whose column is the negative closing residuals, zero elsewhere."""
     res, _ = global_residual(problem, us, ts, Scheme.theta_method(th))
     column = np.zeros_like(res)
     column[bounds[1:] - 1] = -res[bounds[1:] - 1]
-    return _schur_row_task(problem, ts, us, bounds, first, th, use_picard, column)
+    return _schur_row_task(problem, ts, us, bounds, th, use_picard, column)
 
 
 def schur_rows_reference(problem, ts, us, bounds, th, use_picard):
@@ -621,7 +621,7 @@ class TestSchurRows:
         ts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.1, bounds[-1]))])
         size = (bounds[-1] + 1, m)
         us = prob.u0 * (1.0 + 0.3 * rng.normal(size=size)) + 0.3 * rng.normal(size=size)
-        phis, gs = schur_rows(prob, ts, us, bounds, 0, th, use_picard)
+        phis, gs = schur_rows(prob, ts, us, bounds, th, use_picard)
         ref_phis, ref_gs = schur_rows_reference(prob, ts, us, bounds, th, use_picard)
         assert np.max(np.abs(phis - ref_phis)) <= 1e-14 * np.max(np.abs(ref_phis))
         assert np.max(np.abs(gs - ref_gs)) <= 1e-14 * np.max(np.abs(ref_gs))
@@ -631,7 +631,7 @@ class TestSchurRows:
         for i, j in zip(edges[:-1], edges[1:]):
             a, b = bounds[i], bounds[j]
             part_phis, part_gs = schur_rows(prob, ts[a:b + 1], us[a:b + 1],
-                                            bounds[i:j + 1] - a, i, th, use_picard)
+                                            bounds[i:j + 1] - a, th, use_picard)
             assert np.array_equal(part_phis, phis[i:j])
             assert np.array_equal(part_gs, gs[i:j])
 
@@ -647,8 +647,8 @@ class TestSchurRows:
         traj = prob.u0 * (1.0 + 0.3 * rng.normal(size=(41, 2)))
         res, _ = global_residual(prob, traj, grid, scheme)
         system = linearize_global(prob, traj, grid, scheme, res, use_picard)
-        phis, gs = _schur_row_task(prob, grid, traj, np.arange(41), 0,
-                                   scheme.effective_theta(), use_picard, -res)
+        phis, gs = _schur_row_task(prob, grid, traj, np.arange(41), scheme.effective_theta(),
+                                   use_picard, -res)
         assert np.array_equal(phis, system.phis) and np.array_equal(gs, system.gs)
 
 
@@ -682,7 +682,7 @@ class TestSchurJacobianConsistency:
         for i in range(6):
             a, b = fine[i], fine[i + 1]
             blks, _ = schur_rows(prob, grid[a:b + 1], np.vstack([state[a:b], z[i + 1]]),
-                                 np.array([0, b - a]), i, 1.0, use_picard=False)
+                                 np.array([0, b - a]), 1.0, use_picard=False)
             blk = blks[0]
             # De-normalize: _schur_row_task returns D^{-1}-scaled blocks.
             dt = grid[b] - grid[b - 1]

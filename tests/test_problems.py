@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import fd_jacobian
+from oracles import decay_solution, fd_jacobian, sin_solution
 from timeschur import (
     LinearizationPolicy,
     OdeProblem,
@@ -35,10 +35,14 @@ class TestDecay:
     def test_zero_rate_keeps_solution_constant(self):
         prob = linear_decay(0.0)
         assert np.allclose(prob.kappa(0.3, np.array([2.0])), 0.0)
-        assert prob.analytic(5.0) == pytest.approx(1.0)
 
     def test_analytic_value(self):
-        assert linear_decay(1.0).analytic(1.0)[0] == pytest.approx(np.exp(-1.0))
+        # exp(-lam t) starts at u0, and d/dt exp(-lam t) + kappa(t, exp(-lam t)) vanishes.
+        lam, prob = 2.5, linear_decay(2.5)
+        assert np.array_equal(decay_solution(lam, 0.0), prob.u0)
+        for t in (0.1, 0.4, 1.0):
+            u = decay_solution(lam, t)
+            assert abs(-lam * u[0] + prob.kappa(t, u)[0]) < 1e-15
 
     def test_jacobian_is_the_rate(self):
         prob = linear_decay(2.5)
@@ -47,7 +51,9 @@ class TestDecay:
 
 class TestRiccati:
     def test_analytic_peak(self):
-        assert forced_riccati().analytic(np.pi / 2)[0] == pytest.approx(1.0)
+        # sin t peaks at (pi/2, 1), where the rate -kappa vanishes.
+        assert sin_solution(np.pi / 2)[0] == pytest.approx(1.0)
+        assert abs(forced_riccati().kappa(np.pi / 2, sin_solution(np.pi / 2))[0]) < 1e-15
 
     def test_jacobian(self):
         prob = forced_riccati()
@@ -57,7 +63,7 @@ class TestRiccati:
         # d(sin)/dt + kappa(t, sin t) must vanish.
         prob = forced_riccati()
         for t in np.linspace(0.1, 6.2, 23):
-            residual = np.cos(t) + prob.kappa(t, np.array([np.sin(t)]))[0]
+            residual = np.cos(t) + prob.kappa(t, sin_solution(t))[0]
             assert abs(residual) < 1e-14
 
 
@@ -143,6 +149,10 @@ class TestProblemContracts:
             assert np.allclose(picard_batch(problem, ts, us), loop_picard, atol=1e-15)
 
 
+EXACT = {"decay(lam=1.0)": lambda t: decay_solution(1.0, t), "cosine-drive": sin_solution,
+         "riccati": sin_solution}
+
+
 @pytest.mark.parametrize("problem,solver", [
     (linear_decay(1.0), "linear"),
     (cosine_drive(), "linear"),
@@ -159,7 +169,7 @@ def test_backward_euler_first_order_convergence(problem, solver):
         else:
             traj, _ = sequential_nonlinear_solve(problem, grid, Scheme.backward_euler(),
                                                  LinearizationPolicy())
-        exact = np.stack([problem.analytic(t) for t in grid])
+        exact = np.stack([EXACT[problem.name](t) for t in grid])
         errors.append(np.max(np.abs(traj - exact)))
     rates = [np.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
     for rate in rates:
