@@ -110,6 +110,8 @@ class ExperimentSpec:
             raise ValidationError("n2 conflicts with ratio, which sets every level")
         if self.n2 is not None and self.adaptive:
             raise ValidationError("n2 conflicts with adaptive, which sets the level above n1")
+        if self.n2 is not None and self.n1 is None:
+            raise ValidationError("n2 needs n1, the level below it")
         t_end = self.resolved_t_end()
         if self.ratio is not None:
             part = build_uniform(t_end, self.n0, self.ratio, max_levels=self.levels)

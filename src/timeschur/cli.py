@@ -144,6 +144,9 @@ def _cmd_solve(args) -> int:
     else:
         print(f"outer iterations: {report.outer_iterations} "
               f"(picard {report.picard_iterations}, newton {report.newton_iterations})")
+        if report.solver.startswith("nlschur"):
+            print(f"inner iterations: {report.inner_picard + report.inner_newton} "
+                  f"(picard {report.inner_picard}, newton {report.inner_newton})")
         print(f"start: {report.start} (coarse outer iterations {report.coarse_iterations}"
               f"{', abandoned for the flat start' if report.coarse_abandoned else ''})")
     if report.residual_final is not None:

@@ -29,7 +29,15 @@ time-marching loop of ``sequential_nonlinear_solve``, which solves it step by
 step with ``_implicit_step``.
 The Schur rows of the interface system are the linear reduction of ``schur``
 applied to one batched linearization: the roots of the up-sweep over the
-windows' normalized steps (``assemble_schur``), which one-step windows skip.
+windows' normalized steps (``reduce_level``), which one-step windows skip.
+After an update ``dz`` of the interface values, one down-sweep of those same
+trees from the inflows ``dz`` gives the linearized interior response ``E dz``,
+and the next extension starts each window from this Newton predictor, the
+old trajectory plus ``E dz`` (approximate nonlinear elimination; Lanzkron,
+Rose & Wilkes, SISC 1996). Its warm start is still the old interior values
+behind the new inflows: a window falls back to ``_march`` from those values
+once its residual rises above the larger of the two starts' residuals. On an
+affine problem the predictor is the extension, and no window iterates.
 Every linearization forms its theta steps with ``integrators.theta_steps``.
 """
 
@@ -46,7 +54,7 @@ from .integrators import Scheme, checked_grid, step_matrices, step_solve, theta_
 from .partition import MultilevelPartition, build_explicit
 from .problems import OdeProblem, jacobian_batch, kappa_batch, picard_batch, picard_operator
 from .runtime import SolverReport, WorkerPool
-from .schur import LevelSystem, assemble_schur, cost_model, ml_solve, reduce_level, sweep_down
+from .schur import LevelSystem, cost_model, ml_solve, reduce_level, sweep_down
 
 NON_FINITE = "non-finite residual"  # NonconvergenceError reason: the iteration stopped at once
 _COARSE_ELEMENTS = 100  # the nested-iteration start's coarse grid, at most
@@ -331,9 +339,11 @@ def _schur_loop(problem, partition, k, scheme, policy, w, pool, report):
     the windows, which the extensions own, build the level-k Schur system of
     the fine linearization at the extended state with that column
     (``_schur_row_task``), and update the interface values by the direct
-    multilevel solve over levels k..top. The extensions and the Schur rows
-    are one pool task each; only ``ml_solve`` uses the pool's threads.
-    ``w`` is the start; counts and timings go to ``report``.
+    multilevel solve over levels k..top. The down-sweep of the rows' window
+    trees from that update predicts the interior values the next extension
+    starts from. The extensions and the Schur rows are one pool task each;
+    only ``ml_solve`` uses the pool's threads. ``w`` is the start; counts and
+    timings go to ``report``.
     """
     th, grid, m = scheme.effective_theta(), partition.grids[0], problem.m_unk
     fine_k = partition.fine_nodes(k)
@@ -341,8 +351,9 @@ def _schur_loop(problem, partition, k, scheme, policy, w, pool, report):
     inside = _interior_mask(partition, k)
     interior_mask = _interior_mask(partition, max(k, 1))  # newton-schur reports level 1's
     where = f"nonlinear Schur loop at level {k}" if k else "global linearization loop"
+    predicted = None  # the interior values the last update predicts
     for it in range(policy.max_iters + 1):
-        w = _extend_all(problem, partition, k, z, w, th, policy, pool, report)
+        w = _extend_all(problem, partition, k, z, w, predicted, th, policy, pool, report)
         res, norm = global_residual(problem, w, grid, scheme)
         report.residual_history.append(norm)
         interior = np.linalg.norm(res, axis=1)[interior_mask]
@@ -360,12 +371,17 @@ def _schur_loop(problem, partition, k, scheme, policy, w, pool, report):
         column = -res
         column[inside] = 0.0
         rows_start = time.thread_time()  # a one-task map runs in this thread
-        ((phis, gs),), _, _ = pool.map(_schur_row_task, [
+        ((phis, gs, trees),), _, _ = pool.map(_schur_row_task, [
             (problem, grid, w, fine_k, th, mode == "picard", column)])
         if k:  # newton-schur's serial linearization would grow level 0 with n1
             report.add_level(0, [time.thread_time() - rows_start])
-        z = z + ml_solve(LevelSystem(level=k, phis=phis, gs=gs, u_init=np.zeros(m)),
-                         partition, pool=pool, report=report)
+        dz = ml_solve(LevelSystem(level=k, phis=phis, gs=gs, u_init=np.zeros(m)),
+                      partition, pool=pool, report=report)
+        if k:  # w + E dz: the interior rows of the column are zero
+            sweep_start = time.thread_time()
+            predicted = w[:-1] + sweep_down(trees, fine_k, dz[:-1, :, None])[:, :, 0]
+            report.add_level(0, [time.thread_time() - sweep_start])
+        z = z + dz
         report.outer_iterations += 1
 
 
@@ -376,14 +392,18 @@ def _interior_mask(partition: MultilevelPartition, level: int) -> np.ndarray:
     return mask[1:]
 
 
-def _extend_all(problem, partition, k, z, warm_traj, th, policy, pool, report):
-    """Extend the level-k interface values ``z`` into every level-k element, as one pool task."""
+def _extend_all(problem, partition, k, z, warm_traj, predicted, th, policy, pool, report):
+    """Extend the level-k interface values ``z`` into every level-k element, as one pool task.
+
+    Window Newton starts from ``predicted`` (fine nodes ``0..n0-1``), or from
+    ``warm_traj`` if it is None; ``_march`` falls back on ``warm_traj``.
+    """
     if k == 0:  # every node is an interface node
         return z
     start = time.thread_time()  # a one-task map runs in this thread
     results, _, _ = pool.map(_extension_task, [
         (problem, partition, k - 1, 0, partition.counts[k], z[:-1], warm_traj[:-1], th,
-         policy)])
+         policy, predicted)])
     report.add_level(0, [time.thread_time() - start])
     (values, picard, newton), = results
     report.inner_picard += picard
@@ -427,21 +447,25 @@ def nonlinear_harmonic_extension(
                            np.asarray(inflow, dtype=float)[None, :], warm, th, policy)
 
 
-def _extension_task(problem, partition, level, lo, hi, inflows, warm, th, policy):
+def _extension_task(problem, partition, level, lo, hi, inflows, warm, th, policy,
+                    predicted=None):
     """Extend the level-(level+1) elements ``lo..hi-1``; returns ``(values, picard, newton)``.
 
-    ``values`` and ``warm`` cover the run's fine nodes from element ``lo``'s
-    left interface up to, not including, element ``hi - 1``'s right one;
-    element ``lo + j`` starts at ``inflows[j]``. Window Newton: per iteration,
+    ``values``, ``warm`` and ``predicted`` cover the run's fine nodes from
+    element ``lo``'s left interface up to, not including, element ``hi - 1``'s
+    right one; element ``lo + j`` starts at ``inflows[j]``. Window Newton
+    starts from ``predicted``, or from ``warm`` if it is None. Per iteration,
     one ``kappa_batch`` call gives the interior step residuals of every
     window, ``_linearized_steps`` takes their negation as its column, and one
     ``reduce_level`` up-sweep and one zero-inflow ``sweep_down`` give each
     update, which vanishes at the pinned inflows. Each window picks Picard or
     Newton by its own residual norm and counts one inner iteration per step.
     Once every interior row of a window is below ``tol_local`` it is frozen.
-    A window whose residual rises above its warm start's, turns non-finite or
-    exhausts ``max_inner`` is marched instead: ``_march`` solves its steps one
-    at a time from its ``warm`` values.
+    A window whose residual rises above its warm start's and its predicted
+    start's, turns non-finite or exhausts ``max_inner`` is marched instead:
+    ``_march`` solves its steps one at a time from its ``warm`` values. The
+    warm start's residual costs one more ``kappa_batch`` when ``predicted``
+    is given.
     """
     m = problem.m_unk
     fine = partition.fine_nodes(level + 1)
@@ -456,21 +480,29 @@ def _extension_task(problem, partition, level, lo, hi, inflows, warm, th, policy
     u[starts] = inflows
     live = np.ones(hi - lo, dtype=bool)
     picard = newton = 0
+    bar = -np.inf  # a window's residual may not rise above it
 
     def where(i):  # a step of the run
         return f"nonlinear extension (level {level}, element {lo + owner[i]})"
 
+    def residual(u):  # interior step residuals, their row norms and window norms
+        kappas = kappa_batch(problem, ts, u)
+        res = u[1:] - u[:-1] + dt * (th * kappas[1:] + (1.0 - th) * kappas[:-1])
+        res[closing] = 0.0  # the closing steps belong to the outer problem
+        rows = np.linalg.norm(res, axis=1)
+        return res, rows, np.sqrt(np.add.reduceat(rows * rows, starts))
+
     with np.errstate(over="ignore", invalid="ignore"):  # the guard catches non-finite norms
+        if predicted is not None:  # the bar also takes the warm start's finite norms
+            bar = np.nan_to_num(residual(u)[2], nan=-np.inf, posinf=-np.inf)
+            u[:-1] = predicted
+            u[starts] = inflows
         for it in range(policy.max_inner + 1):
-            kappas = kappa_batch(problem, ts, u)
-            res = u[1:] - u[:-1] + dt * (th * kappas[1:] + (1.0 - th) * kappas[:-1])
-            res[closing] = 0.0  # the closing steps belong to the outer problem
-            rows = np.linalg.norm(res, axis=1)
-            norms = np.sqrt(np.add.reduceat(rows * rows, starts))
+            res, rows, norms = residual(u)
             done = np.maximum.reduceat(rows, starts) < policy.tol_local
             if it == 0:
-                warm_norms = norms
-            failed = live & ~done & (~np.isfinite(norms) | (norms > warm_norms)
+                bar = np.maximum(bar, norms)
+            failed = live & ~done & (~np.isfinite(norms) | (norms > bar)
                                      | (it == policy.max_inner))
             for j in np.flatnonzero(failed):
                 a, b = bounds[j], bounds[j + 1]
@@ -542,12 +574,14 @@ def _schur_row_task(problem, ts, us, bounds, th, use_picard, column):
     """Interface block rows of the level-up Schur system for consecutive windows.
 
     Window ``j`` spans nodes ``bounds[j]..bounds[j+1]`` of ``ts`` (times) and
-    ``us`` (values, both interfaces included). Returns ``(phis, gs)``, stacked
-    over windows: the coarse steps of the normalized fine linearization at
-    ``us`` with the right-hand column ``column``. They are the roots of the
-    up-sweep over every window's steps (``assemble_schur``), in this task's
-    thread. One-step windows are their own coarse steps: the level-0
-    linearization is returned as it is, and no up-sweep runs.
+    ``us`` (values, both interfaces included). Returns ``(phis, gs, trees)``:
+    ``phis`` and ``gs``, stacked over windows, are the coarse steps of the
+    normalized fine linearization at ``us`` with the right-hand column
+    ``column``, the roots of the up-sweep over every window's steps
+    (``reduce_level``), in this task's thread; ``trees`` are its up-swept
+    windows, for ``sweep_down``. One-step windows are their own coarse steps:
+    the level-0 linearization is returned as it is, ``trees`` is None, and no
+    up-sweep runs.
     """
     one_step = len(bounds) == len(ts)
 
@@ -556,5 +590,7 @@ def _schur_row_task(problem, ts, us, bounds, th, use_picard, column):
         return "the linearization" if one_step else f"linearized window {window}"
 
     fine = _linearized_steps(problem, ts, us, th, use_picard, column, where)
-    coarse = fine if one_step else assemble_schur(fine, bounds)
-    return coarse.phis, coarse.gs
+    if one_step:
+        return fine.phis, fine.gs, None
+    trees, coarse = reduce_level(fine, bounds)
+    return coarse.phis, coarse.gs, trees

@@ -75,6 +75,8 @@ class TestSpec:
         (ExperimentSpec(n0=64, ratio=4, n2=2), "n2 conflicts with ratio"),
         (ExperimentSpec(n0=64, n1=8, n2=2, adaptive=True), "n2 conflicts with adaptive"),
         (ExperimentSpec(n0=64, n1=8, levels=3), "levels applies only with ratio"),
+        # n2 is not the level-1 count when n1 is missing.
+        (ExperimentSpec(n0=100, n1=None, n2=5), "n2 needs n1"),
     ])
     def test_rejects_counts_its_partition_would_not_read(self, spec, text):
         with pytest.raises(ValidationError, match=text):
@@ -305,6 +307,30 @@ class TestCli:
         starts = [line for line in capsys.readouterr().out.splitlines()
                   if line.startswith("start:")]
         assert starts == ["start: coarse (coarse outer iterations 7)"]
+
+    @pytest.mark.parametrize("solver", ["nlschur:1", "newton-schur"])
+    def test_solve_prints_the_inner_iterations_of_nlschur(self, solver, monkeypatch, capsys):
+        reports = []
+        real = bench.run_solver
+
+        def spy(*args):
+            traj, report = real(*args)
+            reports.append(report)
+            return traj, report
+
+        monkeypatch.setattr(bench, "run_solver", spy)
+        code = cli.main(["solve", "--nsteps", "400", "--subdomains", "8", "--solver", solver,
+                         "--workers", "1"])
+        assert code == 0
+        (report,) = reports
+        inner = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("inner iterations:")]
+        if solver == "newton-schur":  # nothing is extended
+            assert inner == []
+        else:
+            assert report.inner_newton > 0
+            assert inner == [f"inner iterations: {report.inner_picard + report.inner_newton} "
+                             f"(picard {report.inner_picard}, newton {report.inner_newton})"]
 
     def test_solve_with_ratio_builds_hierarchy(self, capsys):
         code = cli.main(["solve", "--problem", "decay", "--lam", "2.0",

@@ -561,12 +561,82 @@ class TestNonlinearSchurNewton:
         assert np.max(np.abs(traj - seq)) <= 1e-6
 
 
+def spy_on_extensions(monkeypatch):
+    """Record each ``_extension_task`` call's inner iterations."""
+    iterations = []
+    real = nonlinear._extension_task
+
+    def spy(*args):
+        values, picard, newton = real(*args)
+        iterations.append(picard + newton)
+        return values, picard, newton
+
+    monkeypatch.setattr(nonlinear, "_extension_task", spy)
+    return iterations
+
+
+class TestPredictedStart:
+    """Extensions start from the Newton predictor ``w + E dz`` of the last update."""
+
+    @pytest.mark.parametrize("make", [lambda: linear_decay(1.0),
+                                      lambda: random_stable_linear(2, seed=0), cosine_drive])
+    def test_affine_problem_extends_without_iterating(self, make, monkeypatch):
+        # The predictor solves an affine window exactly, up to round-off.
+        iterations = spy_on_extensions(monkeypatch)
+        part = build_explicit([400, 8], t_end=1.0)
+        _, report = nonlinear_schur_newton_solve(make(), part, 1, BE)
+        assert report.outer_iterations == 1 and report.residual_final < 1e-8
+        assert len(iterations) == 2 and iterations[0] > 0 and iterations[1] == 0
+
+    def test_non_finite_warm_start_does_not_march_a_converging_prediction(self, monkeypatch):
+        prob = benchmark_lv()
+        part = build_explicit([40, 4], t_end=3.0)
+        grid, fine = part.grids[0], part.fine_nodes(1)
+        seq, _ = sequential_nonlinear_solve(prob, grid, BE)
+        monkeypatch.setattr(nonlinear, "_march", None)  # no window marches
+        policy = LinearizationPolicy()
+        values, _, newton = _extension_task(prob, part, 0, 0, 4, seq[fine[:-1]],
+                                            np.full((40, 2), np.inf), 1.0, policy,
+                                            seq[:-1] * 1.01)
+        res, _ = global_residual(prob, values, grid[:-1], BE)
+        interior = np.ones(40, dtype=bool)
+        interior[fine[:-1]] = False
+        assert newton > 0
+        assert np.max(np.linalg.norm(res, axis=1)[interior[1:]]) <= policy.tol_local
+
+    @staticmethod
+    def _solve_on_one_and_two_workers(counts, k, t_end):
+        part = build_explicit(counts, t_end=t_end)
+        one, rep_one = nonlinear_schur_newton_solve(benchmark_lv(), part, k, BE, workers=1)
+        two, rep_two = nonlinear_schur_newton_solve(benchmark_lv(), part, k, BE, workers=2)
+        assert np.array_equal(one, two)
+        assert rep_one.residual_history == rep_two.residual_history
+        assert (rep_one.inner_picard, rep_one.inner_newton) == (rep_two.inner_picard,
+                                                                rep_two.inner_newton)
+        assert rep_one.residual_final < 1e-8
+        return rep_one
+
+    def test_lotka_volterra_keeps_its_outer_iterations_with_fewer_inner(self):
+        report = self._solve_on_one_and_two_workers([2000, 20], 1, 3.0)
+        # From the old interior values the extensions took 184 inner iterations.
+        assert report.outer_iterations == 4
+        assert report.inner_picard + report.inner_newton < 184
+
+    def test_lotka_volterra_three_periods_at_level_two(self):
+        report = self._solve_on_one_and_two_workers([4000, 40, 5], 2, 8.0)
+        # The warm start's residual bounds the predicted one's; without that
+        # bar the solve took 7,244 inner iterations.
+        assert report.inner_picard + report.inner_newton <= 4878
+
+
 def schur_rows(problem, ts, us, bounds, th, use_picard):
-    """``_schur_row_task`` whose column is the negative closing residuals, zero elsewhere."""
+    """``_schur_row_task``'s ``(phis, gs)`` whose column is the negative closing residuals,
+    zero elsewhere."""
     res, _ = global_residual(problem, us, ts, Scheme.theta_method(th))
     column = np.zeros_like(res)
     column[bounds[1:] - 1] = -res[bounds[1:] - 1]
-    return _schur_row_task(problem, ts, us, bounds, th, use_picard, column)
+    phis, gs, _ = _schur_row_task(problem, ts, us, bounds, th, use_picard, column)
+    return phis, gs
 
 
 def schur_rows_reference(problem, ts, us, bounds, th, use_picard):
@@ -640,15 +710,15 @@ class TestSchurRows:
     def test_one_step_windows_give_the_global_linearization(self, scheme, use_picard,
                                                             monkeypatch):
         # newton-schur is the Schur loop at level 0 and rests on this identity.
-        monkeypatch.setattr(nonlinear, "assemble_schur", None)  # no up-sweep runs
+        monkeypatch.setattr(nonlinear, "reduce_level", None)  # no up-sweep runs
         prob = benchmark_lv()
         grid = np.linspace(0.0, 3.0, 41)
         rng = np.random.default_rng(5)
         traj = prob.u0 * (1.0 + 0.3 * rng.normal(size=(41, 2)))
         res, _ = global_residual(prob, traj, grid, scheme)
         system = linearize_global(prob, traj, grid, scheme, res, use_picard)
-        phis, gs = _schur_row_task(prob, grid, traj, np.arange(41), scheme.effective_theta(),
-                                   use_picard, -res)
+        phis, gs, _ = _schur_row_task(prob, grid, traj, np.arange(41),
+                                      scheme.effective_theta(), use_picard, -res)
         assert np.array_equal(phis, system.phis) and np.array_equal(gs, system.gs)
 
 
