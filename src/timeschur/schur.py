@@ -5,21 +5,22 @@ A level system is the unit-diagonal lower block-bidiagonal problem
     u^0 = u_init,    u^i = phi^i @ u^{i-1} + g^i    (i = 1..n),
 
 stored as propagators ``phis``/``gs``, mostly views of one batch-last block
-``[phi | g]``, the layout of the trees below. Each step is the affine map
-``[[phi, g], [0, 1]]`` on ``[u; 1]``, so the whole solver is one recurrence of
-augmented maps, ``[A | a] o [B | b] = [A B | A b + a]``. Per subdomain it is
-a work-efficient scan (Blelloch, "Prefix sums and their applications", 1990)
-over a tree of maps, batched over equal-length subdomains with the batch axes
-last. The up-sweep composes neighbouring maps level by level; each
-subdomain's root is its coarse step, so the Schur complement on the interface
-nodes has the same structure one level up. The down-sweep walks the tree from
-an inflow state: the inflow values give the solution, zero the interior
-correction ``v`` and ``[I | 0]`` the maps ``[E | v]`` with the harmonic
-extension ``E``. The two take about ``2 s`` compositions at depth
-``2 ceil(log2 s)`` for ``s`` steps, where Hillis-Steele doubling took
-``s ceil(log2 s)``. The full solve reduces level by level, solves the
-coarsest system by forward substitution, and reconstructs downwards by
-down-sweeps, with interface values copied verbatim.
+``[phi | g]``. Each step is the affine map ``[[phi, g], [0, 1]]`` on
+``[u; 1]``, so the whole solver is one recurrence of augmented maps,
+``[A | a] o [B | b] = [A B | A b + a]``. Per subdomain it is a work-efficient
+scan (Blelloch, "Prefix sums and their applications", 1990) over a tree of
+maps, batched over equal-length subdomains: a share of ``k`` subdomains of
+``s`` steps is one tree ``(m, m+1, width, k)``, its ``s`` leaves padded with
+``[I | 0]`` to ``width = 2**ceil(log2 s)``. The up-sweep composes neighbouring
+maps level by level; each subdomain's root is its coarse step, so the Schur
+complement on the interface nodes has the same structure one level up. The
+down-sweep walks the tree from an inflow state: the inflow values give the
+solution, zero the interior correction ``v`` and ``[I | 0]`` the maps
+``[E | v]`` with the harmonic extension ``E``. Both compose only the blocks
+that hold a real leaf, about ``s`` maps each, at depth ``ceil(log2 s)``, where
+Hillis-Steele doubling took ``s ceil(log2 s)``. The full solve reduces level
+by level, solves the coarsest system by forward substitution, and
+reconstructs downwards by down-sweeps, with interface values copied verbatim.
 """
 
 from __future__ import annotations
@@ -104,18 +105,37 @@ def _compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     return out
 
 
-def _up_sweep(tree: np.ndarray) -> None:
-    """Blelloch's up-sweep over the last axis of ``tree`` ``(m, m+1, k, width)``, in place.
+_INNERMOST_SUBDOMAINS = 16  # a share this wide stores its subdomain axis innermost
+
+
+def _sweep_array(m: int, q: int, width: int, k: int) -> np.ndarray:
+    """Uninitialized ``(m, q, width, k)`` array for the tree or states of a share.
+
+    With at least ``_INNERMOST_SUBDOMAINS`` subdomains, ``k`` is innermost in
+    memory, and each product of a sweep level reads contiguous rows ``k``
+    wide. numpy pays a fixed cost per contiguous run, and a narrower share
+    keeps its leaf axis innermost, where the runs are a level's blocks. Both
+    orders run the same floating-point operations.
+    """
+    if k >= _INNERMOST_SUBDOMAINS:
+        return np.empty((m, q, width, k))
+    return np.empty((m, q, k, width)).swapaxes(2, 3)
+
+
+def _up_sweep(tree: np.ndarray, s: int) -> None:
+    """Blelloch's up-sweep over axis 2 of ``tree`` ``(m, m+1, width, k)``, in place.
 
     Level by level, the last node of each block of ``2h`` leaves composes its
-    own half-block with the one ``h`` nodes back. The left halves stay for
-    the down-sweep, and the last node ends as the product of all leaves.
+    own half-block with the one ``h`` nodes back. Only the first
+    ``ceil(s / 2h)`` blocks hold one of the ``s`` real leaves; the blocks past
+    them hold only ``[I | 0]`` pads and stay so. The left halves stay for the
+    down-sweep, and the last node ends as the product of all leaves.
     """
-    m, _, k, width = tree.shape
+    m, _, width, k = tree.shape
     h = 1
     while h < width:
-        pairs = tree.reshape(m, m + 1, k, -1, 2 * h)
-        pairs[..., -1] = _compose(pairs[..., -1], pairs[..., h - 1])
+        pairs = tree.reshape(m, m + 1, -1, 2 * h, k)[:, :, :-(-s // (2 * h))]
+        pairs[:, :, :, -1] = _compose(pairs[:, :, :, -1], pairs[:, :, :, h - 1])
         h *= 2
 
 
@@ -123,17 +143,17 @@ def _subdomain_setup(phis: np.ndarray, gs: np.ndarray, tree: np.ndarray) -> floa
     """Up-swept trees of ``k`` subdomains of ``s`` steps each, into ``tree``.
 
     ``phis`` ``(k, s, m, m)`` and ``gs`` ``(k, s, m)`` include the closing
-    steps. The leaves of ``tree`` ``(m, m+1, k, width)`` are the maps
-    ``[phi | g]`` (copied in memory order from a batch-last block), padded
-    with ``[I | 0]``; each subdomain's root, ``tree[..., -1]``, ends as its
-    coarse step. Returns the thread CPU seconds the call took.
+    steps. The leaves of ``tree`` ``(m, m+1, width, k)`` (``_sweep_array``)
+    are the maps ``[phi | g]``, padded with ``[I | 0]`` to
+    ``width = 2**ceil(log2 s)``; each subdomain's root, ``tree[:, :, -1]``,
+    ends as its coarse step. Returns the thread CPU seconds the call took.
     """
     start = time.thread_time()
     k, s, m = gs.shape
-    tree[:, :m, :, :s] = phis.transpose(2, 3, 0, 1)
-    tree[:, m, :, :s] = gs.transpose(2, 0, 1)
-    tree[..., s:] = np.eye(m, m + 1)[:, :, None, None]
-    _up_sweep(tree)
+    tree[:, :m, :s] = phis.transpose(2, 3, 1, 0)
+    tree[:, m, :s] = gs.transpose(2, 1, 0)
+    tree[:, :, s:] = np.eye(m, m + 1)[:, :, None, None]
+    _up_sweep(tree, s)
     return time.thread_time() - start
 
 
@@ -159,14 +179,15 @@ def reduce_level(sys: LevelSystem, bounds: np.ndarray, pool: WorkerPool | None =
     """One reduction step: ``(trees, coarse)`` of ``sys`` cut at ``bounds``.
 
     ``trees`` holds ``(lo, hi, s, tree)`` per share (``_shares``): its tree
-    is allocated here and filled in place by one task. ``coarse`` is the
-    system on the interface nodes, whose steps are the subdomains' roots.
+    ``(m, m+1, width, k)`` is allocated here and filled in place by one task
+    (``_subdomain_setup``). ``coarse`` is the system on the interface nodes,
+    whose steps are the subdomains' roots ``tree[:, :, -1]``.
     """
     m = sys.m_unk
     trees, args = [], []
     for lo, hi, s in _shares(bounds, pool.workers if pool is not None else 1):
         a, b, k = bounds[lo], bounds[hi], hi - lo
-        tree = np.empty((m, m + 1, k, 1 << (s - 1).bit_length()))  # s leaves padded to 2**p
+        tree = _sweep_array(m, m + 1, 1 << (s - 1).bit_length(), k)  # s leaves padded to 2**p
         trees.append((lo, hi, s, tree))
         args.append((sys.phis[a:b].reshape(k, s, m, m), sys.gs[a:b].reshape(k, s, m), tree))
     if pool is None:
@@ -176,7 +197,7 @@ def reduce_level(sys: LevelSystem, bounds: np.ndarray, pool: WorkerPool | None =
         cpu_seconds, _, _ = pool.map(_subdomain_setup, args)
     if report is not None:
         report.add_level(sys.level, cpu_seconds)
-    roots = np.concatenate([tree[..., -1] for *_, tree in trees], axis=2)  # (m, m+1, n1)
+    roots = np.concatenate([tree[:, :, -1] for *_, tree in trees], axis=2)  # (m, m+1, n1)
     return trees, LevelSystem(level=sys.level + 1, phis=roots[:, :m].transpose(2, 0, 1),
                               gs=roots[:, m].T, u_init=sys.u_init.copy())
 
@@ -188,28 +209,30 @@ def sweep_down(trees: list, bounds: np.ndarray, inflows: np.ndarray,
     ``trees`` comes from ``reduce_level`` with the same ``bounds``, and
     ``inflows`` is ``(n1, m, q)``: the inflow values ``u`` (``q = 1``) give
     the solution, zero the interior correction ``v`` and ``[I | 0]`` the
-    maps ``[E | v]``. Blelloch's down-sweep: a root takes its inflow state;
-    going down, a left child takes its parent's state and a right child the
-    left child's map applied to it. The shares run in this thread, each timed
-    as one task of ``level``, as a worker handles only its share.
+    maps ``[E | v]``. Blelloch's down-sweep, with a block's state ``(m, q,
+    width, k)`` at its first node: a root takes its inflow state; going
+    down, a left half keeps its block's state and a right half takes the
+    left half's map applied to it. As in the up-sweep, only the first
+    ``ceil(s / 2h)`` blocks are swept; the states of the blocks past them
+    hold only pads and are never read. The shares run in this thread, each
+    timed as one task of ``level``, as a worker handles only its share.
     """
     m, q = inflows.shape[1:]
     out = np.empty((bounds[-1], m, q))
     seconds = []
     for lo, hi, s, tree in trees:
         start = time.thread_time()
-        k, width = hi - lo, tree.shape[-1]
-        states = np.empty((m, q, k, width))
-        states[..., -1] = inflows[lo:hi].transpose(1, 2, 0)
+        width, k = tree.shape[2:]
+        states = _sweep_array(m, q, width, k)
+        states[:, :, 0] = inflows[lo:hi].transpose(1, 2, 0)
         h = width // 2
         while h:
-            maps = tree.reshape(m, m + 1, k, -1, 2 * h)
-            pairs = states.reshape(m, q, k, -1, 2 * h)
-            right = _compose(maps[..., h - 1], pairs[..., -1])
-            pairs[..., h - 1] = pairs[..., -1]
-            pairs[..., -1] = right
+            blocks = -(-s // (2 * h))
+            maps = tree.reshape(m, m + 1, -1, 2 * h, k)[:, :, :blocks]
+            pairs = states.reshape(m, q, -1, 2 * h, k)[:, :, :blocks]
+            pairs[:, :, :, h] = _compose(maps[:, :, :, h - 1], pairs[:, :, :, 0])
             h //= 2
-        out[bounds[lo]:bounds[hi]].reshape(k, s, m, q)[...] = states[..., :s].transpose(2, 3, 0, 1)
+        out[bounds[lo]:bounds[hi]].reshape(k, s, m, q)[...] = states[:, :, :s].transpose(3, 2, 0, 1)
         seconds.append(time.thread_time() - start)
     if report is not None:
         report.add_level(level, seconds)

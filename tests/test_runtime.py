@@ -26,7 +26,7 @@ from timeschur.schur import _subdomain_setup, _up_sweep, sequential_solve
 def _chain(phis, gs):
     # One subdomain as a batch of one: its up-swept tree.
     m = phis.shape[1]
-    tree = np.empty((m, m + 1, 1, 1 << (len(phis) - 1).bit_length()))
+    tree = np.empty((m, m + 1, 1 << (len(phis) - 1).bit_length(), 1))
     _subdomain_setup(phis[None], gs[None], tree)
     return tree
 
@@ -145,12 +145,12 @@ class TestLevelTimings:
         return report
 
     @staticmethod
-    def _burning(tree):
+    def _burning(tree, s):
         # Burns 20 ms in the up-sweep, which computes a share's coarse steps.
         start = time.thread_time()
         while time.thread_time() - start < 0.02:
             pass
-        return _up_sweep(tree)
+        return _up_sweep(tree, s)
 
     def test_assembly_is_counted_in_its_level(self, monkeypatch):
         monkeypatch.setattr(schur, "_up_sweep", self._burning)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import padded_scan_oracle
 from oracles import forward_substitution_oracle, random_system
 from timeschur import (
     LevelSystem,
@@ -25,6 +26,7 @@ from timeschur import (
     sequential_solve,
     zero_operator,
 )
+from timeschur import schur
 from timeschur.schur import (
     assemble_schur,
     dense_matrix,
@@ -213,6 +215,50 @@ class TestSweeps:
         ml = ml_solve(sys0, part)
         bound = part.counts[0] * np.finfo(float).eps
         assert np.max(np.abs(ml - exact)) <= bound * np.max(np.abs(exact))
+
+
+class TestRealLeafSweeps:
+    """The sweeps against the padded scan (``padded_scan_oracle``), bitwise."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(bounds=ragged_bounds(), wide=st.integers(min_value=0, max_value=64),
+           m=st.integers(min_value=1, max_value=3), maps=st.booleans(),
+           shares=st.integers(min_value=1, max_value=4),
+           seed=st.integers(min_value=0, max_value=10**6))
+    def test_sweeps_equal_the_padded_scan(self, bounds, wide, m, maps, shares, seed):
+        # ``wide`` more subdomains of 5 steps: a run whose shares reach
+        # _INNERMOST_SUBDOMAINS and keep the subdomain axis innermost.
+        bounds = np.concatenate([bounds, bounds[-1] + 5 * np.arange(1, wide + 1)])
+        sys0 = make_system(int(bounds[-1]), m, seed)
+        n1, q = len(bounds) - 1, m + 1 if maps else 1
+        inflows = np.random.default_rng(seed).normal(size=(n1, m, q))
+        oracle_trees, phis, gs = padded_scan_oracle.reduce_level(sys0, bounds)
+        expected = padded_scan_oracle.sweep_down(oracle_trees, bounds, inflows)
+        with WorkerPool(shares) as pool:
+            trees, coarse = reduce_level(sys0, bounds, pool)
+        assert np.array_equal(coarse.phis, phis) and np.array_equal(coarse.gs, gs)
+        assert np.array_equal(sweep_down(trees, bounds, inflows), expected)
+
+    # Compositions per sweep of one subdomain of s steps, sum over h < width
+    # of ceil(s / 2h). The padded scan composed width - 1 in each sweep: 255
+    # at s = 129.
+    REAL_BLOCKS = {1: 0, 2: 1, 100: 102, 128: 127, 129: 135, 200: 202}
+
+    @pytest.mark.parametrize("s", sorted(REAL_BLOCKS))
+    def test_each_sweep_composes_only_the_real_blocks(self, s, monkeypatch):
+        composed = []
+
+        def counting(outer, inner):
+            composed.append(int(np.prod(outer.shape[2:])))  # maps in the batch
+            return compose(outer, inner)
+
+        compose = schur._compose
+        monkeypatch.setattr(schur, "_compose", counting)
+        bounds = np.array([0, s])
+        trees, _ = reduce_level(make_system(s, 2, seed=s), bounds)
+        up, composed[:] = sum(composed), []
+        sweep_down(trees, bounds, np.zeros((1, 2, 1)))
+        assert up == sum(composed) == self.REAL_BLOCKS[s]
 
 
 class TestAssembleSchur:
