@@ -134,8 +134,10 @@ def _up_sweep(tree: np.ndarray, s: int) -> None:
     m, _, width, k = tree.shape
     h = 1
     while h < width:
-        pairs = tree.reshape(m, m + 1, -1, 2 * h, k)[:, :, :-(-s // (2 * h))]
-        pairs[:, :, :, -1] = _compose(pairs[:, :, :, -1], pairs[:, :, :, h - 1])
+        real = -(-s // (2 * h))
+        blocks = tree.reshape(m, m + 1, -1, 2 * h, k)[..., :real, :, :]
+        last = blocks[..., -1, :]
+        last[...] = _compose(last, blocks[..., h - 1, :])
         h *= 2
 
 
@@ -227,10 +229,10 @@ def sweep_down(trees: list, bounds: np.ndarray, inflows: np.ndarray,
         states[:, :, 0] = inflows[lo:hi].transpose(1, 2, 0)
         h = width // 2
         while h:
-            blocks = -(-s // (2 * h))
-            maps = tree.reshape(m, m + 1, -1, 2 * h, k)[:, :, :blocks]
-            pairs = states.reshape(m, q, -1, 2 * h, k)[:, :, :blocks]
-            pairs[:, :, :, h] = _compose(maps[:, :, :, h - 1], pairs[:, :, :, 0])
+            real = -(-s // (2 * h))
+            maps = tree.reshape(m, m + 1, -1, 2 * h, k)[..., :real, h - 1, :]
+            blocks = states.reshape(m, q, -1, 2 * h, k)[..., :real, :, :]
+            blocks[..., h, :] = _compose(maps, blocks[..., 0, :])
             h //= 2
         out[bounds[lo]:bounds[hi]].reshape(k, s, m, q)[...] = states[:, :, :s].transpose(3, 2, 0, 1)
         seconds.append(time.thread_time() - start)

@@ -256,7 +256,8 @@ class TestRealLeafSweeps:
         monkeypatch.setattr(schur, "_compose", counting)
         bounds = np.array([0, s])
         trees, _ = reduce_level(make_system(s, 2, seed=s), bounds)
-        up, composed[:] = sum(composed), []
+        up = sum(composed)
+        composed.clear()
         sweep_down(trees, bounds, np.zeros((1, 2, 1)))
         assert up == sum(composed) == self.REAL_BLOCKS[s]
 
