@@ -113,9 +113,11 @@ def _sweep_array(m: int, q: int, width: int, k: int) -> np.ndarray:
 
     With at least ``_INNERMOST_SUBDOMAINS`` subdomains, ``k`` is innermost in
     memory, and each product of a sweep level reads contiguous rows ``k``
-    wide. numpy pays a fixed cost per contiguous run, and a narrower share
-    keeps its leaf axis innermost, where the runs are a level's blocks. Both
-    orders run the same floating-point operations.
+    wide. A narrower share keeps its leaf axis innermost, where numpy's
+    loops run over a level's blocks: with rows of a few subdomains, the two
+    halves of a share would cost more than the whole, and splitting a few
+    long subdomains between workers would not pay. Both orders run the same
+    floating-point operations.
     """
     if k >= _INNERMOST_SUBDOMAINS:
         return np.empty((m, q, width, k))
