@@ -105,7 +105,7 @@ def _compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     return out
 
 
-_INNERMOST_SUBDOMAINS = 16  # a share this wide stores its subdomain axis innermost
+_INNERMOST_SUBDOMAINS = 8  # a share this wide stores its subdomain axis innermost
 
 
 def _sweep_array(m: int, q: int, width: int, k: int) -> np.ndarray:
@@ -114,10 +114,11 @@ def _sweep_array(m: int, q: int, width: int, k: int) -> np.ndarray:
     With at least ``_INNERMOST_SUBDOMAINS`` subdomains, ``k`` is innermost in
     memory, and each product of a sweep level reads contiguous rows ``k``
     wide. A narrower share keeps its leaf axis innermost, where numpy's
-    loops run over a level's blocks: with rows of a few subdomains, the two
-    halves of a share would cost more than the whole, and splitting a few
-    long subdomains between workers would not pay. Both orders run the same
-    floating-point operations.
+    loops run over a level's blocks: on long subdomains, rows of a few
+    subdomains cost more per element than those runs, and the two halves
+    of such a share would cost more than the whole, so splitting it between
+    workers would not pay. Both orders run the same floating-point
+    operations.
     """
     if k >= _INNERMOST_SUBDOMAINS:
         return np.empty((m, q, width, k))
