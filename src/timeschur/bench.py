@@ -549,11 +549,14 @@ def verify(workers: int = 1) -> list[CheckResult]:
     # The pool reproduces the in-process results bitwise.
     inproc, _ = newton_schur_solve(problem, partition, be, policy)
     worst = float(np.max(np.abs(gns - inproc)))
-    partition = build_explicit([2003, 40, 7], t_end=1.0)  # ragged subdomains
-    sys0 = build_linear_system(random_stable_linear(2, seed=3), partition.grids[0], be)
-    with WorkerPool(workers) as pool:
-        pooled = ml_solve(sys0, partition, pool=pool)
-    worst = max(worst, float(np.max(np.abs(pooled - ml_solve(sys0, partition)))))
+    # Ragged subdomains, and shares long enough to run on the pool's threads.
+    for counts, problem in (([2003, 40, 7], random_stable_linear(2, seed=3)),
+                            ([8 * 20000, 8], linear_decay(1.0))):
+        partition = build_explicit(counts, t_end=1.0)
+        sys0 = build_linear_system(problem, partition.grids[0], be)
+        with WorkerPool(workers) as pool:
+            pooled = ml_solve(sys0, partition, pool=pool)
+        worst = max(worst, float(np.max(np.abs(pooled - ml_solve(sys0, partition)))))
     checks.append(CheckResult("worker_bitwise", worst == 0.0, worst, 0.0,
                               detail=f"workers={workers}"))
 

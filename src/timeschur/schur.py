@@ -25,6 +25,7 @@ reconstructs downwards by down-sweeps, with interface values copied verbatim.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -144,22 +145,26 @@ def _up_sweep(tree: np.ndarray, s: int) -> None:
         h *= 2
 
 
-def _subdomain_setup(phis: np.ndarray, gs: np.ndarray, tree: np.ndarray) -> float:
-    """Up-swept trees of ``k`` subdomains of ``s`` steps each, into ``tree``.
+def _subdomain_setup(shares: list) -> list[float]:
+    """Up-swept trees of shares ``(phis, gs, tree)``, one after another.
 
-    ``phis`` ``(k, s, m, m)`` and ``gs`` ``(k, s, m)`` include the closing
-    steps. The leaves of ``tree`` ``(m, m+1, width, k)`` (``_sweep_array``)
-    are the maps ``[phi | g]``, padded with ``[I | 0]`` to
-    ``width = 2**ceil(log2 s)``; each subdomain's root, ``tree[:, :, -1]``,
-    ends as its coarse step. Returns the thread CPU seconds the call took.
+    Per share, ``phis`` ``(k, s, m, m)`` and ``gs`` ``(k, s, m)`` hold ``k``
+    subdomains of ``s`` steps each, the closing steps included. The leaves of
+    ``tree`` ``(m, m+1, width, k)`` (``_sweep_array``) are the maps
+    ``[phi | g]``, padded with ``[I | 0]`` to ``width = 2**ceil(log2 s)``;
+    each subdomain's root, ``tree[:, :, -1]``, ends as its coarse step.
+    Returns the thread CPU seconds each share took.
     """
-    start = time.thread_time()
-    k, s, m = gs.shape
-    tree[:, :m, :s] = phis.transpose(2, 3, 1, 0)
-    tree[:, m, :s] = gs.transpose(2, 1, 0)
-    tree[:, :, s:] = np.eye(m, m + 1)[:, :, None, None]
-    _up_sweep(tree, s)
-    return time.thread_time() - start
+    seconds = []
+    for phis, gs, tree in shares:
+        start = time.thread_time()
+        k, s, m = gs.shape
+        tree[:, :m, :s] = phis.transpose(2, 3, 1, 0)
+        tree[:, m, :s] = gs.transpose(2, 1, 0)
+        tree[:, :, s:] = np.eye(m, m + 1)[:, :, None, None]
+        _up_sweep(tree, s)
+        seconds.append(time.thread_time() - start)
+    return seconds
 
 
 def _shares(bounds: np.ndarray, workers: int) -> list[tuple[int, int, int]]:
@@ -169,14 +174,53 @@ def _shares(bounds: np.ndarray, workers: int) -> list[tuple[int, int, int]]:
     contiguous shares of its ``k`` subdomains. A share is one worker's part
     of a level's up-sweep and down-sweep.
     """
-    lengths = np.diff(bounds)
-    edges = np.concatenate([[0], np.flatnonzero(np.diff(lengths)) + 1, [len(lengths)]])
-    shares = []
-    for i, j in zip(edges[:-1].tolist(), edges[1:].tolist()):
-        n = min(workers, j - i)
-        cuts = [i + (j - i) * c // n for c in range(n + 1)]
-        shares += [(lo, hi, int(lengths[i])) for lo, hi in zip(cuts, cuts[1:])]
+    shares, lo = [], 0
+    for s, run in itertools.groupby(np.diff(bounds).tolist()):
+        k = len(list(run))
+        n = min(workers, k)
+        shares += [(lo + k * c // n, lo + k * (c + 1) // n, s) for c in range(n)]
+        lo += k
     return shares
+
+
+def _compositions(k: int, s: int) -> int:
+    """Maps one sweep of ``k`` subdomains of ``s`` steps composes: ``k sum_h ceil(s / 2h)``."""
+    count, h = 0, 1
+    while h < s:  # the levels h < width = 2**ceil(log2 s)
+        count += -(-s // (2 * h))
+        h *= 2
+    return k * count
+
+
+# Compositions each share must hold before a level's shares run as parallel
+# tasks. ml_solve on 2 cores, threaded over in turn: 1.2-2.1 at 5,000-10,000
+# compositions a share, 0.60-0.70 from 40,000 at m = 2 and 3.
+_GRAIN = 32768
+
+
+def _run_shares(task, shares: list, trees: list, pool: WorkerPool | None,
+                report: SolverReport | None, level: int) -> None:
+    """Run ``task`` over a level's ``shares`` and book each one's seconds to ``level``.
+
+    ``task`` runs a list of shares one after another and returns the thread
+    CPU seconds of each; ``trees`` holds each share's ``(lo, hi, s, tree)``
+    (``reduce_level``). If every share composes at least ``_GRAIN`` maps,
+    each share is its own task of ``pool``. Otherwise the region is one
+    task, which the pool runs in the calling thread, and no thread starts.
+    Either way each share keeps its own seconds, so the report books the
+    modeled critical path.
+    """
+    if pool is None:
+        seconds = task(shares)
+    else:
+        if all(_compositions(hi - lo, s) >= _GRAIN for lo, hi, s, _ in trees):
+            args = [([share],) for share in shares]
+        else:
+            args = [(shares,)]
+        results, _, _ = pool.map(task, args)
+        seconds = [secs for result in results for secs in result]
+    if report is not None:
+        report.add_level(level, seconds)
 
 
 def reduce_level(sys: LevelSystem, bounds: np.ndarray, pool: WorkerPool | None = None,
@@ -184,31 +228,54 @@ def reduce_level(sys: LevelSystem, bounds: np.ndarray, pool: WorkerPool | None =
     """One reduction step: ``(trees, coarse)`` of ``sys`` cut at ``bounds``.
 
     ``trees`` holds ``(lo, hi, s, tree)`` per share (``_shares``): its tree
-    ``(m, m+1, width, k)`` is allocated here and filled in place by one task
-    (``_subdomain_setup``). ``coarse`` is the system on the interface nodes,
-    whose steps are the subdomains' roots ``tree[:, :, -1]``.
+    ``(m, m+1, width, k)`` is allocated here and filled in place
+    (``_subdomain_setup``), on ``pool``'s threads if every share clears
+    ``_GRAIN`` and in this thread otherwise (``_run_shares``). ``coarse`` is
+    the system on the interface nodes, whose steps are the subdomains' roots
+    ``tree[:, :, -1]``.
     """
     m = sys.m_unk
-    trees, args = [], []
+    trees, shares = [], []
     for lo, hi, s in _shares(bounds, pool.workers if pool is not None else 1):
         a, b, k = bounds[lo], bounds[hi], hi - lo
         tree = _sweep_array(m, m + 1, 1 << (s - 1).bit_length(), k)  # s leaves padded to 2**p
         trees.append((lo, hi, s, tree))
-        args.append((sys.phis[a:b].reshape(k, s, m, m), sys.gs[a:b].reshape(k, s, m), tree))
-    if pool is None:
-        cpu_seconds = [_subdomain_setup(*share) for share in args]
-    else:
-        # The shares' own thread CPU seconds, not the map's wall clocks.
-        cpu_seconds, _, _ = pool.map(_subdomain_setup, args)
-    if report is not None:
-        report.add_level(sys.level, cpu_seconds)
+        shares.append((sys.phis[a:b].reshape(k, s, m, m), sys.gs[a:b].reshape(k, s, m), tree))
+    _run_shares(_subdomain_setup, shares, trees, pool, report, sys.level)
     roots = np.concatenate([tree[:, :, -1] for *_, tree in trees], axis=2)  # (m, m+1, n1)
     return trees, LevelSystem(level=sys.level + 1, phis=roots[:, :m].transpose(2, 0, 1),
                               gs=roots[:, m].T, u_init=sys.u_init.copy())
 
 
+def _subdomain_sweep_down(shares: list) -> list[float]:
+    """Down-sweeps of shares ``(tree, s, inflows, out)``, one after another.
+
+    Per share, ``inflows`` ``(k, m, q)`` are the roots' states and ``out``
+    ``(k, s, m, q)`` takes the states at each subdomain's nodes but the last.
+    Returns the thread CPU seconds each share took.
+    """
+    seconds = []
+    for tree, s, inflows, out in shares:
+        start = time.thread_time()
+        m, _, width, k = tree.shape
+        q = inflows.shape[2]
+        states = _sweep_array(m, q, width, k)
+        states[:, :, 0] = inflows.transpose(1, 2, 0)
+        h = width // 2
+        while h:
+            real = -(-s // (2 * h))
+            maps = tree.reshape(m, m + 1, -1, 2 * h, k)[..., :real, h - 1, :]
+            blocks = states.reshape(m, q, -1, 2 * h, k)[..., :real, :, :]
+            blocks[..., h, :] = _compose(maps, blocks[..., 0, :])
+            h //= 2
+        out[...] = states[:, :, :s].transpose(3, 2, 0, 1)
+        seconds.append(time.thread_time() - start)
+    return seconds
+
+
 def sweep_down(trees: list, bounds: np.ndarray, inflows: np.ndarray,
-               report: SolverReport | None = None, level: int = 0) -> np.ndarray:
+               pool: WorkerPool | None = None, report: SolverReport | None = None,
+               level: int = 0) -> np.ndarray:
     """States ``(n, m, q)`` at every node but the last, from ``inflows[i]`` at subdomain ``i``.
 
     ``trees`` comes from ``reduce_level`` with the same ``bounds``, and
@@ -219,28 +286,14 @@ def sweep_down(trees: list, bounds: np.ndarray, inflows: np.ndarray,
     down, a left half keeps its block's state and a right half takes the
     left half's map applied to it. As in the up-sweep, only the first
     ``ceil(s / 2h)`` blocks are swept; the states of the blocks past them
-    hold only pads and are never read. The shares run in this thread, each
-    timed as one task of ``level``, as a worker handles only its share.
+    hold only pads and are never read. The shares run as the up-sweep's do
+    (``_run_shares``), and each one's seconds are booked to ``level``.
     """
     m, q = inflows.shape[1:]
     out = np.empty((bounds[-1], m, q))
-    seconds = []
-    for lo, hi, s, tree in trees:
-        start = time.thread_time()
-        width, k = tree.shape[2:]
-        states = _sweep_array(m, q, width, k)
-        states[:, :, 0] = inflows[lo:hi].transpose(1, 2, 0)
-        h = width // 2
-        while h:
-            real = -(-s // (2 * h))
-            maps = tree.reshape(m, m + 1, -1, 2 * h, k)[..., :real, h - 1, :]
-            blocks = states.reshape(m, q, -1, 2 * h, k)[..., :real, :, :]
-            blocks[..., h, :] = _compose(maps, blocks[..., 0, :])
-            h //= 2
-        out[bounds[lo]:bounds[hi]].reshape(k, s, m, q)[...] = states[:, :, :s].transpose(3, 2, 0, 1)
-        seconds.append(time.thread_time() - start)
-    if report is not None:
-        report.add_level(level, seconds)
+    shares = [(tree, s, inflows[lo:hi], out[bounds[lo]:bounds[hi]].reshape(hi - lo, s, m, q))
+              for lo, hi, s, tree in trees]
+    _run_shares(_subdomain_sweep_down, shares, trees, pool, report, level)
     return out
 
 
@@ -255,7 +308,7 @@ def level_maps(sys: LevelSystem, bounds: np.ndarray,
     """
     trees, _ = reduce_level(sys, bounds, pool)
     m, n1 = sys.m_unk, len(bounds) - 1
-    return sweep_down(trees, bounds, np.broadcast_to(np.eye(m, m + 1), (n1, m, m + 1)))
+    return sweep_down(trees, bounds, np.broadcast_to(np.eye(m, m + 1), (n1, m, m + 1)), pool)
 
 
 def restriction_operator(sys: LevelSystem, bounds: np.ndarray) -> list[np.ndarray]:
@@ -308,12 +361,10 @@ def ml_solve(
     if report is not None:
         report.add_level(partition.top_level, [time.thread_time() - start])
 
-    # The down-sweeps run in this thread, but each share is timed as its own
-    # task, as the up-sweeps are. The gather and scatter of interface values
-    # between levels are not timed.
+    # The gather and scatter of interface values between levels are not timed.
     for level in range(partition.top_level - 1, sys.level - 1, -1):
         bounds = partition.subdomain_bounds(level)
-        fine = sweep_down(trees_per_level.pop(), bounds, u[:-1, :, None], report, level)
+        fine = sweep_down(trees_per_level.pop(), bounds, u[:-1, :, None], pool, report, level)
         fine = np.concatenate([fine[:, :, 0], u[-1:]])
         fine[bounds] = u  # interface values are copied, not recomputed
         u = fine

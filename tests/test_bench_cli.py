@@ -259,6 +259,21 @@ class TestVerify:
         pooled = {c.name: c for c in verify(workers=2)}
         assert pooled["worker_bitwise"].passed, pooled["worker_bitwise"].error
 
+    def test_worker_bitwise_runs_shares_on_the_threads(self, monkeypatch):
+        # Two workers: some region of each sweep sends its two shares to the pool's threads.
+        from timeschur import WorkerPool
+
+        tasks, pool_map = [], WorkerPool.map
+
+        def recording_map(pool, fn, args_list):
+            args_list = list(args_list)
+            tasks.append((fn.__name__, len(args_list)))
+            return pool_map(pool, fn, args_list)
+
+        monkeypatch.setattr(WorkerPool, "map", recording_map)
+        assert all(c.passed for c in verify(workers=2))
+        assert {("_subdomain_setup", 2), ("_subdomain_sweep_down", 2)} <= set(tasks)
+
     def test_injected_sign_bug_is_caught(self, monkeypatch):
         # Flip the sign of the coarse steps: the Petrov-Galerkin cross-check
         # must fail while the dense route stays intact.

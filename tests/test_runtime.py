@@ -27,7 +27,7 @@ def _chain(phis, gs):
     # One subdomain as a batch of one: its up-swept tree.
     m = phis.shape[1]
     tree = np.empty((m, m + 1, 1 << (len(phis) - 1).bit_length(), 1))
-    _subdomain_setup(phis[None], gs[None], tree)
+    _subdomain_setup([(phis[None], gs[None], tree)])
     return tree
 
 
@@ -109,8 +109,9 @@ class TestParallelMap:
             pool.map(_stops, [(kind,), (kind,)])
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-    def test_pooled_solves_leave_no_descriptors_open(self):
-        # Every pool starts new threads.
+    def test_pooled_solves_leave_no_descriptors_open(self, monkeypatch):
+        # Every pool starts new threads: each share of a sweep is a task.
+        monkeypatch.setattr(schur, "_GRAIN", 0)
         prob = lotka_volterra(3.0, 0.2, 2.0, 0.1, 10.0, 40.0)
         part = build_explicit([120, 6], t_end=3.0)
         newton_schur_solve(prob, part, Scheme.backward_euler(), workers=2)
@@ -157,7 +158,7 @@ class TestLevelTimings:
         assert self._timed_ml_solve().per_level_max[0] >= 0.02
 
     def test_each_worker_assembles_only_its_share(self, monkeypatch):
-        # Four subdomains, four workers: four shares, each one 20 ms task.
+        # Four subdomains, four workers: four shares, each timed as one 20 ms task.
         monkeypatch.setattr(schur, "_up_sweep", self._burning)
         report = self._timed_ml_solve(counts=(400, 4), workers=4)
         assert report.per_level_sum[0] >= 4 * 0.02
@@ -193,41 +194,105 @@ class TestCriticalPath:
         assert critical_path_seconds([], workers=3) == 0.0
 
 
+class TestShareDispatch:
+    """A level's shares go to the threads by their work counts alone, in both sweeps."""
+
+    @staticmethod
+    def _regions(monkeypatch, solve):
+        """``(task, groups, booked)`` per sweep region of ``solve()``.
+
+        ``groups`` holds the compositions of each share, grouped by pool task;
+        ``booked`` is the number of task seconds the report took next.
+        """
+        events, pool_map, add_level = [], WorkerPool.map, SolverReport.add_level
+
+        def recording_map(pool, fn, args_list):
+            args_list = list(args_list)
+            if fn in (schur._subdomain_setup, schur._subdomain_sweep_down):
+                # A share's (k, s, ...) block: its gs, or the down-sweep's output.
+                groups = [[schur._compositions(*(share[1] if len(share) == 3 else share[3])
+                                               .shape[:2]) for share in group]
+                          for (group,) in args_list]
+                events.append((fn.__name__, groups))
+            return pool_map(pool, fn, args_list)
+
+        def recording_add_level(report, level, task_seconds):
+            events.append(len(task_seconds))
+            add_level(report, level, task_seconds)
+
+        monkeypatch.setattr(WorkerPool, "map", recording_map)
+        monkeypatch.setattr(SolverReport, "add_level", recording_add_level)
+        solve()
+        return [(*event, events[i + 1]) for i, event in enumerate(events)
+                if isinstance(event, tuple)]
+
+    def test_shares_below_the_grain_are_one_task(self, monkeypatch):
+        # The lv-newton benchmark shape: two shares of 25 subdomains of 200
+        # steps, 5,050 compositions each, and the coarse start's 2 x 5 x 10.
+        prob = lotka_volterra(3.0, 0.2, 2.0, 0.1, 10.0, 40.0)
+        part = build_explicit([10000, 50], t_end=3.0)
+        regions = self._regions(monkeypatch, lambda: newton_schur_solve(
+            prob, part, Scheme.backward_euler(), workers=2))
+        assert {task for task, _, _ in regions} == {"_subdomain_setup", "_subdomain_sweep_down"}
+        for _, groups, booked in regions:
+            assert len(groups) == 1 and len(groups[0]) == booked == 2
+            assert max(groups[0]) < schur._GRAIN
+        assert [5050, 5050] in [groups[0] for _, groups, _ in regions]
+
+    def test_shares_above_the_grain_are_one_task_each(self, monkeypatch):
+        # The chunky decay case: two shares of 4 subdomains of 20,000 steps,
+        # 80,020 compositions each.
+        part = build_explicit([8 * 20000, 8], t_end=1.0)
+        sys0 = build_linear_system(linear_decay(1.0), part.grids[0], Scheme.backward_euler())
+        with WorkerPool(2) as pool:
+            regions = self._regions(monkeypatch, lambda: ml_solve(
+                sys0, part, pool=pool, report=SolverReport(workers=2)))
+        assert schur._GRAIN <= 80020
+        assert regions == [("_subdomain_setup", [[80020], [80020]], 2),
+                           ("_subdomain_sweep_down", [[80020], [80020]], 2)]
+
+
 class TestSolverDeterminism:
-    def test_trajectories_bitwise_equal_across_worker_counts(self):
+    """Every pooled solve runs with each share on a thread, and with the shipped grain."""
+
+    def test_trajectories_bitwise_equal_across_worker_counts(self, monkeypatch):
         prob = lotka_volterra(3.0, 0.2, 2.0, 0.1, 10.0, 40.0)
         part = build_explicit([300, 6], t_end=3.0)
         t1, r1 = newton_schur_solve(prob, part, Scheme.backward_euler(), workers=1)
-        t4, r4 = newton_schur_solve(prob, part, Scheme.backward_euler(), workers=4)
-        assert np.array_equal(t1, t4)
-        assert r1.outer_iterations == r4.outer_iterations
-        assert r1.residual_history == r4.residual_history
-        assert r1.mode_history == r4.mode_history
+        for grain in (0, schur._GRAIN):
+            monkeypatch.setattr(schur, "_GRAIN", grain)
+            t4, r4 = newton_schur_solve(prob, part, Scheme.backward_euler(), workers=4)
+            assert np.array_equal(t1, t4)
+            assert r1.outer_iterations == r4.outer_iterations
+            assert r1.residual_history == r4.residual_history
+            assert r1.mode_history == r4.mode_history
 
     @staticmethod
-    def _assert_nlschur_bitwise_equal_across_worker_counts(counts, k):
+    def _assert_nlschur_bitwise_equal_across_worker_counts(counts, k, monkeypatch):
         prob = lotka_volterra(3.0, 0.2, 2.0, 0.1, 10.0, 40.0)
         part = build_explicit(counts, t_end=3.0)
         t1, r1 = nonlinear_schur_newton_solve(prob, part, k, Scheme.backward_euler(),
                                               workers=1)
-        t2, r2 = nonlinear_schur_newton_solve(prob, part, k, Scheme.backward_euler(),
-                                              workers=2)
         assert r1.residual_final < 1e-8
-        assert np.array_equal(t1, t2)
-        assert r1.residual_history == r2.residual_history
-        assert r1.interior_residual_history == r2.interior_residual_history
-        assert r1.mode_history == r2.mode_history
-        assert (r1.outer_iterations, r1.inner_picard, r1.inner_newton) == \
-            (r2.outer_iterations, r2.inner_picard, r2.inner_newton)
+        for grain in (0, schur._GRAIN):
+            monkeypatch.setattr(schur, "_GRAIN", grain)
+            t2, r2 = nonlinear_schur_newton_solve(prob, part, k, Scheme.backward_euler(),
+                                                  workers=2)
+            assert np.array_equal(t1, t2)
+            assert r1.residual_history == r2.residual_history
+            assert r1.interior_residual_history == r2.interior_residual_history
+            assert r1.mode_history == r2.mode_history
+            assert (r1.outer_iterations, r1.inner_picard, r1.inner_newton) == \
+                (r2.outer_iterations, r2.inner_picard, r2.inner_newton)
 
-    def test_nlschur_bitwise_equal_across_worker_counts(self):
+    def test_nlschur_bitwise_equal_across_worker_counts(self, monkeypatch):
         # Ragged last subdomain.
-        self._assert_nlschur_bitwise_equal_across_worker_counts([307, 7], 1)
+        self._assert_nlschur_bitwise_equal_across_worker_counts([307, 7], 1, monkeypatch)
 
     @pytest.mark.parametrize("k, counts", [(2, [307, 14, 4]), (3, [307, 14, 4, 2])])
-    def test_nested_nlschur_bitwise_equal_across_worker_counts(self, k, counts):
+    def test_nested_nlschur_bitwise_equal_across_worker_counts(self, k, counts, monkeypatch):
         # Ragged subdomains at every level.
-        self._assert_nlschur_bitwise_equal_across_worker_counts(counts, k)
+        self._assert_nlschur_bitwise_equal_across_worker_counts(counts, k, monkeypatch)
 
 
 @pytest.mark.slow

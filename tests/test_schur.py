@@ -133,11 +133,15 @@ class TestLevelMaps:
         sys0 = make_system(int(bounds[-1]), m, seed)
         maps = level_maps(sys0, bounds)
         assert_matches_two_loops(sys0, bounds, maps)
-        with WorkerPool(shares) as pool:
-            assert np.array_equal(maps, level_maps(sys0, bounds, pool=pool))
+        for grain in (0, schur._GRAIN):
+            with WorkerPool(shares) as pool, pytest.MonkeyPatch.context() as patch:
+                patch.setattr(schur, "_GRAIN", grain)
+                assert np.array_equal(maps, level_maps(sys0, bounds, pool=pool))
 
-    def test_shares_fill_their_slices_under_frequent_thread_switches(self):
-        # Eight shares per run on the pool's threads write one output array.
+    def test_shares_fill_their_slices_under_frequent_thread_switches(self, monkeypatch):
+        # Eight shares per run on the pool's threads write one output array,
+        # however few maps each composes.
+        monkeypatch.setattr(schur, "_GRAIN", 0)
         sys0 = make_system(8 * 500 + 9, 2, seed=14)
         bounds = build_explicit([8 * 500 + 9, 16], t_end=1.0).subdomain_bounds(0)
         serial = level_maps(sys0, bounds)
@@ -164,7 +168,7 @@ def ragged_bounds(draw):
 def sweeps(sys0, bounds, inflows, pool=None):
     """Coarse steps and the down-sweep from each of ``inflows``, through one reduction."""
     trees, coarse = reduce_level(sys0, bounds, pool)
-    return [coarse.phis, coarse.gs] + [sweep_down(trees, bounds, f) for f in inflows]
+    return [coarse.phis, coarse.gs] + [sweep_down(trees, bounds, f, pool) for f in inflows]
 
 
 class TestSweeps:
@@ -199,8 +203,9 @@ class TestSweeps:
         expected = (maps[:, :, :m] @ u[owner])[:, :, 0] + maps[:, :, m]
         assert np.max(np.abs(solved[:, :, 0] - expected)) <= 1e-14 * np.max(np.abs(expected))
         # Bitwise equal for any share count, and on two threads.
-        for workers in (shares, 2):
-            with WorkerPool(workers) as pool:
+        for workers, grain in ((shares, schur._GRAIN), (2, 0)):
+            with WorkerPool(workers) as pool, pytest.MonkeyPatch.context() as patch:
+                patch.setattr(schur, "_GRAIN", grain)
                 pooled = sweeps(sys0, bounds, [u, np.zeros((n1, m, 1)), identity], pool)
             assert all(np.array_equal(a, b) for a, b in zip(results, pooled))
 
@@ -234,10 +239,13 @@ class TestRealLeafSweeps:
         inflows = np.random.default_rng(seed).normal(size=(n1, m, q))
         oracle_trees, phis, gs = padded_scan_oracle.reduce_level(sys0, bounds)
         expected = padded_scan_oracle.sweep_down(oracle_trees, bounds, inflows)
-        with WorkerPool(shares) as pool:
-            trees, coarse = reduce_level(sys0, bounds, pool)
-        assert np.array_equal(coarse.phis, phis) and np.array_equal(coarse.gs, gs)
-        assert np.array_equal(sweep_down(trees, bounds, inflows), expected)
+        for grain in (0, schur._GRAIN):  # each share on a thread, and all in this one
+            with WorkerPool(shares) as pool, pytest.MonkeyPatch.context() as patch:
+                patch.setattr(schur, "_GRAIN", grain)
+                trees, coarse = reduce_level(sys0, bounds, pool)
+                down = sweep_down(trees, bounds, inflows, pool)
+            assert np.array_equal(coarse.phis, phis) and np.array_equal(coarse.gs, gs)
+            assert np.array_equal(down, expected)
 
     # Compositions per sweep of one subdomain of s steps, sum over h < width
     # of ceil(s / 2h). The padded scan composed width - 1 in each sweep: 255
@@ -259,7 +267,30 @@ class TestRealLeafSweeps:
         up = sum(composed)
         composed.clear()
         sweep_down(trees, bounds, np.zeros((1, 2, 1)))
-        assert up == sum(composed) == self.REAL_BLOCKS[s]
+        assert up == sum(composed) == self.REAL_BLOCKS[s] == schur._compositions(1, s)
+
+
+def numpy_shares(bounds, workers):
+    """``schur._shares`` as numpy expressions: the reference its Python scan must equal."""
+    lengths = np.diff(bounds)
+    edges = np.concatenate([[0], np.flatnonzero(np.diff(lengths)) + 1, [len(lengths)]])
+    shares = []
+    for i, j in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        n = min(workers, j - i)
+        cuts = [i + (j - i) * c // n for c in range(n + 1)]
+        shares += [(lo, hi, int(lengths[i])) for lo, hi in zip(cuts, cuts[1:])]
+    return shares
+
+
+@settings(max_examples=100, deadline=None)
+@given(bounds=ragged_bounds(), wide=st.integers(min_value=0, max_value=12),
+       workers=st.integers(min_value=1, max_value=4))
+def test_shares_equal_the_numpy_reference(bounds, wide, workers):
+    # ``wide`` more subdomains of 5 steps: a run longer than the worker count.
+    bounds = np.concatenate([bounds, bounds[-1] + 5 * np.arange(1, wide + 1)])
+    shares = schur._shares(bounds, workers)
+    assert shares == numpy_shares(bounds, workers)
+    assert all(type(x) is int for share in shares for x in share)
 
 
 class TestAssembleSchur:
@@ -517,7 +548,10 @@ def test_ml_solve_bitwise_equal_across_worker_counts(two_workers, counts, m, see
     sys0, part = system_and_partition(counts, m, seed, source)
     with WorkerPool(1) as one_worker:
         serial = ml_solve(sys0, part, pool=one_worker)
-    assert np.array_equal(serial, ml_solve(sys0, part, pool=two_workers))
+    for grain in (0, schur._GRAIN):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(schur, "_GRAIN", grain)
+            assert np.array_equal(serial, ml_solve(sys0, part, pool=two_workers))
 
 
 def test_forward_substitution_does_not_depend_on_the_layout_of_phis():
