@@ -11,8 +11,9 @@ every node is an interface node: nothing is extended, and the Schur complement
 is the block-bidiagonal global linearization. That is ``newton_schur_solve``;
 ``nonlinear_schur_newton_solve`` runs the loop at a level k >= 1. Without an
 ``initial`` guess both start by nested iteration: the level-0 loop's solution on
-a coarse grid, interpolated, if its fine residual is below the flat guess's
-(``u0`` everywhere). If either loop fails, the level-k loop runs from that guess.
+a coarse grid, in the theta-method that matches the fine scheme's leading error
+term, interpolated, if its fine residual is below the flat guess's (``u0``
+everywhere). If either loop fails, the level-k loop runs from that guess.
 
 The partition is the only description of the windows. An extension task
 takes a level and a range of elements of the level above it, and reads their
@@ -57,7 +58,7 @@ from .runtime import SolverReport, WorkerPool
 from .schur import LevelSystem, cost_model, ml_solve, reduce_level, sweep_down
 
 NON_FINITE = "non-finite residual"  # NonconvergenceError reason: the iteration stopped at once
-_COARSE_ELEMENTS = 100  # the nested-iteration start's coarse grid, at most
+_COARSE_ELEMENTS = 50  # the nested-iteration start's coarse grid, at most
 _COARSE_MIN = 25  # and at least, or the loop starts flat
 
 @dataclass(frozen=True)
@@ -274,6 +275,7 @@ def _solve(problem, partition, k, scheme, policy, initial, workers):
     start = time.perf_counter()
     # The loops and the start's residual test catch non-finite norms.
     with WorkerPool(workers) as pool, np.errstate(over="ignore", invalid="ignore"):
+        known = []  # the start's residual, if at hand; the loop pops it
         if initial is not None:
             w = np.array(initial, dtype=float)
             if w.shape != (n0 + 1, m):
@@ -281,10 +283,11 @@ def _solve(problem, partition, k, scheme, policy, initial, workers):
             w[0] = problem.u0
             report.start = "given"
         else:
-            w = _coarse_start(problem, partition.grids[0], k, scheme, policy, pool, report, flat)
+            w, known = _coarse_start(problem, partition.grids[0], k, scheme, policy, pool,
+                                     report, flat)
         try:
             w = _schur_loop(problem, partition, k, scheme, policy,
-                            flat if w is None else w, pool, report)
+                            flat if w is None else w, pool, report, known)
         except (NonconvergenceError, SingularStepError):
             if report.start != "coarse":
                 raise
@@ -301,36 +304,45 @@ def _solve(problem, partition, k, scheme, policy, initial, workers):
 def _coarse_start(problem, grid, k, scheme, policy, pool, report, flat):
     """Nested-iteration start: the level-0 loop's solution on a coarse grid, interpolated.
 
-    The coarse grid's ``min(_COARSE_ELEMENTS, n0 // 2)`` elements are evenly
-    spaced in the fine node index. At k >= 1 its solve is one serial level-0
-    region on the process's CPU clock, as its multilevel solves may use the
-    pool's threads. Returns None, the flat start, for a linear problem, below
-    ``_COARSE_MIN`` elements, when the coarse loop fails and when the start's
-    fine residual is not below ``flat``'s (a spurious discrete solution).
+    The coarse grid's ``nc = min(_COARSE_ELEMENTS, n0 // 2)`` elements are
+    evenly spaced in the fine node index. Its loop runs the theta-method whose
+    leading global error term ``(1/2 - theta_c) dt_c`` equals the fine
+    scheme's ``(1/2 - theta) dt``: ``theta_c = 1/2 + (theta - 1/2) nc / n0``.
+    At k >= 1 its solve is one serial level-0 region on the process's CPU
+    clock, as its multilevel solves may use the pool's threads. Returns
+    ``(start, known)``: ``start`` is None, the flat start, for a linear
+    problem, below ``_COARSE_MIN`` elements, when the coarse loop fails and
+    when its fine residual is not below ``flat``'s (a spurious discrete
+    solution); ``known`` holds ``global_residual`` of the start at k = 0,
+    where the loop begins from it unextended, and is empty otherwise.
     """
-    nc = min(_COARSE_ELEMENTS, (len(grid) - 1) // 2)
+    n0 = len(grid) - 1
+    nc = min(_COARSE_ELEMENTS, n0 // 2)
     if problem.is_linear or nc < _COARSE_MIN:
-        return None
-    nodes = np.arange(nc + 1) * (len(grid) - 1) // nc
+        return None, []
+    nodes = np.arange(nc + 1) * n0 // nc
     coarse = build_explicit([nc, round(math.sqrt(nc))], grid=grid[nodes])
+    matched = Scheme.theta_method(0.5 + (scheme.effective_theta() - 0.5) * nc / n0)
     inner, start = SolverReport(), time.process_time()
     try:
-        w = _schur_loop(problem, coarse, 0, scheme, policy, np.tile(problem.u0, (nc + 1, 1)),
+        w = _schur_loop(problem, coarse, 0, matched, policy, np.tile(problem.u0, (nc + 1, 1)),
                         pool, inner)
     except (NonconvergenceError, SingularStepError):
         w = None
+    residual = None
     if w is not None:
         w = np.stack([np.interp(grid, grid[nodes], u) for u in w.T], axis=1)
-        norms = [global_residual(problem, v, grid, scheme)[1] for v in (w, flat)]
-        w = w if norms[0] < norms[1] else None
+        residual = global_residual(problem, w, grid, scheme)
+        if not residual[1] < global_residual(problem, flat, grid, scheme)[1]:
+            w = residual = None
     if k:  # newton-schur's level 0 holds its multilevel solves' shares alone
         report.add_level(0, [time.process_time() - start])
     report.coarse_iterations, report.coarse_abandoned = inner.outer_iterations, w is None
     report.start = "flat" if w is None else "coarse"
-    return w
+    return w, [] if k or residual is None else [residual]
 
 
-def _schur_loop(problem, partition, k, scheme, policy, w, pool, report):
+def _schur_loop(problem, partition, k, scheme, policy, w, pool, report, known=None):
     """Outer loop on the level-k interface values from the trajectory ``w``; returns the solution.
 
     Per outer iteration: extend the interface values into every level-k
@@ -343,7 +355,9 @@ def _schur_loop(problem, partition, k, scheme, policy, w, pool, report):
     trees from that update predicts the interior values the next extension
     starts from. The extensions and the Schur rows are one pool task each;
     only ``ml_solve`` uses the pool's threads. ``w`` is the start; counts and
-    timings go to ``report``.
+    timings go to ``report``. At k = 0, the list ``known`` may hold
+    ``global_residual`` of ``w``: the first iteration pops it and takes it as
+    it is, so the caller keeps no reference to it.
     """
     th, grid, m = scheme.effective_theta(), partition.grids[0], problem.m_unk
     fine_k = partition.fine_nodes(k)
@@ -354,7 +368,7 @@ def _schur_loop(problem, partition, k, scheme, policy, w, pool, report):
     predicted = None  # the interior values the last update predicts
     for it in range(policy.max_iters + 1):
         w = _extend_all(problem, partition, k, z, w, predicted, th, policy, pool, report)
-        res, norm = global_residual(problem, w, grid, scheme)
+        res, norm = known.pop() if known else global_residual(problem, w, grid, scheme)
         report.residual_history.append(norm)
         interior = np.linalg.norm(res, axis=1)[interior_mask]
         report.interior_residual_history.append(float(interior.max(initial=0.0)))

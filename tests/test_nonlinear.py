@@ -618,9 +618,10 @@ class TestPredictedStart:
 
     def test_lotka_volterra_keeps_its_outer_iterations_with_fewer_inner(self):
         report = self._solve_on_one_and_two_workers([2000, 20], 1, 3.0)
-        # From the old interior values the extensions took 184 inner iterations.
-        assert report.outer_iterations == 4
-        assert report.inner_picard + report.inner_newton < 184
+        # From the old interior values the extensions took 184 inner
+        # iterations, and from a coarse start in the fine scheme 111.
+        assert report.outer_iterations == 3
+        assert report.inner_picard + report.inner_newton <= 72
 
     def test_lotka_volterra_three_periods_at_level_two(self):
         report = self._solve_on_one_and_two_workers([4000, 40, 5], 2, 8.0)
@@ -800,16 +801,70 @@ class TestNestedStart:
         calls = spy_on_loops(monkeypatch)
         _, gns = newton_schur_solve(prob, part, BE)
         _, nls = nonlinear_schur_newton_solve(prob, part, 1, BE)
-        assert [c[:2] for c in calls] == [(100, 0), (2000, 0), (100, 0), (2000, 1)]
+        assert [c[:2] for c in calls] == [(50, 0), (2000, 0), (50, 0), (2000, 1)]
         for report, (coarse, fine) in ((gns, calls[:2]), (nls, calls[2:])):
             assert (report.start, report.coarse_abandoned) == ("coarse", False)
             assert report.coarse_iterations == 7
-            assert report.outer_iterations == len(report.mode_history) == 4
+            assert report.outer_iterations == len(report.mode_history) == 3
             assert report.wall_seconds >= coarse[2] + fine[2]
         # One serial level-0 region at k >= 1; newton-schur's level 0 holds
         # its multilevel solves' shares alone.
         assert 1000.0 <= nls.per_level_max[0] < 1001.0
         assert gns.per_level_max[0] < 1.0
+
+    @pytest.mark.parametrize("scheme, theta_c", [(BE, 0.5 + 0.5 * 50 / 2000),
+                                                 (Scheme.theta_method(0.5), 0.5),
+                                                 (Scheme.dg(0), 0.5 + 0.5 * 50 / 2000)])
+    def test_coarse_theta_matches_the_fine_leading_error(self, scheme, theta_c, monkeypatch):
+        # (1/2 - theta_c) dt_c equals (1/2 - theta) dt_f on the 50-element grid.
+        schemes = []
+        real = nonlinear._schur_loop
+
+        def spy(problem, partition, k, loop_scheme, *args):
+            schemes.append((partition.counts[0], loop_scheme))
+            return real(problem, partition, k, loop_scheme, *args)
+
+        monkeypatch.setattr(nonlinear, "_schur_loop", spy)
+        _, report = newton_schur_solve(benchmark_lv(), build_explicit([2000, 20], t_end=3.0),
+                                       scheme)
+        assert report.start == "coarse"
+        assert schemes == [(50, Scheme.theta_method(theta_c)), (2000, scheme)]
+
+    def test_fine_loop_takes_the_start_residual_as_it_is(self, monkeypatch):
+        prob = benchmark_lv()
+        part = build_explicit([400, 8], t_end=3.0)
+        starts, fine_residuals = [], []
+        real_loop, real_residual = nonlinear._schur_loop, nonlinear.global_residual
+
+        def loop(problem, partition, k, scheme, policy, w, *args):
+            if partition.counts[0] == 400:
+                starts.append(w.copy())
+            return real_loop(problem, partition, k, scheme, policy, w, *args)
+
+        def residual(problem, traj, grid, scheme):
+            fine_residuals.append(len(grid) == 401)
+            return real_residual(problem, traj, grid, scheme)
+
+        monkeypatch.setattr(nonlinear, "_schur_loop", loop)
+        monkeypatch.setattr(nonlinear, "global_residual", residual)
+        traj, report = newton_schur_solve(prob, part, BE)
+        assert report.start == "coarse"
+        # The start's and the flat guess's, then one after each update.
+        assert sum(fine_residuals) == 2 + report.outer_iterations
+        # The same loop run from the same start, its residual computed afresh.
+        given, rep_given = newton_schur_solve(prob, part, BE, initial=starts[0])
+        assert np.array_equal(traj, given)
+        assert report.residual_history == rep_given.residual_history
+
+    def test_three_periods_take_at_most_four_fine_iterations(self):
+        # From a coarse start in the fine scheme newton-schur took 8 here.
+        prob = benchmark_lv()
+        part = build_explicit([2000, 20], t_end=8.0)
+        traj, report = newton_schur_solve(prob, part, BE)
+        assert report.start == "coarse" and report.residual_final < 1e-8
+        assert report.outer_iterations <= 4
+        seq, _ = sequential_nonlinear_solve(prob, part.grids[0], BE)
+        assert np.max(np.abs(traj - seq)) <= 1e-6 * np.max(np.abs(seq))
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_one_period_beyond_the_benchmark_horizon_converges(self, k):
@@ -845,7 +900,7 @@ class TestNestedStart:
         fine_calls = []
 
         def failing(problem, partition, k, *args):
-            if partition.counts[0] == 100:  # the coarse loop converges
+            if partition.counts[0] == nonlinear._COARSE_ELEMENTS:  # the coarse loop converges
                 return real(problem, partition, k, *args)
             fine_calls.append(len(fine_calls))
             raise NonconvergenceError(f"fine loop {len(fine_calls)}", 1, 1.0)
