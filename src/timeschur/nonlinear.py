@@ -11,9 +11,10 @@ every node is an interface node: nothing is extended, and the Schur complement
 is the block-bidiagonal global linearization. That is ``newton_schur_solve``;
 ``nonlinear_schur_newton_solve`` runs the loop at a level k >= 1. Without an
 ``initial`` guess both start by nested iteration: the level-0 loop's solution on
-a coarse grid, in the theta-method that matches the fine scheme's leading error
-term, interpolated, if its fine residual is below the flat guess's (``u0``
-everywhere). If either loop fails, the level-k loop runs from that guess.
+a coarse grid of one level, whose every update is forward substitution, in the
+theta-method that matches the fine scheme's leading error term, interpolated, if
+its fine residual is below the flat guess's (``u0`` everywhere). If either loop
+fails, the level-k loop runs from that guess.
 
 The partition is the only description of the windows. An extension task
 takes a level and a range of elements of the level above it, and reads their
@@ -38,7 +39,9 @@ old trajectory plus ``E dz`` (approximate nonlinear elimination; Lanzkron,
 Rose & Wilkes, SISC 1996). Its warm start is still the old interior values
 behind the new inflows: a window falls back to ``_march`` from those values
 once its residual rises above the larger of the two starts' residuals. On an
-affine problem the predictor is the extension, and no window iterates.
+affine problem the predictor is the extension, and no window iterates. The
+global residual after an extension takes the ``kappa`` rows of the extension's
+last residual, unless a window was marched after it.
 Every linearization forms its theta steps with ``integrators.theta_steps``.
 """
 
@@ -108,14 +111,17 @@ def global_residual(
     traj: np.ndarray,
     grid: np.ndarray,
     scheme: Scheme,
+    kappas: np.ndarray | None = None,
 ):
     """Stacked one-step residuals of a trajectory and their discrete L2 norm.
 
     Row ``i-1`` (for steps ``i = 1..n``) is
     ``u^i - u^{i-1} + dt_i*(th*kappa(t_i, u^i) + (1-th)*kappa(t_{i-1}, u^{i-1}))``.
+    ``kappas``, if given, are ``kappa_batch``'s rows at ``(grid, traj)``.
     """
     th = scheme.effective_theta()
-    kappas = kappa_batch(problem, grid, traj)
+    if kappas is None:
+        kappas = kappa_batch(problem, grid, traj)
     dt = np.diff(grid)[:, None]
     res = traj[1:] - traj[:-1] + dt * (th * kappas[1:] + (1.0 - th) * kappas[:-1])
     return res, float(np.sqrt(np.sum(res * res)))
@@ -308,8 +314,10 @@ def _coarse_start(problem, grid, k, scheme, policy, pool, report, flat):
     evenly spaced in the fine node index. Its loop runs the theta-method whose
     leading global error term ``(1/2 - theta_c) dt_c`` equals the fine
     scheme's ``(1/2 - theta) dt``: ``theta_c = 1/2 + (theta - 1/2) nc / n0``.
-    At k >= 1 its solve is one serial level-0 region on the process's CPU
-    clock, as its multilevel solves may use the pool's threads. Returns
+    The coarse grid is one level of its own, so each update is ``ml_solve``'s
+    forward substitution: no tree is swept, and no pool thread runs. At
+    k >= 1 the start is one serial level-0 region on the process's CPU
+    clock, which counts this thread alone while the start runs. Returns
     ``(start, known)``: ``start`` is None, the flat start, for a linear
     problem, below ``_COARSE_MIN`` elements, when the coarse loop fails and
     when its fine residual is not below ``flat``'s (a spurious discrete
@@ -321,7 +329,7 @@ def _coarse_start(problem, grid, k, scheme, policy, pool, report, flat):
     if problem.is_linear or nc < _COARSE_MIN:
         return None, []
     nodes = np.arange(nc + 1) * n0 // nc
-    coarse = build_explicit([nc, round(math.sqrt(nc))], grid=grid[nodes])
+    coarse = build_explicit([nc], grid=grid[nodes])
     matched = Scheme.theta_method(0.5 + (scheme.effective_theta() - 0.5) * nc / n0)
     inner, start = SolverReport(), time.process_time()
     try:
@@ -363,11 +371,14 @@ def _schur_loop(problem, partition, k, scheme, policy, w, pool, report, known=No
     fine_k = partition.fine_nodes(k)
     z = w[fine_k]
     inside = _interior_mask(partition, k)
-    interior_mask = _interior_mask(partition, max(k, 1))  # newton-schur reports level 1's
+    # newton-schur reports level 1's; the coarse start's one-level loop, level 0's
+    interior_mask = _interior_mask(partition, min(max(k, 1), partition.top_level))
     where = f"nonlinear Schur loop at level {k}" if k else "global linearization loop"
     predicted = None  # the interior values the last update predicts
     for it in range(policy.max_iters + 1):
-        w = _extend_all(problem, partition, k, z, w, predicted, th, policy, pool, report)
+        w, kappas = _extend_all(problem, partition, k, z, w, predicted, th, policy, pool, report)
+        if kappas is not None:  # the extension's last kappa rows, at w
+            known = [global_residual(problem, w, grid, scheme, kappas)]
         res, norm = known.pop() if known else global_residual(problem, w, grid, scheme)
         report.residual_history.append(norm)
         interior = np.linalg.norm(res, axis=1)[interior_mask]
@@ -411,18 +422,20 @@ def _extend_all(problem, partition, k, z, warm_traj, predicted, th, policy, pool
 
     Window Newton starts from ``predicted`` (fine nodes ``0..n0-1``), or from
     ``warm_traj`` if it is None; ``_march`` falls back on ``warm_traj``.
+    Returns ``(trajectory, kappas)``: ``kappas`` are ``kappa_batch``'s rows
+    at the trajectory, or None if the task has none (``_extension_task``).
     """
     if k == 0:  # every node is an interface node
-        return z
+        return z, None
     start = time.thread_time()  # a one-task map runs in this thread
     results, _, _ = pool.map(_extension_task, [
         (problem, partition, k - 1, 0, partition.counts[k], z[:-1], warm_traj[:-1], th,
-         policy, predicted)])
+         policy, predicted, z[-1])])
     report.add_level(0, [time.thread_time() - start])
-    (values, picard, newton), = results
+    (values, picard, newton, kappas), = results
     report.inner_picard += picard
     report.inner_newton += newton
-    return np.concatenate([values, z[-1:]])
+    return np.concatenate([values, z[-1:]]), kappas
 
 
 def nonlinear_harmonic_extension(
@@ -458,16 +471,17 @@ def nonlinear_harmonic_extension(
     if np.shape(inflow) != (problem.m_unk,):
         raise ValidationError(f"inflow must have shape ({problem.m_unk},)")
     return _extension_task(problem, partition, level, index, index + 1,
-                           np.asarray(inflow, dtype=float)[None, :], warm, th, policy)
+                           np.asarray(inflow, dtype=float)[None, :], warm, th, policy)[:3]
 
 
 def _extension_task(problem, partition, level, lo, hi, inflows, warm, th, policy,
-                    predicted=None):
-    """Extend the level-(level+1) elements ``lo..hi-1``; returns ``(values, picard, newton)``.
+                    predicted=None, outflow=None):
+    """Extend level-(level+1) elements ``lo..hi-1``; returns ``(values, picard, newton, kappas)``.
 
     ``values``, ``warm`` and ``predicted`` cover the run's fine nodes from
     element ``lo``'s left interface up to, not including, element ``hi - 1``'s
-    right one; element ``lo + j`` starts at ``inflows[j]``. Window Newton
+    right one; element ``lo + j`` starts at ``inflows[j]``, and ``outflow``
+    (``warm[-1]`` if None) closes the run. Window Newton
     starts from ``predicted``, or from ``warm`` if it is None. Per iteration,
     one ``kappa_batch`` call gives the interior step residuals of every
     window, ``_linearized_steps`` takes their negation as its column, and one
@@ -479,7 +493,8 @@ def _extension_task(problem, partition, level, lo, hi, inflows, warm, th, policy
     start's, turns non-finite or exhausts ``max_inner`` is marched instead:
     ``_march`` solves its steps one at a time from its ``warm`` values. The
     warm start's residual costs one more ``kappa_batch`` when ``predicted``
-    is given.
+    is given. ``kappas`` are the last ``kappa_batch``'s rows, at ``values``
+    and ``outflow``, or None if a window was marched after it.
     """
     m = problem.m_unk
     fine = partition.fine_nodes(level + 1)
@@ -490,7 +505,7 @@ def _extension_task(problem, partition, level, lo, hi, inflows, warm, th, policy
     ts = partition.grids[0][fine[lo]:fine[hi] + 1]
     owner = np.append(np.repeat(np.arange(hi - lo), np.diff(bounds)), hi - lo - 1)
     dt = np.diff(ts)[:, None]
-    u = np.concatenate([warm, warm[-1:]])
+    u = np.concatenate([warm, warm[-1:] if outflow is None else outflow[None]])
     u[starts] = inflows
     live = np.ones(hi - lo, dtype=bool)
     picard = newton = 0
@@ -499,12 +514,12 @@ def _extension_task(problem, partition, level, lo, hi, inflows, warm, th, policy
     def where(i):  # a step of the run
         return f"nonlinear extension (level {level}, element {lo + owner[i]})"
 
-    def residual(u):  # interior step residuals, their row norms and window norms
+    def residual(u):  # interior step residuals, their row and window norms, and kappa
         kappas = kappa_batch(problem, ts, u)
         res = u[1:] - u[:-1] + dt * (th * kappas[1:] + (1.0 - th) * kappas[:-1])
         res[closing] = 0.0  # the closing steps belong to the outer problem
         rows = np.linalg.norm(res, axis=1)
-        return res, rows, np.sqrt(np.add.reduceat(rows * rows, starts))
+        return res, rows, np.sqrt(np.add.reduceat(rows * rows, starts)), kappas
 
     with np.errstate(over="ignore", invalid="ignore"):  # the guard catches non-finite norms
         if predicted is not None:  # the bar also takes the warm start's finite norms
@@ -512,7 +527,7 @@ def _extension_task(problem, partition, level, lo, hi, inflows, warm, th, policy
             u[:-1] = predicted
             u[starts] = inflows
         for it in range(policy.max_inner + 1):
-            res, rows, norms = residual(u)
+            res, rows, norms, kappas = residual(u)
             done = np.maximum.reduceat(rows, starts) < policy.tol_local
             if it == 0:
                 bar = np.maximum(bar, norms)
@@ -526,6 +541,7 @@ def _extension_task(problem, partition, level, lo, hi, inflows, warm, th, policy
                               f"t={ts[a + i]:g})")
                 picard += p
                 newton += nw
+                kappas = None  # u moved after them
             live &= ~done & ~failed
             if not live.any():
                 break
@@ -539,7 +555,7 @@ def _extension_task(problem, partition, level, lo, hi, inflows, warm, th, policy
             v = sweep_down(reduce_level(steps, bounds)[0], bounds, np.zeros((hi - lo, m, 1)))
             nodes = np.flatnonzero(live[owner[:-1]])
             u[nodes] += v[nodes, :, 0]
-    return u[:-1], picard, newton
+    return u[:-1], picard, newton, kappas
 
 
 def _march(problem, ts, inflow, warm, th, policy, tol, where):

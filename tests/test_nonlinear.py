@@ -12,7 +12,9 @@ from timeschur import (
     NonconvergenceError,
     Scheme,
     SingularStepError,
+    SolverReport,
     ValidationError,
+    WorkerPool,
     build_explicit,
     build_linear_system,
     cosine_drive,
@@ -29,7 +31,7 @@ from timeschur import (
     sequential_nonlinear_solve,
     sequential_solve,
 )
-from timeschur import nonlinear
+from timeschur import nonlinear, schur
 from timeschur.nonlinear import (NON_FINITE, _extension_task, _implicit_step, _march,
                                  _schur_row_task)
 
@@ -298,8 +300,8 @@ def run_against_single_windows(prob, part, level, inflows, warm, policy):
     """
     fine = part.fine_nodes(level + 1)
     ts = part.grids[0][:fine[-1]]
-    values, picard, newton = _extension_task(prob, part, level, 0, part.counts[level + 1],
-                                             inflows, warm, 1.0, policy)
+    values, picard, newton, _ = _extension_task(prob, part, level, 0, part.counts[level + 1],
+                                                inflows, warm, 1.0, policy)
     marched = np.empty_like(values)
     counts, marched_counts = [], []
     for i, (a, b) in enumerate(zip(fine, fine[1:])):
@@ -567,9 +569,9 @@ def spy_on_extensions(monkeypatch):
     real = nonlinear._extension_task
 
     def spy(*args):
-        values, picard, newton = real(*args)
+        values, picard, newton, kappas = real(*args)
         iterations.append(picard + newton)
-        return values, picard, newton
+        return values, picard, newton, kappas
 
     monkeypatch.setattr(nonlinear, "_extension_task", spy)
     return iterations
@@ -595,9 +597,9 @@ class TestPredictedStart:
         seq, _ = sequential_nonlinear_solve(prob, grid, BE)
         monkeypatch.setattr(nonlinear, "_march", None)  # no window marches
         policy = LinearizationPolicy()
-        values, _, newton = _extension_task(prob, part, 0, 0, 4, seq[fine[:-1]],
-                                            np.full((40, 2), np.inf), 1.0, policy,
-                                            seq[:-1] * 1.01)
+        values, _, newton, _ = _extension_task(prob, part, 0, 0, 4, seq[fine[:-1]],
+                                               np.full((40, 2), np.inf), 1.0, policy,
+                                               seq[:-1] * 1.01)
         res, _ = global_residual(prob, values, grid[:-1], BE)
         interior = np.ones(40, dtype=bool)
         interior[fine[:-1]] = False
@@ -934,6 +936,116 @@ class TestNestedStart:
             _, report = newton_schur_solve(prob, build_explicit([2000, n1], t_end=3.0), BE)
             counts.append((report.coarse_iterations, report.outer_iterations))
         assert counts[0] == counts[1] == counts[2]
+
+
+def coarse_start(prob, part, k, workers=1):
+    """``_coarse_start`` of the fine loop at level ``k`` on ``part``: ``(start, report)``."""
+    report = SolverReport(workers=workers)
+    flat = np.tile(prob.u0, (part.counts[0] + 1, 1))
+    with WorkerPool(workers) as pool:
+        w, _ = nonlinear._coarse_start(prob, part.grids[0], k, BE, LinearizationPolicy(), pool,
+                                       report, flat)
+    return w, report
+
+
+class TestOneLevelCoarseStart:
+    """The coarse start's loop runs on one level: each update is forward substitution."""
+
+    SHAPES = [([10000, 50], 0), ([2000, 20], 1)]  # lv-newton's and lv-nlschur's
+
+    @pytest.mark.parametrize("counts, k", SHAPES)
+    def test_runs_no_sweep_and_no_pool_region_but_the_rows(self, counts, k, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the coarse start swept a tree")
+
+        for module in (nonlinear, schur):
+            monkeypatch.setattr(module, "reduce_level", no_sweep)
+            monkeypatch.setattr(module, "sweep_down", no_sweep)
+        regions, pool_map = [], WorkerPool.map
+
+        def recording_map(pool, fn, args_list):
+            args_list = list(args_list)
+            regions.append((fn.__name__, len(args_list)))
+            return pool_map(pool, fn, args_list)
+
+        monkeypatch.setattr(WorkerPool, "map", recording_map)
+        w, report = coarse_start(benchmark_lv(), build_explicit(counts, t_end=3.0), k, workers=2)
+        assert w is not None and report.coarse_iterations == 7
+        assert regions == [("_schur_row_task", 1)] * report.coarse_iterations
+
+    @pytest.mark.parametrize("counts, k", SHAPES)
+    def test_start_is_bitwise_equal_across_worker_counts(self, counts, k):
+        part = build_explicit(counts, t_end=3.0)
+        runs = [coarse_start(benchmark_lv(), part, k, workers) for workers in (1, 2, 4)]
+        for w, report in runs[1:]:
+            assert np.array_equal(w, runs[0][0])
+            assert report.coarse_iterations == runs[0][1].coarse_iterations == 7
+
+    def test_matches_the_two_level_loop(self):
+        prob = benchmark_lv()
+        grid = build_explicit([2000, 20], t_end=3.0).grids[0]
+        nodes = np.arange(51) * 2000 // 50
+        matched = Scheme.theta_method(0.5 + 0.5 * 50 / 2000)
+        solutions = []
+        for counts in ([50], [50, 7]):  # the start's grid, and the parent's hierarchy on it
+            report = SolverReport()
+            with WorkerPool(1) as pool:
+                solutions.append(nonlinear._schur_loop(
+                    prob, build_explicit(counts, grid=grid[nodes]), 0, matched,
+                    LinearizationPolicy(), np.tile(prob.u0, (51, 1)), pool, report))
+            assert report.outer_iterations == 7
+        one, two = solutions
+        assert np.max(np.abs(one - two)) <= 1e-12 * np.max(np.abs(two))
+
+
+class TestExtensionKappas:
+    """At k >= 1 the global residual reuses the extension's last kappa rows."""
+
+    @staticmethod
+    def _solve(counts, k, reuse, monkeypatch):
+        """Solve, counting kappa calls; without ``reuse`` the loop evaluates every residual."""
+        if not reuse:
+            real = nonlinear._extension_task
+            monkeypatch.setattr(nonlinear, "_extension_task",
+                                lambda *args: (*real(*args)[:3], None))
+        calls, kappa = [], benchmark_lv().kappa
+        prob = replace(benchmark_lv(), kappa=lambda t, u: calls.append(1) or kappa(t, u))
+        traj, report = nonlinear_schur_newton_solve(prob, build_explicit(counts, t_end=3.0),
+                                                    k, BE)
+        monkeypatch.undo()
+        return traj, report, len(calls)
+
+    @pytest.mark.parametrize("counts, k", [([2000, 20], 1), ([400, 8], 1),
+                                           ([2000, 100, 20], 2), ([400, 40, 8], 2)])
+    def test_iterates_are_bitwise_those_of_fresh_residuals(self, counts, k, monkeypatch):
+        traj, report, calls = self._solve(counts, k, True, monkeypatch)
+        fresh, rep_fresh, fresh_calls = self._solve(counts, k, False, monkeypatch)
+        assert report.start == "coarse" and report.residual_final < 1e-8
+        assert np.array_equal(traj, fresh)
+        assert report.residual_history == rep_fresh.residual_history
+        assert report.interior_residual_history == rep_fresh.interior_residual_history
+        # One kappa_batch saved per fine residual.
+        assert fresh_calls - calls == len(report.residual_history)
+
+    @pytest.mark.parametrize("max_inner", [50, 1])
+    def test_rows_are_those_of_the_returned_values_unless_marched(self, max_inner,
+                                                                   monkeypatch):
+        prob = benchmark_lv()
+        part = build_explicit([40, 4], t_end=3.0)
+        grid, fine = part.grids[0], part.fine_nodes(1)
+        seq, _ = sequential_nonlinear_solve(prob, grid, BE)
+        # With one inner iteration every window left unconverged is marched after it.
+        monkeypatch.setattr(nonlinear, "_march", lambda problem, ts, inflow, warm, *rest: (
+            np.concatenate([inflow[None], warm[1:]]), 0, 0))
+        warm = np.tile(prob.u0, (40, 1))
+        values, _, _, kappas = _extension_task(prob, part, 0, 0, 4, seq[fine[:-1]], warm, 1.0,
+                                               LinearizationPolicy(max_inner=max_inner),
+                                               None, seq[-1])
+        if max_inner == 1:
+            assert kappas is None
+        else:
+            traj = np.concatenate([values, seq[-1:]])
+            assert np.array_equal(kappas, nonlinear.kappa_batch(prob, grid, traj))
 
 
 @pytest.mark.parametrize("call, error, text", [

@@ -228,8 +228,8 @@ class TestShareDispatch:
 
     def test_shares_below_the_grain_are_one_task(self, monkeypatch):
         # The lv-newton benchmark shape: two shares of 25 subdomains of 200
-        # steps, 5,050 compositions each, and the coarse start's [50, 7]: two
-        # shares of 3 subdomains of 7 steps and one of the 8-step last one.
+        # steps, 5,050 compositions each. The coarse start's one-level loop
+        # sweeps nothing: its updates are forward substitutions.
         prob = lotka_volterra(3.0, 0.2, 2.0, 0.1, 10.0, 40.0)
         part = build_explicit([10000, 50], t_end=3.0)
         regions = self._regions(monkeypatch, lambda: newton_schur_solve(
@@ -238,7 +238,7 @@ class TestShareDispatch:
         for _, groups, booked in regions:
             assert len(groups) == 1 and len(groups[0]) == booked
             assert max(groups[0]) < schur._GRAIN
-        assert {tuple(groups[0]) for _, groups, _ in regions} == {(5050, 5050), (21, 21, 7)}
+        assert {tuple(groups[0]) for _, groups, _ in regions} == {(5050, 5050)}
 
     def test_shares_above_the_grain_are_one_task_each(self, monkeypatch):
         # The chunky decay case: two shares of 4 subdomains of 20,000 steps,

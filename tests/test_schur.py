@@ -10,6 +10,7 @@ from oracles import forward_substitution_oracle, random_system
 from timeschur import (
     LevelSystem,
     Scheme,
+    SolverReport,
     ValidationError,
     WorkerPool,
     build_explicit,
@@ -364,6 +365,19 @@ class TestMlSolve:
         sys0 = build_linear_system(linear_decay(1.0), part.grids[0], Scheme.backward_euler())
         u = ml_solve(sys0, part)
         assert np.allclose(u, sequential_solve(sys0))
+
+    def test_one_level_partition_is_forward_substitution(self, monkeypatch):
+        # The coarse start's grids: no reduction, no sweep, no pool region.
+        sys0 = make_system(50, 2, seed=10)
+        booked = []
+        monkeypatch.setattr(SolverReport, "add_level",
+                            lambda report, level, seconds: booked.append((level, len(seconds))))
+        monkeypatch.setattr(WorkerPool, "map", None)
+        with WorkerPool(2) as pool:
+            u = ml_solve(sys0, build_explicit([50], t_end=1.0), pool=pool,
+                         report=SolverReport(workers=2))
+        assert np.array_equal(u, sequential_solve(sys0))
+        assert booked == [(0, 1)]
 
     def test_interface_values_are_copied_not_recomputed(self):
         sys0 = make_system(24, 2, seed=7)
