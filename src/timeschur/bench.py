@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -78,8 +79,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.n0 < 1:
             raise ValidationError("n0 must be at least 1")
-        if self.reps < 1:
-            raise ValidationError("repetitions must be >= 1")
+        if not isinstance(self.reps, numbers.Integral) or self.reps < 1:
+            raise ValidationError("repetitions must be an integer >= 1")
         if self.workers is not None and self.workers < 1:
             raise ValidationError("workers must be >= 1")
 

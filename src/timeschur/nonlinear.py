@@ -29,9 +29,10 @@ how windows are grouped. A window whose residual rises above its warm start's,
 turns non-finite or exhausts its budget falls back to ``_march``, the
 time-marching loop of ``sequential_nonlinear_solve``, which solves it step by
 step with ``_implicit_step``.
-The Schur rows of the interface system are the linear reduction of ``schur``
-applied to one batched linearization: the roots of the up-sweep over the
-windows' normalized steps (``reduce_level``), which one-step windows skip.
+Every linearization forms its theta steps with ``integrators.theta_steps``;
+the outer loops' is ``linearize_global``. The Schur rows of the interface
+system are that system reduced over the windows: the roots of ``schur``'s
+up-sweep (``reduce_level``), which one-step windows skip.
 After an update ``dz`` of the interface values, one down-sweep of those same
 trees from the inflows ``dz`` gives the linearized interior response ``E dz``,
 and the next extension starts each window from this Newton predictor, the
@@ -42,14 +43,14 @@ once its residual rises above the larger of the two starts' residuals. On an
 affine problem the predictor is the extension, and no window iterates. The
 global residual after an extension takes the ``kappa`` rows of the extension's
 last residual, unless a window was marched after it.
-Every linearization forms its theta steps with ``integrators.theta_steps``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,8 +93,9 @@ class LinearizationPolicy:
                 raise ValidationError(f"{label} must be finite and positive")
         if self.mode == "hybrid" and not self.switch_norm > self.tol_global:
             raise ValidationError("hybrid switch_norm must exceed tol_global")
-        if self.max_iters < 1 or self.max_inner < 1:
-            raise ValidationError("iteration budgets must be at least 1")
+        if not all(isinstance(b, numbers.Integral) and b >= 1
+                   for b in (self.max_iters, self.max_inner)):
+            raise ValidationError("iteration budgets must be integers of at least 1")
 
     def uses_picard(self, residual_norms):
         """Whether each residual norm (a float or an array) takes Picard's operator."""
@@ -356,18 +358,18 @@ def _schur_loop(problem, partition, k, scheme, policy, w, pool, report, known=No
     Per outer iteration: extend the interface values into every level-k
     element by window Newton (at k = 0 every node is an interface node and
     nothing is extended), test the global fine residual, zero its rows inside
-    the windows, which the extensions own, build the level-k Schur system of
-    the fine linearization at the extended state with that column
-    (``_schur_row_task``), and update the interface values by the direct
-    multilevel solve over levels k..top. The down-sweep of the rows' window
-    trees from that update predicts the interior values the next extension
-    starts from. The extensions and the Schur rows are one pool task each;
-    only ``ml_solve`` uses the pool's threads. ``w`` is the start; counts and
-    timings go to ``report``. At k = 0, the list ``known`` may hold
-    ``global_residual`` of ``w``: the first iteration pops it and takes it as
-    it is, so the caller keeps no reference to it.
+    the windows, which the extensions own, linearize at the extended state
+    against it and reduce to the level-k Schur system (``_schur_row_task``),
+    and update the interface values by the direct multilevel solve over levels
+    k..top. The down-sweep of the rows' window trees from that update predicts
+    the interior values the next extension starts from. The extensions and the
+    Schur rows are one pool task each; only ``ml_solve`` uses the pool's
+    threads. ``w`` is the start; counts and timings go to ``report``. At
+    k = 0, the list ``known`` may hold ``global_residual`` of ``w``: the first
+    iteration pops it and takes it as it is, so the caller keeps no reference
+    to it.
     """
-    th, grid, m = scheme.effective_theta(), partition.grids[0], problem.m_unk
+    th, grid = scheme.effective_theta(), partition.grids[0]
     fine_k = partition.fine_nodes(k)
     z = w[fine_k]
     inside = _interior_mask(partition, k)
@@ -393,16 +395,14 @@ def _schur_loop(problem, partition, k, scheme, policy, w, pool, report, known=No
         report.mode_history.append(mode)
         report.picard_iterations += mode == "picard"
         report.newton_iterations += mode == "newton"
-        column = -res
-        column[inside] = 0.0
+        res[inside] = 0.0
         rows_start = time.thread_time()  # a one-task map runs in this thread
-        ((phis, gs, trees),), _, _ = pool.map(_schur_row_task, [
-            (problem, grid, w, fine_k, th, mode == "picard", column)])
+        ((rows, trees),), _, _ = pool.map(_schur_row_task, [
+            (problem, w, grid, scheme, res, mode == "picard", fine_k)])
         if k:  # newton-schur's serial linearization would grow level 0 with n1
             report.add_level(0, [time.thread_time() - rows_start])
-        dz = ml_solve(LevelSystem(level=k, phis=phis, gs=gs, u_init=np.zeros(m)),
-                      partition, pool=pool, report=report)
-        if k:  # w + E dz: the interior rows of the column are zero
+        dz = ml_solve(replace(rows, level=k), partition, pool=pool, report=report)
+        if k:  # w + E dz: the interior rows of the residual are zero
             sweep_start = time.thread_time()
             predicted = w[:-1] + sweep_down(trees, fine_k, dz[:-1, :, None])[:, :, 0]
             report.add_level(0, [time.thread_time() - sweep_start])
@@ -466,6 +466,7 @@ def nonlinear_harmonic_extension(
         raise ValidationError(
             f"element {index} outside 0..{partition.counts[level + 1] - 1} of level {level + 1}")
     fine = partition.fine_nodes(level + 1)
+    warm = np.asarray(warm, dtype=float)
     if warm.shape != (fine[index + 1] - fine[index], problem.m_unk):
         raise ValidationError("warm start does not match the element's fine window")
     if np.shape(inflow) != (problem.m_unk,):
@@ -600,27 +601,16 @@ def _node_matrices(problem, ts, us, picks):
     return mats
 
 
-def _schur_row_task(problem, ts, us, bounds, th, use_picard, column):
-    """Interface block rows of the level-up Schur system for consecutive windows.
+def _schur_row_task(problem, traj, grid, scheme, residual, use_picard, bounds):
+    """Schur rows: ``linearize_global``'s system reduced over consecutive windows.
 
-    Window ``j`` spans nodes ``bounds[j]..bounds[j+1]`` of ``ts`` (times) and
-    ``us`` (values, both interfaces included). Returns ``(phis, gs, trees)``:
-    ``phis`` and ``gs``, stacked over windows, are the coarse steps of the
-    normalized fine linearization at ``us`` with the right-hand column
-    ``column``, the roots of the up-sweep over every window's steps
-    (``reduce_level``), in this task's thread; ``trees`` are its up-swept
-    windows, for ``sweep_down``. One-step windows are their own coarse steps:
-    the level-0 linearization is returned as it is, ``trees`` is None, and no
-    up-sweep runs.
+    Window ``j`` spans nodes ``bounds[j]..bounds[j+1]`` of ``grid``. Returns
+    ``(rows, trees)``: the roots and the trees of the up-sweep over each
+    window's steps (``reduce_level``, in this task's thread), the trees for
+    ``sweep_down``. One-step windows are their own rows, with ``trees`` None.
     """
-    one_step = len(bounds) == len(ts)
-
-    def where(i):  # a step of the run
-        window = np.searchsorted(bounds, i, "right") - 1
-        return "the linearization" if one_step else f"linearized window {window}"
-
-    fine = _linearized_steps(problem, ts, us, th, use_picard, column, where)
-    if one_step:
-        return fine.phis, fine.gs, None
-    trees, coarse = reduce_level(fine, bounds)
-    return coarse.phis, coarse.gs, trees
+    system = linearize_global(problem, traj, grid, scheme, residual, use_picard)
+    if len(bounds) == len(grid):
+        return system, None
+    trees, rows = reduce_level(system, bounds)
+    return rows, trees

@@ -57,6 +57,8 @@ class LevelSystem:
         self.phis = np.asarray(self.phis, dtype=float)
         self.gs = np.asarray(self.gs, dtype=float)
         self.u_init = np.asarray(self.u_init, dtype=float)
+        if self.gs.ndim != 2:
+            raise ValidationError("inconsistent LevelSystem block shapes")
         n, m = self.gs.shape
         if self.phis.shape != (n, m, m) or self.u_init.shape != (m,):
             raise ValidationError("inconsistent LevelSystem block shapes")

@@ -48,6 +48,10 @@ class TestSpec:
         with pytest.raises(ValidationError):
             ExperimentSpec(reps=0)
 
+    def test_rejects_fractional_reps(self):
+        with pytest.raises(ValidationError):
+            ExperimentSpec(reps=2.5)
+
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_workers_below_one(self, workers):
         with pytest.raises(ValidationError):

@@ -10,12 +10,14 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:  # perfbench is a directory of the repository, not a package
     sys.path.insert(0, str(ROOT))
 
 from perfbench import tracing  # noqa: E402
-from timeschur import nonlinear, runtime, schur  # noqa: E402
+from timeschur import Scheme, build_explicit, by_name, nonlinear, runtime, schur  # noqa: E402
 
 
 def test_every_spanned_attribute_exists():
@@ -47,3 +49,19 @@ def test_cost_model_reads_only_counts_and_top_level():
     stand_in = SimpleNamespace(counts=[400, 20, 2], top_level=2)
     estimate = schur.cost_model(stand_in, 2)
     assert estimate.flop_parallel_bound > 0.0 and estimate.levels == 2
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_the_tracer_spans_every_linearization(k):
+    # nonlinear.linearize_s sums these spans: every linearization of the Schur
+    # loops must go through the wrapped linearize_global.
+    problem = by_name("lotka-volterra")
+    part, scheme = build_explicit([400, 8], t_end=3.0), Scheme.backward_euler()
+    with tracing.Tracer() as tracer:
+        if k:
+            _, report = nonlinear.nonlinear_schur_newton_solve(problem, part, k, scheme)
+        else:
+            _, report = nonlinear.newton_schur_solve(problem, part, scheme)
+    linearizations = report.coarse_iterations + report.outer_iterations
+    assert linearizations > report.outer_iterations > 0
+    assert len(tracer.select("nonlinear.linearize")) == linearizations

@@ -404,12 +404,10 @@ class TestSingularPastTheFirstChunk:
     def test_schur_row_task(self):
         grid = self._grid()
         bounds = np.append(np.arange(0, len(grid) - 1, 100), len(grid) - 1)
-        window = self.bad // 100
         with pytest.raises(SingularStepError) as err:
-            _schur_row_task(linear_decay(-4.0), grid, np.zeros((len(grid), 1)), bounds, 1.0,
-                            False, np.zeros((len(grid) - 1, 1)))
+            _schur_row_task(linear_decay(-4.0), np.zeros((len(grid), 1)), grid,
+                            Scheme.backward_euler(), np.zeros((len(grid) - 1, 1)), False, bounds)
         assert (err.value.t_start, err.value.t_end) == (grid[self.bad], grid[self.bad + 1])
-        assert f"linearized window {window} " in str(err.value)
 
 
 def _step_residual(problem, t_start, t_end, u_in, u_out, scheme):

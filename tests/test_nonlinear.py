@@ -1,4 +1,5 @@
 import itertools
+import sys
 import time
 from dataclasses import replace
 
@@ -62,6 +63,8 @@ class TestPolicy:
         dict(tol_local=np.nan),
         dict(tol_local=np.inf),
         dict(mode="hybrid", switch_norm=np.nan),
+        dict(max_iters=2.5),
+        dict(max_inner=2.5),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValidationError):
@@ -635,11 +638,12 @@ class TestPredictedStart:
 def schur_rows(problem, ts, us, bounds, th, use_picard):
     """``_schur_row_task``'s ``(phis, gs)`` whose column is the negative closing residuals,
     zero elsewhere."""
-    res, _ = global_residual(problem, us, ts, Scheme.theta_method(th))
-    column = np.zeros_like(res)
-    column[bounds[1:] - 1] = -res[bounds[1:] - 1]
-    phis, gs, _ = _schur_row_task(problem, ts, us, bounds, th, use_picard, column)
-    return phis, gs
+    scheme = Scheme.theta_method(th)
+    res, _ = global_residual(problem, us, ts, scheme)
+    closing = np.zeros_like(res)
+    closing[bounds[1:] - 1] = res[bounds[1:] - 1]
+    rows, _ = _schur_row_task(problem, us, ts, scheme, closing, use_picard, bounds)
+    return rows.phis, rows.gs
 
 
 def schur_rows_reference(problem, ts, us, bounds, th, use_picard):
@@ -720,9 +724,33 @@ class TestSchurRows:
         traj = prob.u0 * (1.0 + 0.3 * rng.normal(size=(41, 2)))
         res, _ = global_residual(prob, traj, grid, scheme)
         system = linearize_global(prob, traj, grid, scheme, res, use_picard)
-        phis, gs, _ = _schur_row_task(prob, grid, traj, np.arange(41),
-                                      scheme.effective_theta(), use_picard, -res)
-        assert np.array_equal(phis, system.phis) and np.array_equal(gs, system.gs)
+        rows, _ = _schur_row_task(prob, traj, grid, scheme, res, use_picard, np.arange(41))
+        assert np.array_equal(rows.phis, system.phis) and np.array_equal(rows.gs, system.gs)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_every_linearization_is_one_linearize_global_call(self, k, monkeypatch):
+        # Both loops and the coarse start linearize through the public function.
+        calls, callers = [], []
+        linearize, steps = nonlinear.linearize_global, nonlinear._linearized_steps
+
+        def counted(*args):
+            calls.append(args)
+            return linearize(*args)
+
+        def traced_steps(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return steps(*args)
+
+        monkeypatch.setattr(nonlinear, "linearize_global", counted)
+        monkeypatch.setattr(nonlinear, "_linearized_steps", traced_steps)
+        part = build_explicit([2000, 20], t_end=3.0)
+        if k:
+            _, report = nonlinear_schur_newton_solve(benchmark_lv(), part, k, BE)
+        else:
+            _, report = newton_schur_solve(benchmark_lv(), part, BE)
+        assert (report.coarse_iterations, report.outer_iterations) == (7, 3)
+        assert len(calls) == report.coarse_iterations + report.outer_iterations
+        assert "_schur_row_task" not in callers and "linearize_global" in callers
 
 
 class TestSchurJacobianConsistency:
@@ -1069,3 +1097,13 @@ def test_rejected_inputs_and_singular_marched_steps_are_named(call, error, text)
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == text
+
+
+def test_extension_takes_nested_lists_as_arrays():
+    prob, part = benchmark_lv(), build_explicit([40, 4], t_end=3.0)
+    warm = np.tile(prob.u0, (10, 1))
+    values, _, _ = nonlinear_harmonic_extension(prob, part, 0, 1, prob.u0, warm, BE,
+                                                LinearizationPolicy())
+    listed, _, _ = nonlinear_harmonic_extension(prob, part, 0, 1, prob.u0.tolist(),
+                                                warm.tolist(), BE, LinearizationPolicy())
+    assert np.array_equal(listed, values)

@@ -584,6 +584,7 @@ def test_forward_substitution_does_not_depend_on_the_layout_of_phis():
     (np.zeros((4, 2, 3)), np.zeros((4, 2)), np.zeros(2)),
     (np.zeros((4, 2, 2)), np.zeros((4, 2)), np.zeros(3)),
     (np.zeros((4, 2, 2)), np.zeros((4, 2)), np.zeros((1, 2))),
+    (np.zeros((4, 2, 2)), np.zeros(4), np.zeros(2)),
 ])
 def test_level_system_rejects_inconsistent_block_shapes(phis, gs, u_init):
     with pytest.raises(ValidationError, match="inconsistent LevelSystem block shapes"):
