@@ -25,7 +25,10 @@ import numpy as np
 from .errors import SingularStepError, ValidationError
 from .problems import OdeProblem, jacobian_batch, kappa_batch
 
-_ELIMINATE_MAX_M = 6  # largest block size for ``_eliminate``; LAPACK is faster above it
+# Largest block size for ``_eliminate``. Above it LAPACK is faster only where rows swap: on
+# 20,000 random blocks (2 cores, BLAS on 1 thread), m = 12 took 202 ms against 119 ms. Blocks
+# that swap no row, as diagonally dominant ones, stay faster by elimination up to m = 16.
+_ELIMINATE_MAX_M = 6
 _ELIMINATE_CHUNK = 8192  # blocks per pass of ``_eliminate``: the chunk stays in cache
 
 

@@ -279,7 +279,7 @@ def _solve(problem, partition, k, scheme, policy, initial, workers):
     policy = policy or LinearizationPolicy()
     n0, m = partition.counts[0], problem.m_unk
     flat = np.tile(problem.u0, (n0 + 1, 1))
-    report = SolverReport(solver=f"nlschur:{k}" if k else "newton-schur", workers=workers)
+    report = SolverReport(solver=f"nlschur:{k}" if k else "newton-schur")
     start = time.perf_counter()
     # The loops and the start's residual test catch non-finite norms.
     with WorkerPool(workers) as pool, np.errstate(over="ignore", invalid="ignore"):
@@ -300,7 +300,7 @@ def _solve(problem, partition, k, scheme, policy, initial, workers):
             if report.start != "coarse":
                 raise
             # Count the flat loop alone; keep the timings of all that ran.
-            report = SolverReport(report.solver, workers, per_level_max=report.per_level_max,
+            report = SolverReport(report.solver, per_level_max=report.per_level_max,
                                   per_level_sum=report.per_level_sum, coarse_abandoned=True,
                                   coarse_iterations=report.coarse_iterations)
             w = _schur_loop(problem, partition, k, scheme, policy, flat, pool, report)
@@ -379,9 +379,7 @@ def _schur_loop(problem, partition, k, scheme, policy, w, pool, report, known=No
     predicted = None  # the interior values the last update predicts
     for it in range(policy.max_iters + 1):
         w, kappas = _extend_all(problem, partition, k, z, w, predicted, th, policy, pool, report)
-        if kappas is not None:  # the extension's last kappa rows, at w
-            known = [global_residual(problem, w, grid, scheme, kappas)]
-        res, norm = known.pop() if known else global_residual(problem, w, grid, scheme)
+        res, norm = known.pop() if known else global_residual(problem, w, grid, scheme, kappas)
         report.residual_history.append(norm)
         interior = np.linalg.norm(res, axis=1)[interior_mask]
         report.interior_residual_history.append(float(interior.max(initial=0.0)))

@@ -101,34 +101,22 @@ def _aggregate(n_fine: int, n_coarse: int, ratio: int | None = None) -> np.ndarr
         raise ValidationError(f"cannot aggregate {n_fine} elements into {n_coarse}")
     if ratio is None:
         ratio = n_fine // n_coarse
-    if ratio * (n_coarse - 1) >= n_fine:
-        raise ValidationError(
-            f"ratio {ratio} puts {n_coarse} subdomain starts beyond {n_fine} elements"
-        )
     bounds = np.arange(n_coarse + 1, dtype=np.int64) * ratio
     bounds[-1] = n_fine
     return bounds
 
 
-def _ceil_log(n: int, base: int) -> int:
-    # Smallest e with base**e >= n, exact integer arithmetic.
-    e, p = 0, 1
-    while p < n:
-        p *= base
-        e += 1
-    return e
-
-
-def _assemble(t_end: float, grid0: np.ndarray, counts: list[int],
-              ratio: int | None = None) -> MultilevelPartition:
+def _assemble(t_end: float, grid0: np.ndarray, counts: list[int], ratio: int | None = None,
+              aggs: tuple[np.ndarray, ...] = ()) -> MultilevelPartition:
+    # ``aggs`` fixes the aggregations of the lowest levels; _aggregate builds the rest.
+    aggs = list(aggs)
+    for k in range(len(aggs) + 1, len(counts)):
+        aggs.append(_aggregate(counts[k - 1], counts[k], ratio))
     grids = [grid0]
-    aggs = []
     fine_maps = [np.arange(counts[0] + 1, dtype=np.int64)]
-    for k in range(1, len(counts)):
-        m = _aggregate(counts[k - 1], counts[k], ratio)
-        aggs.append(m)
-        grids.append(grids[k - 1][m])
-        fine_maps.append(fine_maps[k - 1][m])
+    for m in aggs:
+        grids.append(grids[-1][m])
+        fine_maps.append(fine_maps[-1][m])
     part = MultilevelPartition(
         t_end=float(t_end),
         counts=tuple(counts),
@@ -166,16 +154,10 @@ def build_uniform(
     if max_levels is not None and max_levels < 1:
         raise ValidationError("max_levels must be at least 1")
 
-    target = 1 + _ceil_log(n0, theta)
-    if max_levels is not None:
-        target = min(target, max_levels)
     counts = [n0]
-    while len(counts) < target and counts[-1] > 1:
+    while counts[-1] > 1 and (max_levels is None or len(counts) < max_levels):
         counts.append(max(1, counts[-1] // theta))
-
-    grid0 = np.linspace(0.0, float(t_end), n0 + 1)
-    grid0[-1] = t_end  # guard against linspace endpoint rounding
-    return _assemble(t_end, grid0, counts, ratio=theta)
+    return _assemble(t_end, np.linspace(0.0, float(t_end), n0 + 1), counts, ratio=theta)
 
 
 def build_explicit(
@@ -194,7 +176,7 @@ def build_explicit(
     if any(b > a for a, b in zip(counts, counts[1:])):
         raise ValidationError("counts must be non-increasing")
     if grid is not None:
-        grid0 = np.asarray(grid, dtype=float)
+        grid0 = np.array(grid, dtype=float)  # a copy: the partition freezes its grids
         if grid0.ndim != 1 or grid0.size != counts[0] + 1:
             raise ValidationError("grid must have counts[0] + 1 nodes")
         if grid0[0] != 0.0:
@@ -205,7 +187,6 @@ def build_explicit(
             raise ValidationError("either t_end or grid is required")
         _check_t_end(t_end)
         grid0 = np.linspace(0.0, float(t_end), counts[0] + 1)
-        grid0[-1] = t_end
     return _assemble(t_end, grid0, counts)
 
 
@@ -214,11 +195,12 @@ def build_adaptive_top(partition: MultilevelPartition) -> MultilevelPartition:
 
     With ``n_prev`` elements below the top, the new top has
     ``round(sqrt(n_prev))`` elements, equalizing coarse problem size and local
-    subdomain size.
+    subdomain size. Every level below the top keeps its aggregation; the top
+    one takes the quotient rule.
     """
     if partition.n_levels < 2:
         raise ValidationError("adaptive coarsening needs at least 2 levels")
     n_prev = partition.counts[-2]
     n_top = max(1, round(math.sqrt(n_prev)))
     counts = list(partition.counts[:-1]) + [n_top]
-    return _assemble(partition.t_end, np.array(partition.grids[0]), counts)
+    return _assemble(partition.t_end, partition.grids[0], counts, aggs=partition.aggs[:-1])

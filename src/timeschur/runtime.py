@@ -131,7 +131,6 @@ class SolverReport:
     """Per-solve instrumentation: timings, iteration counts, residual history."""
 
     solver: str = ""
-    workers: int = 1
     outer_iterations: int = 0
     picard_iterations: int = 0
     newton_iterations: int = 0
@@ -149,10 +148,10 @@ class SolverReport:
     coarse_abandoned: bool = False  # a coarse start failed and the loop ran from the flat one
     cost_estimate: CostEstimate | None = None
 
-    def add_level(self, level: int, task_seconds: list[float]) -> None:
-        """Fold one region's task seconds into a level; a serial phase is a one-task region."""
+    def add_level(self, level: int, task_seconds: list[float], workers: int = 1) -> None:
+        """Fold one region's task seconds, run on ``workers``, into a level."""
         self.per_level_max[level] = self.per_level_max.get(level, 0.0) + \
-            critical_path_seconds(task_seconds, self.workers)
+            critical_path_seconds(task_seconds, workers)
         self.per_level_sum[level] = self.per_level_sum.get(level, 0.0) + sum(task_seconds)
 
     @property

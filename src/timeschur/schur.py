@@ -210,7 +210,7 @@ def _run_shares(task, shares: list, trees: list, pool: WorkerPool | None,
     each share is its own task of ``pool``. Otherwise the region is one
     task, which the pool runs in the calling thread, and no thread starts.
     Either way each share keeps its own seconds, so the report books the
-    modeled critical path.
+    critical path modeled on the pool's worker count (1 without a pool).
     """
     if pool is None:
         seconds = task(shares)
@@ -222,7 +222,7 @@ def _run_shares(task, shares: list, trees: list, pool: WorkerPool | None,
         results, _, _ = pool.map(task, args)
         seconds = [secs for result in results for secs in result]
     if report is not None:
-        report.add_level(level, seconds)
+        report.add_level(level, seconds, pool.workers if pool is not None else 1)
 
 
 def reduce_level(sys: LevelSystem, bounds: np.ndarray, pool: WorkerPool | None = None,
@@ -363,13 +363,12 @@ def ml_solve(
     if report is not None:
         report.add_level(partition.top_level, [time.thread_time() - start])
 
-    # The gather and scatter of interface values between levels are not timed.
+    # The down-sweep writes each inflow value as its subdomain's first state, so
+    # interface values are copied, not recomputed. The gather between levels is not timed.
     for level in range(partition.top_level - 1, sys.level - 1, -1):
-        bounds = partition.subdomain_bounds(level)
-        fine = sweep_down(trees_per_level.pop(), bounds, u[:-1, :, None], pool, report, level)
-        fine = np.concatenate([fine[:, :, 0], u[-1:]])
-        fine[bounds] = u  # interface values are copied, not recomputed
-        u = fine
+        fine = sweep_down(trees_per_level.pop(), partition.subdomain_bounds(level),
+                          u[:-1, :, None], pool, report, level)
+        u = np.concatenate([fine[:, :, 0], u[-1:]])
     return u
 
 

@@ -155,7 +155,7 @@ class TestWeakScaling:
 
         def fake_run_solver(spec, partition=None, workers=None):
             calls["n"] += 1
-            report = SolverReport(solver=spec.solver, workers=workers or 1)
+            report = SolverReport(solver=spec.solver)
             report.per_level_max = {0: float(calls["n"])}
             report.per_level_sum = {0: 10.0 * calls["n"]}
             report.residual_history = [1e-12]
@@ -294,6 +294,22 @@ class TestVerify:
         checks = {c.name: c for c in verify()}
         assert not checks["petrov_galerkin"].passed
 
+    def test_a_failing_long_horizon_solve_is_a_failed_check(self, monkeypatch):
+        from timeschur import NonconvergenceError
+
+        real = bench.newton_schur_solve
+
+        def fails_beyond_one_period(problem, partition, *args, **kwargs):
+            if partition.t_end == 5.0:
+                raise NonconvergenceError("global linearization loop", 50, 1.0)
+            return real(problem, partition, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "newton_schur_solve", fails_beyond_one_period)
+        checks = {c.name: c for c in verify()}
+        assert checks["long_horizon"].error == math.inf
+        assert not checks["long_horizon"].passed
+        assert all(c.passed for name, c in checks.items() if name != "long_horizon")
+
 
 class TestCsvStability:
     def test_identical_specs_give_identical_non_timing_columns(self, tmp_path):
@@ -400,6 +416,12 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert cli.main(["weak-scaling", "--local-size", "5", f"--n1-list={n1_list}"]) == 2
         assert f"error: n1 entries must be >= 1, got {bad}" in capsys.readouterr().err
+
+    def test_weak_scaling_rejects_a_non_integer_n1_entry(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["weak-scaling", "--n1-list", "2,x"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: bad n1 list '2,x'"]
+        assert not (tmp_path / "weak_scaling.csv").exists()
 
     @pytest.mark.parametrize("n1_list", ["", ","])
     def test_weak_scaling_rejects_empty_sweep(self, n1_list, tmp_path, monkeypatch, capsys):

@@ -842,6 +842,30 @@ class TestNestedStart:
         assert 1000.0 <= nls.per_level_max[0] < 1001.0
         assert gns.per_level_max[0] < 1.0
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_a_start_no_better_than_flat_is_dropped(self, k, monkeypatch):
+        # The coarse loop's solution, scaled tenfold: a spurious start whose
+        # fine residual is not below the flat guess's.
+        prob = benchmark_lv()
+        part = build_explicit([400, 8], t_end=3.0)
+        real = nonlinear._schur_loop
+
+        def spoiled(problem, partition, *args):
+            w = real(problem, partition, *args)
+            return 10.0 * w if partition.counts[0] < 400 else w
+
+        def solve(initial=None):
+            if k:
+                return nonlinear_schur_newton_solve(prob, part, k, BE, initial=initial)
+            return newton_schur_solve(prob, part, BE, initial=initial)
+
+        monkeypatch.setattr(nonlinear, "_schur_loop", spoiled)
+        traj, report = solve()
+        assert report.start == "flat" and report.coarse_abandoned
+        assert report.coarse_iterations > 0
+        given, _ = solve(initial=np.tile(prob.u0, (part.counts[0] + 1, 1)))
+        assert np.array_equal(traj, given)
+
     @pytest.mark.parametrize("scheme, theta_c", [(BE, 0.5 + 0.5 * 50 / 2000),
                                                  (Scheme.theta_method(0.5), 0.5),
                                                  (Scheme.dg(0), 0.5 + 0.5 * 50 / 2000)])
@@ -871,9 +895,9 @@ class TestNestedStart:
                 starts.append(w.copy())
             return real_loop(problem, partition, k, scheme, policy, w, *args)
 
-        def residual(problem, traj, grid, scheme):
+        def residual(problem, traj, grid, scheme, kappas=None):
             fine_residuals.append(len(grid) == 401)
-            return real_residual(problem, traj, grid, scheme)
+            return real_residual(problem, traj, grid, scheme, kappas)
 
         monkeypatch.setattr(nonlinear, "_schur_loop", loop)
         monkeypatch.setattr(nonlinear, "global_residual", residual)
@@ -968,7 +992,7 @@ class TestNestedStart:
 
 def coarse_start(prob, part, k, workers=1):
     """``_coarse_start`` of the fine loop at level ``k`` on ``part``: ``(start, report)``."""
-    report = SolverReport(workers=workers)
+    report = SolverReport()
     flat = np.tile(prob.u0, (part.counts[0] + 1, 1))
     with WorkerPool(workers) as pool:
         w, _ = nonlinear._coarse_start(prob, part.grids[0], k, BE, LinearizationPolicy(), pool,

@@ -42,6 +42,7 @@ class TestBuildUniform:
         dict(t_end=1.0, n0=4, theta=1),
         dict(t_end=0.0, n0=4, theta=2),
         dict(t_end=-1.0, n0=4, theta=2),
+        dict(t_end=1.0, n0=4, theta=2, max_levels=0),
     ])
     def test_rejects_bad_inputs(self, kwargs):
         with pytest.raises(ValidationError):
@@ -109,6 +110,13 @@ class TestExplicit:
         with pytest.raises(ValidationError):
             build()
 
+    def test_leaves_the_callers_grid_writeable(self):
+        g = np.linspace(0.0, 1.0, 11)
+        part = build_explicit([10, 2], grid=g)
+        assert g.flags.writeable
+        assert not part.grids[0].flags.writeable
+        assert np.array_equal(part.grids[0], g)
+
 
 class TestAdaptiveTop:
     @pytest.mark.parametrize("n1,expected", [(100, 10), (4, 2), (50, 7)])
@@ -123,6 +131,17 @@ class TestAdaptiveTop:
     def test_requires_two_levels(self):
         with pytest.raises(ValidationError):
             build_adaptive_top(build_uniform(1.0, 1, 2))
+
+    @pytest.mark.parametrize("n0, theta, top", [(250, 100, [0, 2]), (2003, 7, [0, 2, 5])])
+    def test_levels_below_the_top_keep_their_bounds(self, n0, theta, top):
+        # Uniform ratios whose remainders the quotient rule would spread out.
+        part = build_uniform(1.0, n0, theta)
+        adapted = build_adaptive_top(part)
+        assert adapted.counts[:-1] == part.counts[:-1]
+        for k in range(part.top_level - 1):
+            assert adapted.subdomain_bounds(k).tobytes() == part.subdomain_bounds(k).tobytes()
+            assert adapted.grids[k + 1].tobytes() == part.grids[k + 1].tobytes()
+        assert adapted.subdomain_bounds(part.top_level - 1).tolist() == top
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,4 +181,19 @@ def _broken(**fields):
 def test_validate_names_each_broken_invariant(part, text):
     with pytest.raises(ValidationError) as info:
         part.validate()
+    assert str(info.value) == text
+
+
+@pytest.mark.parametrize("build, text", [
+    (lambda: build_explicit([10, 2], t_end=1.0).subdomain_bounds(1),
+     "level 1 has no coarser level"),
+    (lambda: build_explicit([4, 0], t_end=1.0), "cannot aggregate 4 elements into 0"),
+    (lambda: build_explicit([]), "counts must be non-empty"),
+    (lambda: build_explicit([4, 2], grid=np.linspace(0.0, 1.0, 4)),
+     "grid must have counts[0] + 1 nodes"),
+    (lambda: build_explicit([4, 2], grid=np.linspace(0.5, 1.0, 5)), "grid must start at 0"),
+], ids=["top-level-bounds", "empty-level", "no-counts", "grid-size", "grid-start"])
+def test_input_errors_name_their_cause(build, text):
+    with pytest.raises(ValidationError) as info:
+        build()
     assert str(info.value) == text

@@ -140,7 +140,7 @@ class TestLevelTimings:
         prob = linear_decay(1.0)
         part = build_explicit(list(counts), t_end=1.0)
         sys0 = build_linear_system(prob, part.grids[0], Scheme.backward_euler())
-        report = SolverReport(workers=workers)
+        report = SolverReport()
         with WorkerPool(workers) as pool:
             ml_solve(sys0, part, pool=pool, report=report)
         return report
@@ -216,9 +216,9 @@ class TestShareDispatch:
                 events.append((fn.__name__, groups))
             return pool_map(pool, fn, args_list)
 
-        def recording_add_level(report, level, task_seconds):
+        def recording_add_level(report, level, task_seconds, workers=1):
             events.append(len(task_seconds))
-            add_level(report, level, task_seconds)
+            add_level(report, level, task_seconds, workers)
 
         monkeypatch.setattr(WorkerPool, "map", recording_map)
         monkeypatch.setattr(SolverReport, "add_level", recording_add_level)
@@ -247,7 +247,7 @@ class TestShareDispatch:
         sys0 = build_linear_system(linear_decay(1.0), part.grids[0], Scheme.backward_euler())
         with WorkerPool(2) as pool:
             regions = self._regions(monkeypatch, lambda: ml_solve(
-                sys0, part, pool=pool, report=SolverReport(workers=2)))
+                sys0, part, pool=pool, report=SolverReport()))
         assert schur._GRAIN <= 80020
         assert regions == [("_subdomain_setup", [[80020], [80020]], 2),
                            ("_subdomain_sweep_down", [[80020], [80020]], 2)]

@@ -375,7 +375,7 @@ class TestMlSolve:
         monkeypatch.setattr(WorkerPool, "map", None)
         with WorkerPool(2) as pool:
             u = ml_solve(sys0, build_explicit([50], t_end=1.0), pool=pool,
-                         report=SolverReport(workers=2))
+                         report=SolverReport())
         assert np.array_equal(u, sequential_solve(sys0))
         assert booked == [(0, 1)]
 
