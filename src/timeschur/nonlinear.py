@@ -28,7 +28,7 @@ update of a window depends only on that window, so iterates do not depend on
 how windows are grouped. A window whose residual rises above its warm start's,
 turns non-finite or exhausts its budget falls back to ``_march``, the
 time-marching loop of ``sequential_nonlinear_solve``, which solves it step by
-step with ``_implicit_step``.
+step.
 Every linearization forms its theta steps with ``integrators.theta_steps``;
 the outer loops' is ``linearize_global``. The Schur rows of the interface
 system are that system reduced over the windows: the roots of ``schur``'s
@@ -73,7 +73,7 @@ class LinearizationPolicy:
     residual norm is at or above ``switch_norm`` and Newton below it.
     ``tol_global`` stops outer loops. ``tol_local`` stops the local problems
     of the extensions: a window once every interior step residual is below
-    it, and each ``_implicit_step`` of a window that falls back to marching
+    it, and each step of a window that falls back to marching (``_march``)
     once its own is. ``max_inner`` bounds the iterations of a window, and of
     each such step.
     """
@@ -163,45 +163,6 @@ def _linearized_steps(problem, ts, us, th, use_picard, column, where, skip=None)
                         ts[:-1], ts[1:], where)
     return LevelSystem(level=0, phis=solved[:, :m].transpose(2, 0, 1), gs=solved[:, m].T,
                        u_init=np.zeros(m))
-
-
-def _implicit_step(problem, t_start, t_end, u_prev, guess, th, policy, tol):
-    """Solve one implicit step residual for its unknown endpoint value.
-
-    Returns ``(u, picard_iters, newton_iters)``; raises on budget exhaustion,
-    on a non-finite residual and on a singular step matrix.
-    """
-    dt = t_end - t_start
-    tail = dt * (1.0 - th) * np.asarray(problem.kappa(t_start, u_prev), dtype=float) - u_prev
-    u = np.array(guess, dtype=float)
-    picard = newton = 0
-    norm = np.inf
-    for it in range(policy.max_inner + 1):
-        r = u + tail + dt * th * np.asarray(problem.kappa(t_end, u), dtype=float)
-        norm = float(np.linalg.norm(r))
-        if norm < tol:
-            return u, picard, newton
-        if not math.isfinite(norm):
-            raise NonconvergenceError(f"implicit step ending at t={t_end:g}", it, norm,
-                                      NON_FINITE)
-        if it == policy.max_inner:
-            break
-        if policy.uses_picard(norm):
-            mat = np.asarray(picard_operator(problem)(t_end, u), dtype=float)
-            picard += 1
-        else:
-            mat = np.asarray(problem.jacobian(t_end, u), dtype=float)
-            newton += 1
-        try:
-            u = u + np.linalg.solve(step_matrices(mat, th * dt), -r)
-        except np.linalg.LinAlgError as exc:
-            raise SingularStepError(
-                f"singular step matrix on element ({t_start:g}, {t_end:g})",
-                float(t_start), float(t_end),
-            ) from exc
-    raise NonconvergenceError(
-        f"implicit step ending at t={t_end:g}", policy.max_inner, norm
-    )
 
 
 def sequential_nonlinear_solve(
@@ -318,8 +279,7 @@ def _coarse_start(problem, grid, k, scheme, policy, pool, report, flat):
     scheme's ``(1/2 - theta) dt``: ``theta_c = 1/2 + (theta - 1/2) nc / n0``.
     The coarse grid is one level of its own, so each update is ``ml_solve``'s
     forward substitution: no tree is swept, and no pool thread runs. At
-    k >= 1 the start is one serial level-0 region on the process's CPU
-    clock, which counts this thread alone while the start runs. Returns
+    k >= 1 the start is one serial level-0 region. Returns
     ``(start, known)``: ``start`` is None, the flat start, for a linear
     problem, below ``_COARSE_MIN`` elements, when the coarse loop fails and
     when its fine residual is not below ``flat``'s (a spurious discrete
@@ -333,7 +293,7 @@ def _coarse_start(problem, grid, k, scheme, policy, pool, report, flat):
     nodes = np.arange(nc + 1) * n0 // nc
     coarse = build_explicit([nc], grid=grid[nodes])
     matched = Scheme.theta_method(0.5 + (scheme.effective_theta() - 0.5) * nc / n0)
-    inner, start = SolverReport(), time.process_time()
+    inner, start = SolverReport(), time.thread_time()
     try:
         w = _schur_loop(problem, coarse, 0, matched, policy, np.tile(problem.u0, (nc + 1, 1)),
                         pool, inner)
@@ -346,7 +306,7 @@ def _coarse_start(problem, grid, k, scheme, policy, pool, report, flat):
         if not residual[1] < global_residual(problem, flat, grid, scheme)[1]:
             w = residual = None
     if k:  # newton-schur's level 0 holds its multilevel solves' shares alone
-        report.add_level(0, [time.process_time() - start])
+        report.add_level(0, [time.thread_time() - start])
     report.coarse_iterations, report.coarse_abandoned = inner.outer_iterations, w is None
     report.start = "flat" if w is None else "coarse"
     return w, [] if k or residual is None else [residual]
@@ -372,16 +332,15 @@ def _schur_loop(problem, partition, k, scheme, policy, w, pool, report, known=No
     th, grid = scheme.effective_theta(), partition.grids[0]
     fine_k = partition.fine_nodes(k)
     z = w[fine_k]
-    inside = _interior_mask(partition, k)
     # newton-schur reports level 1's; the coarse start's one-level loop, level 0's
-    interior_mask = _interior_mask(partition, min(max(k, 1), partition.top_level))
+    inside = _interior_mask(partition, min(max(k, 1), partition.top_level))
     where = f"nonlinear Schur loop at level {k}" if k else "global linearization loop"
     predicted = None  # the interior values the last update predicts
     for it in range(policy.max_iters + 1):
         w, kappas = _extend_all(problem, partition, k, z, w, predicted, th, policy, pool, report)
         res, norm = known.pop() if known else global_residual(problem, w, grid, scheme, kappas)
         report.residual_history.append(norm)
-        interior = np.linalg.norm(res, axis=1)[interior_mask]
+        interior = np.linalg.norm(res, axis=1)[inside]
         report.interior_residual_history.append(float(interior.max(initial=0.0)))
         if norm < policy.tol_global:
             return w
@@ -393,7 +352,8 @@ def _schur_loop(problem, partition, k, scheme, policy, w, pool, report, known=No
         report.mode_history.append(mode)
         report.picard_iterations += mode == "picard"
         report.newton_iterations += mode == "newton"
-        res[inside] = 0.0
+        if k:  # the extensions own the windows' interior rows
+            res[inside] = 0.0
         rows_start = time.thread_time()  # a one-task map runs in this thread
         ((rows, trees),), _, _ = pool.map(_schur_row_task, [
             (problem, w, grid, scheme, res, mode == "picard", fine_k)])
@@ -560,27 +520,42 @@ def _extension_task(problem, partition, level, lo, hi, inflows, warm, th, policy
 def _march(problem, ts, inflow, warm, th, policy, tol, where):
     """Time-march the steps of ``ts`` from ``inflow``; returns ``(values, picard, newton)``.
 
-    ``values[0]`` is ``inflow``; each later step is solved to ``tol`` by
-    ``_implicit_step`` from its guess in ``warm``, or from the previous value
-    if ``warm`` is None. Errors name step ``j`` as ``where(j)``.
+    ``values[0]`` is ``inflow``; each later step ``j`` solves its implicit
+    residual for ``values[j]`` to ``tol`` by Picard or Newton iterations, from
+    its guess in ``warm``, or from the previous value if ``warm`` is None.
+    Budget exhaustion, a non-finite residual and a singular step matrix raise,
+    naming step ``j`` as ``where(j)``.
     """
     values = np.empty((len(ts), problem.m_unk))
     values[0] = inflow
     picard = newton = 0
     for j in range(1, len(ts)):
-        guess = values[j - 1] if warm is None else warm[j]
-        try:
-            values[j], p, nw = _implicit_step(problem, ts[j - 1], ts[j], values[j - 1], guess,
-                                              th, policy, tol)
-        except NonconvergenceError as exc:
-            raise NonconvergenceError(where(j), exc.iterations, exc.residual_norm,
-                                      exc.reason) from exc
-        except SingularStepError as exc:
-            raise SingularStepError(
-                f"singular step matrix in {where(j)} on element ({exc.t_start:g}, {exc.t_end:g})",
-                exc.t_start, exc.t_end) from exc
-        picard += p
-        newton += nw
+        t_start, t_end, dt = ts[j - 1], ts[j], ts[j] - ts[j - 1]
+        tail = dt * (1.0 - th) * np.asarray(problem.kappa(t_start, values[j - 1]),
+                                            dtype=float) - values[j - 1]
+        u = np.array(values[j - 1] if warm is None else warm[j], dtype=float)
+        for it in range(policy.max_inner + 1):
+            r = u + tail + dt * th * np.asarray(problem.kappa(t_end, u), dtype=float)
+            norm = float(np.linalg.norm(r))
+            if norm < tol:
+                break
+            if not math.isfinite(norm):
+                raise NonconvergenceError(where(j), it, norm, NON_FINITE)
+            if it == policy.max_inner:
+                raise NonconvergenceError(where(j), it, norm)
+            if policy.uses_picard(norm):
+                mat = picard_operator(problem)(t_end, u)
+                picard += 1
+            else:
+                mat = problem.jacobian(t_end, u)
+                newton += 1
+            try:
+                u = u + np.linalg.solve(step_matrices(np.asarray(mat, dtype=float), th * dt), -r)
+            except np.linalg.LinAlgError as exc:
+                raise SingularStepError(
+                    f"singular step matrix in {where(j)} on element ({t_start:g}, {t_end:g})",
+                    float(t_start), float(t_end)) from exc
+        values[j] = u
     return values, picard, newton
 
 

@@ -215,9 +215,7 @@ def _matrix_kappa(a, t, u):
 
 
 def _matrix_jacobian(a, t, u):
-    if np.asarray(t).ndim:
-        return np.broadcast_to(a, (len(t),) + a.shape).copy()
-    return a
+    return a  # _matrix_batch broadcasts it to every row
 
 
 def random_stable_linear(m_unk: int, seed: int = 0) -> OdeProblem:

@@ -1,4 +1,3 @@
-import itertools
 import sys
 import time
 from dataclasses import replace
@@ -33,7 +32,7 @@ from timeschur import (
     sequential_solve,
 )
 from timeschur import nonlinear, schur
-from timeschur.nonlinear import (NON_FINITE, _extension_task, _implicit_step, _march,
+from timeschur.nonlinear import (NON_FINITE, _extension_task, _march,
                                  _schur_row_task)
 
 LV_BENCH = dict(alpha=3.0, beta=0.2, gamma=2.0, delta=0.1, u0=10.0, v0=40.0)
@@ -330,12 +329,12 @@ class TestLockstepExtension:
         grid = part.grids[0]
         fine = part.fine_nodes(1)
         for i, (a, b) in enumerate(zip(fine, fine[1:])):
-            # Time-marching's one-step solver gives the same iterates.
+            # Marching one step at a time gives the same iterates.
             stepwise = [inflows[i]]
             for j in range(a + 1, b):
-                u, _, _ = _implicit_step(prob, grid[j - 1], grid[j], stepwise[-1], warm[j],
-                                         1.0, policy, policy.tol_local)
-                stepwise.append(u)
+                u, _, _ = _march(prob, grid[j - 1:j + 1], stepwise[-1], warm[j - 1:j + 1],
+                                 1.0, policy, policy.tol_local, str)
+                stepwise.append(u[1])
             assert np.array_equal(marched[a:b], np.stack(stepwise))
         return counts, marched_counts
 
@@ -826,9 +825,19 @@ class TestNestedStart:
     def test_report_records_the_coarse_start(self, monkeypatch):
         prob = benchmark_lv()
         part = build_explicit([2000, 20], t_end=3.0)
-        clock = itertools.count(0.0, 1000.0)  # the coarse region reads 1000 s
-        monkeypatch.setattr(nonlinear.time, "process_time", lambda: next(clock))
+        clock = [0.0]  # only the coarse loop advances it, by 1000 s
+        monkeypatch.setattr(nonlinear.time, "thread_time", lambda: clock[0])
         calls = spy_on_loops(monkeypatch)
+        spied = nonlinear._schur_loop
+
+        def advancing(problem, partition, *args):
+            try:
+                return spied(problem, partition, *args)
+            finally:
+                if partition.counts[0] == 50:
+                    clock[0] += 1000.0
+
+        monkeypatch.setattr(nonlinear, "_schur_loop", advancing)
         _, gns = newton_schur_solve(prob, part, BE)
         _, nls = nonlinear_schur_newton_solve(prob, part, 1, BE)
         assert [c[:2] for c in calls] == [(50, 0), (2000, 0), (50, 0), (2000, 1)]
