@@ -10,6 +10,7 @@ Coarse node values are *copied* from the fine grid (never recomputed from
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +95,11 @@ def _check_t_end(t_end: float) -> None:
         raise ValidationError(f"t_end must be finite and positive, got {t_end}")
 
 
+def _check_whole(label: str, value, least: int) -> None:
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ValidationError(f"{label} must be an integer of at least {least}, got {value!r}")
+
+
 def _aggregate(n_fine: int, n_coarse: int, ratio: int | None = None) -> np.ndarray:
     # Uniform ratio (given, or derived from the counts); the last subdomain
     # absorbs any remainder.
@@ -147,12 +153,10 @@ def build_uniform(
     ``theta`` does not divide leave the remainder in the last subdomain.
     """
     _check_t_end(t_end)
-    if n0 < 1:
-        raise ValidationError("n0 must be at least 1")
-    if theta < 2:
-        raise ValidationError("coarsening ratio theta must be at least 2")
-    if max_levels is not None and max_levels < 1:
-        raise ValidationError("max_levels must be at least 1")
+    _check_whole("n0", n0, 1)
+    _check_whole("coarsening ratio theta", theta, 2)
+    if max_levels is not None:
+        _check_whole("max_levels", max_levels, 1)
 
     counts = [n0]
     while counts[-1] > 1 and (max_levels is None or len(counts) < max_levels):
@@ -170,9 +174,13 @@ def build_explicit(
     Either ``t_end`` (uniform fine grid) or a full level-0 ``grid`` (possibly
     non-uniform, starting at 0) must be supplied.
     """
-    counts = [int(n) for n in counts]
+    counts = list(counts)
     if not counts:
         raise ValidationError("counts must be non-empty")
+    if not all(isinstance(n, numbers.Integral) for n in counts):
+        raise ValidationError(f"counts must be integers, got {counts}")
+    counts = [int(n) for n in counts]
+    _check_whole("the fine count counts[0]", counts[0], 1)
     if any(b > a for a, b in zip(counts, counts[1:])):
         raise ValidationError("counts must be non-increasing")
     if grid is not None:

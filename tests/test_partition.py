@@ -43,6 +43,10 @@ class TestBuildUniform:
         dict(t_end=0.0, n0=4, theta=2),
         dict(t_end=-1.0, n0=4, theta=2),
         dict(t_end=1.0, n0=4, theta=2, max_levels=0),
+        dict(t_end=1.0, n0=100, theta=2.5),
+        dict(t_end=1.0, n0=100, theta=10.0),
+        dict(t_end=1.0, n0=100.5, theta=10),
+        dict(t_end=1.0, n0=100, theta=10, max_levels=1.5),
     ])
     def test_rejects_bad_inputs(self, kwargs):
         with pytest.raises(ValidationError):
@@ -192,7 +196,11 @@ def test_validate_names_each_broken_invariant(part, text):
     (lambda: build_explicit([4, 2], grid=np.linspace(0.0, 1.0, 4)),
      "grid must have counts[0] + 1 nodes"),
     (lambda: build_explicit([4, 2], grid=np.linspace(0.5, 1.0, 5)), "grid must start at 0"),
-], ids=["top-level-bounds", "empty-level", "no-counts", "grid-size", "grid-start"])
+    (lambda: build_explicit([-2], t_end=1.0),
+     "the fine count counts[0] must be an integer of at least 1, got -2"),
+    (lambda: build_explicit([10.7, 2], t_end=1.0), "counts must be integers, got [10.7, 2]"),
+], ids=["top-level-bounds", "empty-level", "no-counts", "grid-size", "grid-start",
+        "negative-fine-count", "fractional-count"])
 def test_input_errors_name_their_cause(build, text):
     with pytest.raises(ValidationError) as info:
         build()
