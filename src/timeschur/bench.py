@@ -329,8 +329,6 @@ def write_trajectory(traj: np.ndarray, grid: np.ndarray, path: str | Path) -> Pa
 
 # Figure data ------------------------------------------------------------------
 
-FIGURE_KINDS = ("coarse_shapes", "decomposition", "lv_phase", "convergence")
-
 # Every script reads the tidy CSV into sorted ``(t, value)`` points per series.
 _PLOT_PRELUDE = """\
 import csv
@@ -343,89 +341,19 @@ with open("__CSV__") as handle:
 series = {name: sorted(pts) for name, pts in series.items()}
 """
 
-_PLOT_TEMPLATES = {
-    "coarse_shapes": """\
-fig, axes = plt.subplots(1, 2, figsize=(9, 3.2), sharey=True)
-for ax, name in zip(axes, ["extension", "restriction"]):
-    pts = series[name]
-    ax.step([p[0] for p in pts], [p[1] for p in pts], where="post", marker=".")
-    ax.set_title(name)
-    ax.set_xlabel("t")
-""",
-    "decomposition": """\
-fig, ax = plt.subplots(figsize=(6, 3.6))
-for name, style in [("full", "-"), ("coarse", "--"), ("fine", ":")]:
-    pts = series[name]
-    ax.plot([p[0] for p in pts], [p[1] for p in pts], style, label=name)
-ax.set_xlabel("t")
-ax.legend()
-""",
-    "lv_phase": """\
-prey = [p[1] for p in series["prey"]]
-pred = [p[1] for p in series["predator"]]
-ts = [p[0] for p in series["prey"]]
-fig, axes = plt.subplots(1, 2, figsize=(9, 3.6))
-axes[0].plot(ts, prey, label="prey")
-axes[0].plot(ts, pred, label="predator")
-axes[0].set_xlabel("t")
-axes[0].legend()
-axes[1].plot(prey, pred)
-axes[1].set_xlabel("prey")
-axes[1].set_ylabel("predator")
-""",
-    "convergence": """\
-pts = series["residual"]
-fig, ax = plt.subplots(figsize=(5, 3.6))
-ax.semilogy([p[0] for p in pts], [p[1] for p in pts], marker="o")
-ax.set_xlabel("iteration")
-ax.set_ylabel("residual norm")
-""",
-}
-
 _PLOT_EPILOGUE = """\
 fig.tight_layout()
 fig.savefig("__PNG__", dpi=150)
 """
 
 
-def emit_figure_data(kind: str, spec: ExperimentSpec, out: str | Path):
-    """Write a tidy ``(t, series, value)`` CSV plus a matplotlib script for ``kind``.
-
-    Returns ``(rows, csv_path, script_path)``.
-    """
-    if kind not in FIGURE_KINDS:
-        raise ValidationError(f"unknown figure kind {kind!r} (expected {FIGURE_KINDS})")
-    rows = _figure_rows(kind, spec)
-    out = output_path(out)
-    script_path = output_path(out.with_name(out.stem + "_plot.py"))
-    with out.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "series", "value"])
-        for t, series, value in rows:
-            writer.writerow([f"{t:.17g}", series, f"{value:.17g}"])
-    script = _PLOT_PRELUDE + _PLOT_TEMPLATES[kind] + _PLOT_EPILOGUE
-    script = script.replace("__CSV__", out.name).replace("__PNG__", out.stem + ".png")
-    script_path.write_text(script, encoding="utf-8")
-    return rows, out, script_path
-
-
-def _figure_rows(kind: str, spec: ExperimentSpec):
-    if kind == "coarse_shapes":
-        return _coarse_shape_rows(spec.scheme_obj())
-    if kind == "decomposition":
-        return _decomposition_rows(spec.scheme_obj())
-    if kind == "lv_phase":
-        return _lv_phase_rows(spec)
-    return _convergence_rows(spec)
-
-
-def _coarse_shape_rows(scheme: Scheme):
+def _coarse_shape_rows(spec: ExperimentSpec):
     # Three subdomains of five elements each on [0, pi], kappa = 0: the
     # extension of the middle coarse node is 1 on its subdomain, the matching
     # restriction is 1 left of it.
     partition = build_explicit([15, 3], t_end=math.pi)
     problem = zero_operator(1)
-    sys0 = build_linear_system(problem, partition.grids[0], scheme)
+    sys0 = build_linear_system(problem, partition.grids[0], spec.scheme_obj())
     bounds = partition.subdomain_bounds(0)
     maps = level_maps(sys0, bounds)
     restr = restriction_operator(sys0, bounds)
@@ -441,11 +369,11 @@ def _coarse_shape_rows(scheme: Scheme):
             for name, vals in (("extension", e_vals), ("restriction", f_vals))]
 
 
-def _decomposition_rows(scheme: Scheme):
+def _decomposition_rows(spec: ExperimentSpec):
     # 10 subdomains of 50 elements each on [0, pi]; du/dt = cos(t) from 0.
     partition = build_explicit([500, 10], t_end=math.pi)
     problem = cosine_drive()
-    sys0 = build_linear_system(problem, partition.grids[0], scheme)
+    sys0 = build_linear_system(problem, partition.grids[0], spec.scheme_obj())
     bounds = partition.subdomain_bounds(0)
     maps = level_maps(sys0, bounds)
     u1 = sequential_solve(assemble_schur(sys0, bounds))
@@ -459,7 +387,7 @@ def _decomposition_rows(scheme: Scheme):
 
 def _lv_phase_rows(spec: ExperimentSpec):
     problem = by_name("lotka-volterra", **spec.problem_params)
-    t_end = spec.t_end if spec.t_end is not None else 3.0
+    t_end = spec.t_end if spec.t_end is not None else default_t_end("lotka-volterra")
     n0 = spec.n0
     grid = np.linspace(0.0, t_end, n0 + 1)
     traj, _ = sequential_nonlinear_solve(problem, grid, spec.scheme_obj(), spec.policy)
@@ -473,6 +401,70 @@ def _convergence_rows(spec: ExperimentSpec):
     problem = forced_riccati()
     _, report = newton_schur_solve(problem, partition, Scheme.dg(0), spec.policy)
     return [(float(i), "residual", r) for i, r in enumerate(report.residual_history)]
+
+
+# Each figure kind, in the CLI's order: its row builder and the body of its plot script.
+_FIGURES = {
+    "coarse_shapes": (_coarse_shape_rows, """\
+fig, axes = plt.subplots(1, 2, figsize=(9, 3.2), sharey=True)
+for ax, name in zip(axes, ["extension", "restriction"]):
+    pts = series[name]
+    ax.step([p[0] for p in pts], [p[1] for p in pts], where="post", marker=".")
+    ax.set_title(name)
+    ax.set_xlabel("t")
+"""),
+    "decomposition": (_decomposition_rows, """\
+fig, ax = plt.subplots(figsize=(6, 3.6))
+for name, style in [("full", "-"), ("coarse", "--"), ("fine", ":")]:
+    pts = series[name]
+    ax.plot([p[0] for p in pts], [p[1] for p in pts], style, label=name)
+ax.set_xlabel("t")
+ax.legend()
+"""),
+    "lv_phase": (_lv_phase_rows, """\
+prey = [p[1] for p in series["prey"]]
+pred = [p[1] for p in series["predator"]]
+ts = [p[0] for p in series["prey"]]
+fig, axes = plt.subplots(1, 2, figsize=(9, 3.6))
+axes[0].plot(ts, prey, label="prey")
+axes[0].plot(ts, pred, label="predator")
+axes[0].set_xlabel("t")
+axes[0].legend()
+axes[1].plot(prey, pred)
+axes[1].set_xlabel("prey")
+axes[1].set_ylabel("predator")
+"""),
+    "convergence": (_convergence_rows, """\
+pts = series["residual"]
+fig, ax = plt.subplots(figsize=(5, 3.6))
+ax.semilogy([p[0] for p in pts], [p[1] for p in pts], marker="o")
+ax.set_xlabel("iteration")
+ax.set_ylabel("residual norm")
+"""),
+}
+FIGURE_KINDS = tuple(_FIGURES)
+
+
+def emit_figure_data(kind: str, spec: ExperimentSpec, out: str | Path):
+    """Write a tidy ``(t, series, value)`` CSV plus a matplotlib script for ``kind``.
+
+    Returns ``(rows, csv_path, script_path)``.
+    """
+    if kind not in FIGURE_KINDS:
+        raise ValidationError(f"unknown figure kind {kind!r} (expected {FIGURE_KINDS})")
+    build_rows, plot = _FIGURES[kind]
+    rows = build_rows(spec)
+    out = output_path(out)
+    script_path = output_path(out.with_name(out.stem + "_plot.py"))
+    with out.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["t", "series", "value"])
+        for t, series, value in rows:
+            writer.writerow([f"{t:.17g}", series, f"{value:.17g}"])
+    script = _PLOT_PRELUDE + plot + _PLOT_EPILOGUE
+    script = script.replace("__CSV__", out.name).replace("__PNG__", out.stem + ".png")
+    script_path.write_text(script, encoding="utf-8")
+    return rows, out, script_path
 
 
 # Verification suite -----------------------------------------------------------

@@ -26,11 +26,13 @@ _POLICY = LinearizationPolicy()  # the run flags' defaults
 _ADAPTIVE_HELP = "add a top level of round(sqrt(n1)) elements above n1"
 
 
-def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
+def _add_problem_flags(parser: argparse.ArgumentParser, choose: bool = True) -> None:
+    """Lotka-Volterra's parameters and ``--t-end``; ``choose`` adds ``--problem`` and ``--lam``."""
     group = parser.add_argument_group("problem")
-    group.add_argument("--problem", default="lotka-volterra",
-                       choices=["decay", "riccati", "lotka-volterra"])
-    group.add_argument("--lam", type=float, default=1.0, help="decay rate (decay problem)")
+    if choose:
+        group.add_argument("--problem", default="lotka-volterra",
+                           choices=["decay", "riccati", "lotka-volterra"])
+        group.add_argument("--lam", type=float, default=1.0, help="decay rate (decay problem)")
     group.add_argument("--alpha", type=float, default=None)
     group.add_argument("--beta", type=float, default=None)
     group.add_argument("--gamma", type=float, default=None)
@@ -40,41 +42,51 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--t-end", type=float, default=None)
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+def _add_run_flags(parser: argparse.ArgumentParser, solves: bool = True,
+                   sweeps: bool = False) -> None:
+    """Scheme, policy and ``--out``, each subcommand's run flags.
+
+    ``solves`` adds ``--solver`` and ``--workers``; ``sweeps`` adds ``--reps``.
+    """
     group = parser.add_argument_group("run")
     group.add_argument("--scheme", default="be", help="be | theta:<v> | dg0 | dg1 | dg2")
-    group.add_argument("--solver", default="newton-schur",
-                       help="sequential | newton-schur | nlschur:<k>")
+    if solves:
+        group.add_argument("--solver", default="newton-schur",
+                           help="sequential | newton-schur | nlschur:<k>")
     group.add_argument("--tol-global", type=float, default=_POLICY.tol_global)
     group.add_argument("--tol-local", type=float, default=_POLICY.tol_local)
     group.add_argument("--picard-switch", type=float, default=_POLICY.switch_norm,
                        help="hybrid Picard->Newton switch norm")
     group.add_argument("--max-iters", type=int, default=_POLICY.max_iters)
-    group.add_argument("--workers", type=int, default=None,
-                       help="modeled workers; threads cap at the usable CPUs (default: all)")
-    group.add_argument("--reps", type=int, default=1)
+    if solves:
+        group.add_argument("--workers", type=int, default=None,
+                           help="modeled workers; threads cap at the usable CPUs (default: all)")
+    if sweeps:
+        group.add_argument("--reps", type=int, default=1)
     group.add_argument("--out", default=None, help="output CSV path")
 
 
 def _spec_from_args(args: argparse.Namespace, **overrides) -> bench.ExperimentSpec:
+    """The spec of the flags that ``args`` holds; the spec's defaults stand for the others."""
+    flags = vars(args)
+    # figure has no --problem: its lv-phase kind reads Lotka-Volterra's parameters
+    problem = flags.get("problem", "lotka-volterra")
     params = {}
-    if args.problem == "decay":
+    if problem == "decay":
         params["lam"] = args.lam
-    if args.problem == "lotka-volterra":
+    if problem == "lotka-volterra":
         for key in ("alpha", "beta", "gamma", "delta", "u0", "v0"):
             value = getattr(args, key)
             if value is not None:
                 params[key] = value
     return bench.ExperimentSpec(
-        problem=args.problem,
+        problem=problem,
         problem_params=params,
         scheme=args.scheme,
-        solver=args.solver,
         t_end=args.t_end,
         policy=LinearizationPolicy(switch_norm=args.picard_switch, tol_global=args.tol_global,
                                    tol_local=args.tol_local, max_iters=args.max_iters),
-        workers=args.workers,
-        reps=args.reps,
+        **{key: flags[key] for key in ("solver", "workers", "reps") if key in flags},
         **overrides,
     )
 
@@ -100,14 +112,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     weak = sub.add_parser("weak-scaling", help="fixed local size, growing subdomain count")
     _add_problem_flags(weak)
-    _add_run_flags(weak)
+    _add_run_flags(weak, sweeps=True)
     weak.add_argument("--local-size", type=int, default=50, help="fine steps per subdomain")
     weak.add_argument("--n1-list", default="2,4,8",
                       help="ascending comma-separated subdomain counts")
 
     three = sub.add_parser("three-level", help="one run with counts n0 > n1 > n2")
     _add_problem_flags(three)
-    _add_run_flags(three)
+    _add_run_flags(three, sweeps=True)
     three.add_argument("--nsteps", type=int, default=2000)
     three.add_argument("--subdomains", type=int, default=20, help="level-1 elements n1")
     three.add_argument("--n2", type=int, default=None, help="level-2 elements")
@@ -116,8 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
     three.add_argument("--compare-two-level", action="store_true")
 
     figure = sub.add_parser("figure", help="emit figure data CSV plus a plot script")
-    _add_problem_flags(figure)
-    _add_run_flags(figure)
+    _add_problem_flags(figure, choose=False)
+    _add_run_flags(figure, solves=False)
     figure.add_argument("--kind", required=True,
                         choices=[k.replace("_", "-") for k in bench.FIGURE_KINDS])
     figure.add_argument("--nsteps", type=int, default=5000)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from timeschur import LinearizationPolicy, ValidationError, bench, cli
+from timeschur import LinearizationPolicy, SolverReport, ValidationError, bench, cli
 from timeschur.bench import (
     CSV_COLUMNS,
     ExperimentSpec,
@@ -116,6 +116,27 @@ class TestWeakScaling:
         outer = {r["n1"]: r["outer_iters"] for r in rows
                  if r["variant"] == "parallel" and r["level"] == 0}
         assert len(set(outer.values())) == 1
+
+    def test_iteration_columns_hold_outer_counts_and_the_baselines_inner_counts(
+            self, monkeypatch):
+        # Canned reports with every count distinct: no solve runs, no clock is read.
+        def fake_run_solver(spec, partition=None, workers=None):
+            if spec.solver == "sequential":
+                report = SolverReport(solver="sequential", inner_picard=7, inner_newton=9,
+                                      avg_iterations_per_step=0.08)
+            else:
+                report = SolverReport(solver=spec.solver, outer_iterations=3,
+                                      picard_iterations=1, newton_iterations=2,
+                                      inner_picard=5, inner_newton=16)
+                report.per_level_max = report.per_level_sum = {0: 1.0, 1: 2.0}
+            report.residual_history = [1e-9]
+            return None, report
+
+        monkeypatch.setattr(bench, "run_solver", fake_run_solver)
+        spec = ExperimentSpec(problem="lotka-volterra", solver="nlschur:1", workers=1)
+        rows = run_weak_scaling(spec, [4], 50)
+        assert [(r["level"], r["outer_iters"], r["picard_iters"], r["newton_iters"])
+                for r in rows] == [(0, 3, 1, 2), (1, 3, 1, 2), ("seq", 0, 7, 9)]
 
     def test_degenerate_single_step_point(self):
         spec = ExperimentSpec(**LV)
@@ -437,6 +458,30 @@ class TestCli:
         assert code == 0
         rows = read_csv(out)
         assert rows[0]["n2"] == "10"
+
+    @pytest.mark.parametrize("argv", [
+        ["figure", "--kind", "lv-phase", "--problem", "decay"],
+        ["figure", "--kind", "lv-phase", "--lam", "2"],
+        ["figure", "--kind", "lv-phase", "--solver", "sequential"],
+        ["figure", "--kind", "lv-phase", "--workers", "2"],
+        ["figure", "--kind", "lv-phase", "--reps", "2"],
+        ["solve", "--reps", "2"],
+    ])
+    def test_a_flag_the_subcommand_does_not_read_exits_2(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(bench, "run_solver", None)  # a solve would raise TypeError
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_figure_lv_phase_reads_the_lotka_volterra_parameters(self, tmp_path):
+        texts = []
+        for flags in ([], ["--alpha", "5"]):
+            out = tmp_path / f"phase{len(flags)}.csv"
+            assert cli.main(["figure", "--kind", "lv-phase", "--nsteps", "100", *flags,
+                             "--out", str(out)]) == 0
+            texts.append(out.read_text(encoding="utf-8"))
+        assert texts[0] != texts[1]
 
     def test_figure_subcommand(self, tmp_path):
         out = tmp_path / "fig.csv"
