@@ -347,6 +347,28 @@ fig.savefig("__PNG__", dpi=150)
 """
 
 
+def emit_figure_data(kind: str, spec: ExperimentSpec, out: str | Path):
+    """Write a tidy ``(t, series, value)`` CSV plus a matplotlib script for ``kind``.
+
+    Returns ``(rows, csv_path, script_path)``.
+    """
+    if kind not in FIGURE_KINDS:
+        raise ValidationError(f"unknown figure kind {kind!r} (expected {FIGURE_KINDS})")
+    build_rows, plot = _FIGURES[kind]
+    rows = build_rows(spec)
+    out = output_path(out)
+    script_path = output_path(out.with_name(out.stem + "_plot.py"))
+    with out.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["t", "series", "value"])
+        for t, series, value in rows:
+            writer.writerow([f"{t:.17g}", series, f"{value:.17g}"])
+    script = _PLOT_PRELUDE + plot + _PLOT_EPILOGUE
+    script = script.replace("__CSV__", out.name).replace("__PNG__", out.stem + ".png")
+    script_path.write_text(script, encoding="utf-8")
+    return rows, out, script_path
+
+
 def _coarse_shape_rows(spec: ExperimentSpec):
     # Three subdomains of five elements each on [0, pi], kappa = 0: the
     # extension of the middle coarse node is 1 on its subdomain, the matching
@@ -443,28 +465,6 @@ ax.set_ylabel("residual norm")
 """),
 }
 FIGURE_KINDS = tuple(_FIGURES)
-
-
-def emit_figure_data(kind: str, spec: ExperimentSpec, out: str | Path):
-    """Write a tidy ``(t, series, value)`` CSV plus a matplotlib script for ``kind``.
-
-    Returns ``(rows, csv_path, script_path)``.
-    """
-    if kind not in FIGURE_KINDS:
-        raise ValidationError(f"unknown figure kind {kind!r} (expected {FIGURE_KINDS})")
-    build_rows, plot = _FIGURES[kind]
-    rows = build_rows(spec)
-    out = output_path(out)
-    script_path = output_path(out.with_name(out.stem + "_plot.py"))
-    with out.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "series", "value"])
-        for t, series, value in rows:
-            writer.writerow([f"{t:.17g}", series, f"{value:.17g}"])
-    script = _PLOT_PRELUDE + plot + _PLOT_EPILOGUE
-    script = script.replace("__CSV__", out.name).replace("__PNG__", out.stem + ".png")
-    script_path.write_text(script, encoding="utf-8")
-    return rows, out, script_path
 
 
 # Verification suite -----------------------------------------------------------
