@@ -332,7 +332,8 @@ def _schur_loop(problem, partition, k, scheme, policy, w, pool, report, known=No
     th, grid = scheme.effective_theta(), partition.grids[0]
     fine_k = partition.fine_nodes(k)
     z = w[fine_k]
-    # newton-schur reports level 1's; the coarse start's one-level loop, level 0's
+    # The level-k windows' interior rows; newton-schur reports level 1's, and the
+    # coarse start's one-level loop level 0's, which are none
     inside = _interior_mask(partition, min(max(k, 1), partition.top_level))
     where = f"nonlinear Schur loop at level {k}" if k else "global linearization loop"
     predicted = None  # the interior values the last update predicts
