@@ -354,7 +354,7 @@ def emit_figure_data(kind: str, spec: ExperimentSpec, out: str | Path):
     """
     if kind not in FIGURE_KINDS:
         raise ValidationError(f"unknown figure kind {kind!r} (expected {FIGURE_KINDS})")
-    build_rows, plot = _FIGURES[kind]
+    build_rows, _, plot = _FIGURES[kind]
     rows = build_rows(spec)
     out = output_path(out)
     script_path = output_path(out.with_name(out.stem + "_plot.py"))
@@ -425,9 +425,10 @@ def _convergence_rows(spec: ExperimentSpec):
     return [(float(i), "residual", r) for i, r in enumerate(report.residual_history)]
 
 
-# Each figure kind, in the CLI's order: its row builder and the body of its plot script.
+# Each figure kind, in the CLI's order: its row builder, the CLI flags it reads, its plot body.
+_POLICY_FLAGS = ("tol_global", "tol_local", "picard_switch", "max_iters")
 _FIGURES = {
-    "coarse_shapes": (_coarse_shape_rows, """\
+    "coarse_shapes": (_coarse_shape_rows, ("scheme",), """\
 fig, axes = plt.subplots(1, 2, figsize=(9, 3.2), sharey=True)
 for ax, name in zip(axes, ["extension", "restriction"]):
     pts = series[name]
@@ -435,7 +436,7 @@ for ax, name in zip(axes, ["extension", "restriction"]):
     ax.set_title(name)
     ax.set_xlabel("t")
 """),
-    "decomposition": (_decomposition_rows, """\
+    "decomposition": (_decomposition_rows, ("scheme",), """\
 fig, ax = plt.subplots(figsize=(6, 3.6))
 for name, style in [("full", "-"), ("coarse", "--"), ("fine", ":")]:
     pts = series[name]
@@ -443,7 +444,8 @@ for name, style in [("full", "-"), ("coarse", "--"), ("fine", ":")]:
 ax.set_xlabel("t")
 ax.legend()
 """),
-    "lv_phase": (_lv_phase_rows, """\
+    "lv_phase": (_lv_phase_rows, ("alpha", "beta", "gamma", "delta", "u0", "v0", "t_end",
+                                  "nsteps", "scheme", *_POLICY_FLAGS), """\
 prey = [p[1] for p in series["prey"]]
 pred = [p[1] for p in series["predator"]]
 ts = [p[0] for p in series["prey"]]
@@ -456,7 +458,7 @@ axes[1].plot(prey, pred)
 axes[1].set_xlabel("prey")
 axes[1].set_ylabel("predator")
 """),
-    "convergence": (_convergence_rows, """\
+    "convergence": (_convergence_rows, _POLICY_FLAGS, """\
 pts = series["residual"]
 fig, ax = plt.subplots(figsize=(5, 3.6))
 ax.semilogy([p[0] for p in pts], [p[1] for p in pts], marker="o")

@@ -133,6 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--kind", required=True,
                         choices=[k.replace("_", "-") for k in bench.FIGURE_KINDS])
     figure.add_argument("--nsteps", type=int, default=5000)
+    figure.set_defaults(parser=figure)
 
     ver = sub.add_parser("verify", help="run the built-in oracle suite")
     ver.add_argument("--workers", type=int, default=1)
@@ -200,6 +201,10 @@ def _write_sweep(rows: list[dict], out: str) -> int:
 
 def _cmd_figure(args) -> int:
     kind = args.kind.replace("-", "_")
+    reads = bench._FIGURES[kind][1] + ("command", "kind", "out", "parser")
+    if unread := [f"--{dest.replace('_', '-')}" for dest, value in vars(args).items()
+                  if dest not in reads and value != args.parser.get_default(dest)]:
+        args.parser.error(f"figure --kind {args.kind} does not read {', '.join(unread)}")
     spec = _spec_from_args(args, n0=args.nsteps)
     out = args.out or f"{kind}.csv"
     _, csv_path, script_path = bench.emit_figure_data(kind, spec, out)

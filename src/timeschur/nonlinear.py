@@ -62,7 +62,7 @@ from .runtime import SolverReport, WorkerPool
 from .schur import LevelSystem, cost_model, ml_solve, reduce_level, sweep_down
 
 NON_FINITE = "non-finite residual"  # NonconvergenceError reason: the iteration stopped at once
-_COARSE_ELEMENTS = 50  # the nested-iteration start's coarse grid, at most
+_COARSE_ELEMENTS = 100  # the nested-iteration start's grid, at most; 50 cost LV a fine iteration
 _COARSE_MIN = 25  # and at least, or the loop starts flat
 
 @dataclass(frozen=True)
@@ -341,7 +341,7 @@ def _schur_loop(problem, partition, k, scheme, policy, w, pool, report, known=No
         w, kappas = _extend_all(problem, partition, k, z, w, predicted, th, policy, pool, report)
         res, norm = known.pop() if known else global_residual(problem, w, grid, scheme, kappas)
         report.residual_history.append(norm)
-        interior = np.linalg.norm(res, axis=1)[inside]
+        interior = _row_norms(res)[inside]
         report.interior_residual_history.append(float(interior.max(initial=0.0)))
         if norm < policy.tol_global:
             return w
@@ -367,6 +367,14 @@ def _schur_loop(problem, partition, k, scheme, policy, w, pool, report, known=No
             report.add_level(0, [time.thread_time() - sweep_start])
         z = z + dz
         report.outer_iterations += 1
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(a, axis=1)`` by whole columns, in order: bitwise for up to 7 columns."""
+    squares = a[:, 0] * a[:, 0]
+    for j in range(1, a.shape[1]):
+        squares += a[:, j] * a[:, j]
+    return np.sqrt(squares)
 
 
 def _interior_mask(partition: MultilevelPartition, level: int) -> np.ndarray:
@@ -478,7 +486,7 @@ def _extension_task(problem, partition, level, lo, hi, inflows, warm, th, policy
         kappas = kappa_batch(problem, ts, u)
         res = u[1:] - u[:-1] + dt * (th * kappas[1:] + (1.0 - th) * kappas[:-1])
         res[closing] = 0.0  # the closing steps belong to the outer problem
-        rows = np.linalg.norm(res, axis=1)
+        rows = _row_norms(res)
         return res, rows, np.sqrt(np.add.reduceat(rows * rows, starts)), kappas
 
     with np.errstate(over="ignore", invalid="ignore"):  # the guard catches non-finite norms

@@ -110,12 +110,22 @@ class TestWeakScaling:
         assert levels == ["0", "1", "seq"]
         assert all(r["status"] == "ok" for r in parsed)
 
+    @staticmethod
+    def _newton_outer_counts(local_size):
+        rows = run_weak_scaling(ExperimentSpec(**LV), [2, 5, 10], local_size)
+        return {r["n1"]: r["outer_iters"] for r in rows
+                if r["variant"] == "parallel" and r["level"] == 0}
+
     def test_newton_outer_counts_stay_constant_across_sweep(self):
-        spec = ExperimentSpec(**LV)
-        rows = run_weak_scaling(spec, [2, 5, 10], 50)
-        outer = {r["n1"]: r["outer_iters"] for r in rows
-                 if r["variant"] == "parallel" and r["level"] == 0}
+        # From n0 = 200 on, every point hosts the same 100-element coarse start.
+        outer = self._newton_outer_counts(100)
         assert len(set(outer.values())) == 1
+        assert set(outer.values()) == {2}
+
+    def test_newton_outer_counts_below_the_full_coarse_start(self):
+        # At n0 = 100 the coarse start has n0 // 2 = 50 elements, a start
+        # farther from the fine solution, and the fine loop takes one more.
+        assert self._newton_outer_counts(50) == {2: 3, 5: 2, 10: 2}
 
     def test_iteration_columns_hold_outer_counts_and_the_baselines_inner_counts(
             self, monkeypatch):
@@ -473,6 +483,49 @@ class TestCli:
             cli.main(argv)
         assert info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, flags", [
+        *[(kind, flag) for kind in ("coarse-shapes", "decomposition") for flag in
+          (["--alpha", "5"], ["--nsteps", "10"], ["--t-end", "2"], ["--tol-global", "1e-9"],
+           ["--max-iters", "7"])],
+        *[("convergence", flag) for flag in
+          (["--alpha", "5"], ["--v0", "30"], ["--nsteps", "10"], ["--t-end", "2"],
+           ["--scheme", "dg1"])],
+    ])
+    def test_a_flag_the_figure_kind_does_not_read_exits_2(self, kind, flags, tmp_path,
+                                                           monkeypatch, capsys):
+        monkeypatch.setattr(bench, "emit_figure_data", None)  # a figure would raise TypeError
+        with pytest.raises(SystemExit) as info:
+            cli.main(["figure", "--kind", kind, *flags, "--out", str(tmp_path / "f.csv")])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: figure --kind {kind} does not read {flags[0]}\n")
+
+    def test_figure_flags_at_their_defaults_pass(self, tmp_path, monkeypatch):
+        written = []
+        monkeypatch.setattr(bench, "emit_figure_data",
+                            lambda kind, spec, out: written.append(kind) or (None, out, out))
+        for kind in ("coarse-shapes", "convergence"):
+            assert cli.main(["figure", "--kind", kind, "--nsteps", "5000", "--scheme", "be",
+                             "--out", str(tmp_path / "f.csv")]) == 0
+        assert written == ["coarse_shapes", "convergence"]
+
+    def test_figure_lv_phase_takes_all_of_its_flags(self, tmp_path, monkeypatch):
+        specs = []
+        monkeypatch.setattr(bench, "emit_figure_data",
+                            lambda kind, spec, out: specs.append(spec) or (None, out, out))
+        assert cli.main(["figure", "--kind", "lv-phase", "--alpha", "2", "--beta", "0.3",
+                         "--gamma", "1", "--delta", "0.2", "--u0", "5", "--v0", "6",
+                         "--t-end", "2", "--nsteps", "40", "--scheme", "dg1",
+                         "--tol-global", "1e-9", "--tol-local", "1e-11",
+                         "--picard-switch", "50", "--max-iters", "7",
+                         "--out", str(tmp_path / "f.csv")]) == 0
+        (spec,) = specs
+        assert spec.problem_params == dict(alpha=2.0, beta=0.3, gamma=1.0, delta=0.2,
+                                           u0=5.0, v0=6.0)
+        assert (spec.t_end, spec.n0, spec.scheme) == (2.0, 40, "dg1")
+        assert spec.policy == LinearizationPolicy(switch_norm=50.0, tol_global=1e-9,
+                                                  tol_local=1e-11, max_iters=7)
 
     def test_figure_lv_phase_reads_the_lotka_volterra_parameters(self, tmp_path):
         texts = []
