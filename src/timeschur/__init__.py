@@ -3,8 +3,8 @@
 The linear path is a direct method: per subdomain, an up-sweep over a tree
 of the augmented step maps ``[[phi, g], [0, 1]]`` gives the coarse step and
 reduces the block-bidiagonal time system level by level; the coarsest level
-is solved sequentially, and a down-sweep from each inflow state reconstructs
-exactly. Two nonlinear strategies wrap it: a global
+is solved by a doubling scan, and a down-sweep from each inflow state
+reconstructs exactly. Two nonlinear strategies wrap it: a global
 Newton/Picard loop with the direct solver per iteration, and a nonlinear
 Schur loop on a chosen level's interface values with nonlinear harmonic
 extensions. A benchmark CLI (``timeschur``) runs weak-scaling experiments at

@@ -11,7 +11,7 @@ every node is an interface node: nothing is extended, and the Schur complement
 is the block-bidiagonal global linearization. That is ``newton_schur_solve``;
 ``nonlinear_schur_newton_solve`` runs the loop at a level k >= 1. Without an
 ``initial`` guess both start by nested iteration: the level-0 loop's solution on
-a coarse grid of one level, whose every update is forward substitution, in the
+a coarse grid of one level, whose every update is one doubling scan, in the
 theta-method that matches the fine scheme's leading error term, interpolated, if
 its fine residual is below the flat guess's (``u0`` everywhere). If either loop
 fails, the level-k loop runs from that guess.
@@ -124,8 +124,11 @@ def global_residual(
     th = scheme.effective_theta()
     if kappas is None:
         kappas = kappa_batch(problem, grid, traj)
-    dt = np.diff(grid)[:, None]
-    res = traj[1:] - traj[:-1] + dt * (th * kappas[1:] + (1.0 - th) * kappas[:-1])
+    step = th * kappas[1:]  # in place, in the order of the row formula above
+    step += (1.0 - th) * kappas[:-1]
+    step *= np.diff(grid)[:, None]
+    res = traj[1:] - traj[:-1]
+    res += step
     return res, float(np.sqrt(np.sum(res * res)))
 
 
@@ -278,7 +281,7 @@ def _coarse_start(problem, grid, k, scheme, policy, pool, report, flat):
     leading global error term ``(1/2 - theta_c) dt_c`` equals the fine
     scheme's ``(1/2 - theta) dt``: ``theta_c = 1/2 + (theta - 1/2) nc / n0``.
     The coarse grid is one level of its own, so each update is ``ml_solve``'s
-    forward substitution: no tree is swept, and no pool thread runs. At
+    doubling scan of its top level: no tree is swept, and no pool thread runs. At
     k >= 1 the start is one serial level-0 region. Returns
     ``(start, known)``: ``start`` is None, the flat start, for a linear
     problem, below ``_COARSE_MIN`` elements, when the coarse loop fails and

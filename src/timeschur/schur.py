@@ -18,9 +18,9 @@ down-sweep walks the tree from an inflow state: the inflow values give the
 solution, zero the interior correction ``v`` and ``[I | 0]`` the maps
 ``[E | v]`` with the harmonic extension ``E``. Both compose only the blocks
 that hold a real leaf, about ``s`` maps each, at depth ``ceil(log2 s)``, where
-Hillis-Steele doubling took ``s ceil(log2 s)``. The full solve reduces level
-by level, solves the coarsest system by forward substitution, and
-reconstructs downwards by down-sweeps, with interface values copied verbatim.
+Hillis-Steele doubling takes ``s ceil(log2 s)``. The full solve reduces level
+by level, solves the short coarsest system by that doubling (``scan_solve``),
+and reconstructs downwards by down-sweeps, with interface values copied verbatim.
 """
 
 from __future__ import annotations
@@ -92,6 +92,26 @@ def sequential_solve(sys: LevelSystem) -> np.ndarray:
     for i in range(n):
         u[i + 1] = phis[i] @ u[i] + sys.gs[i]
     return u
+
+
+def scan_solve(sys: LevelSystem) -> np.ndarray:
+    """The solution ``(n+1, m)`` by a doubling scan of augmented maps (Hillis & Steele, 1986).
+
+    Node 0 is the constant map ``[0 | u_init]`` and step ``i`` is ``[[phi_i, g_i], [0, 1]]``.
+    After the passes ``h = 1, 2, 4, ... <= n``, ``maps[i]`` is steps ``i..1`` composed with
+    node 0, whose last column is ``u_i``: ``ceil(log2(n+1))`` batched products, no step loop.
+    """
+    n, m = sys.n_elements, sys.m_unk
+    maps = np.zeros((n + 1, m + 1, m + 1))
+    maps[0, :m, m] = sys.u_init
+    maps[1:, :m, :m] = sys.phis
+    maps[1:, :m, m] = sys.gs
+    maps[:, m, m] = 1.0
+    h = 1
+    while h <= n:
+        maps[h:] = maps[h:] @ maps[:-h]
+        h *= 2
+    return maps[:, :m, m].copy()
 
 
 def _compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -344,7 +364,7 @@ def ml_solve(
     """Direct multilevel solve; exact up to round-off.
 
     Reduces from ``sys.level`` to the partition's top level by up-sweeps,
-    solves the coarsest system sequentially, then reconstructs each level by
+    solves the coarsest system by ``scan_solve``, then reconstructs each level by
     the down-sweep from the coarser solution's inflow values, with interface
     values copied from it, never recomputed.
     """
@@ -359,7 +379,7 @@ def ml_solve(
         trees_per_level.append(trees)
 
     start = time.thread_time()
-    u = sequential_solve(coarse)
+    u = scan_solve(coarse)
     if report is not None:
         report.add_level(partition.top_level, [time.thread_time() - start])
 

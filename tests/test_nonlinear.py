@@ -158,6 +158,20 @@ class TestGlobalResidual:
         _, norm = global_residual(prob, traj, grid, BE)
         assert norm <= 1e-8
 
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_in_place_rows_are_the_formula_bitwise(self, theta):
+        # Uneven steps and a trajectory off the solution, so every term counts.
+        prob, scheme = benchmark_lv(), Scheme.theta_method(theta)
+        rng = np.random.default_rng(3)
+        grid = np.cumsum(np.concatenate([[0.0], rng.uniform(0.001, 0.002, 2000)]))
+        traj = rng.uniform(1.0, 50.0, (2001, 2))
+        kappas = nonlinear.kappa_batch(prob, grid, traj)
+        dt = np.diff(grid)[:, None]
+        formula = traj[1:] - traj[:-1] + dt * (theta * kappas[1:] + (1.0 - theta) * kappas[:-1])
+        res, norm = global_residual(prob, traj, grid, scheme)
+        assert np.array_equal(res, formula)
+        assert norm == float(np.sqrt(np.sum(formula * formula)))
+
     def test_perturbation_is_local_to_two_rows(self):
         prob = benchmark_lv()
         grid = np.linspace(0.0, 3.0, 101)
@@ -1041,7 +1055,7 @@ def coarse_start(prob, part, k, workers=1):
 
 
 class TestOneLevelCoarseStart:
-    """The coarse start's loop runs on one level: each update is forward substitution."""
+    """The coarse start's loop runs on one level: each update is one doubling scan."""
 
     SHAPES = [([10000, 50], 0), ([2000, 20], 1)]  # lv-newton's and lv-nlschur's
 

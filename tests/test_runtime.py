@@ -20,7 +20,7 @@ from timeschur import (
 )
 from timeschur import schur
 from timeschur.runtime import SolverReport, available_workers, critical_path_seconds
-from timeschur.schur import _subdomain_setup, _up_sweep, sequential_solve
+from timeschur.schur import _subdomain_setup, _up_sweep, scan_solve
 
 
 def _chain(phis, gs):
@@ -165,12 +165,16 @@ class TestLevelTimings:
         assert 0.02 <= report.per_level_max[0] < 2 * 0.02
 
     def test_sleep_in_the_coarse_solve_is_not_counted(self, monkeypatch):
+        slept = []
+
         def sleepy(system):
             time.sleep(0.05)
-            return sequential_solve(system)
+            slept.append(system.level)
+            return scan_solve(system)
 
-        monkeypatch.setattr(schur, "sequential_solve", sleepy)
+        monkeypatch.setattr(schur, "scan_solve", sleepy)
         assert self._timed_ml_solve().per_level_max[2] < 0.05
+        assert slept == [2]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_every_level_is_timed_and_max_never_exceeds_sum(self, workers):
@@ -229,7 +233,7 @@ class TestShareDispatch:
     def test_shares_below_the_grain_are_one_task(self, monkeypatch):
         # The lv-newton benchmark shape: two shares of 25 subdomains of 200
         # steps, 5,050 compositions each. The coarse start's one-level loop
-        # sweeps nothing: its updates are forward substitutions.
+        # sweeps nothing: its updates are doubling scans.
         prob = lotka_volterra(3.0, 0.2, 2.0, 0.1, 10.0, 40.0)
         part = build_explicit([10000, 50], t_end=3.0)
         regions = self._regions(monkeypatch, lambda: newton_schur_solve(

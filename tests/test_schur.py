@@ -34,6 +34,7 @@ from timeschur.schur import (
     dense_restriction,
     reduce_level,
     restriction_operator,
+    scan_solve,
     sweep_down,
 )
 
@@ -366,7 +367,7 @@ class TestMlSolve:
         u = ml_solve(sys0, part)
         assert np.allclose(u, sequential_solve(sys0))
 
-    def test_one_level_partition_is_forward_substitution(self, monkeypatch):
+    def test_one_level_partition_is_one_scan(self, monkeypatch):
         # The coarse start's grids: no reduction, no sweep, no pool region.
         sys0 = make_system(50, 2, seed=10)
         booked = []
@@ -376,15 +377,28 @@ class TestMlSolve:
         with WorkerPool(2) as pool:
             u = ml_solve(sys0, build_explicit([50], t_end=1.0), pool=pool,
                          report=SolverReport())
-        assert np.array_equal(u, sequential_solve(sys0))
+        assert np.array_equal(u, scan_solve(sys0))
         assert booked == [(0, 1)]
+        assert np.max(np.abs(u - sequential_solve(sys0))) <= 1e-13 * np.max(np.abs(u))
+
+    @pytest.mark.parametrize("counts", [[50], [60, 6], [400, 20, 4]])
+    def test_never_calls_the_forward_substitution_loop(self, counts, monkeypatch):
+        def loop(system):
+            raise AssertionError("ml_solve ran sequential_solve")
+
+        sys0 = make_system(counts[0], 2, seed=11)
+        part = build_explicit(counts, t_end=1.0)
+        monkeypatch.setattr(schur, "sequential_solve", loop)
+        u = ml_solve(sys0, part)
+        exact = forward_substitution_oracle(sys0.phis, sys0.gs, sys0.u_init)
+        assert np.max(np.abs(u - exact)) <= 1e-12 * np.max(np.abs(exact))
 
     def test_interface_values_are_copied_not_recomputed(self):
         sys0 = make_system(24, 2, seed=7)
         part = build_explicit([24, 4], t_end=1.0)
         bounds = part.subdomain_bounds(0)
         coarse = assemble_schur(sys0, bounds)
-        coarse_traj = sequential_solve(coarse)
+        coarse_traj = scan_solve(coarse)
         fine_traj = ml_solve(sys0, part)
         assert np.array_equal(fine_traj[part.fine_nodes(1)], coarse_traj)
 
@@ -404,6 +418,37 @@ class TestMlSolve:
         part = build_explicit([12, 3], t_end=1.0)
         with pytest.raises(ValidationError):
             ml_solve(sys0, part)
+
+
+def orthogonal_system(n, m, seed, gain):
+    """Steps ``gain * Q_i`` with random orthogonal ``Q_i``: ``||phi_i|| = gain`` exactly."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(n, m, m)))
+    phis = gain * q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    return LevelSystem(level=0, phis=phis, gs=rng.normal(size=(n, m)), u_init=rng.normal(size=m))
+
+
+class TestScanSolve:
+    """The coarsest level's doubling scan against forward substitution."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 100, 1000])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("gain", [0.9, 1.05])  # contractive, and expanding 1.05**100 ~ 130
+    def test_matches_forward_substitution(self, n, m, gain):
+        sys0 = orthogonal_system(n, m, seed=100 * m + n, gain=gain)
+        exact = forward_substitution_oracle(sys0.phis, sys0.gs, sys0.u_init)
+        u = scan_solve(sys0)
+        assert u.shape == (n + 1, m)
+        assert np.max(np.abs(u - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("block", ["phis", "gs"])
+    @pytest.mark.parametrize("step", [0, 1, 37, 99])
+    def test_a_nan_step_leaves_the_rows_before_it_finite(self, block, step):
+        sys0 = make_system(100, 2, seed=12)
+        getattr(sys0, block)[step] = np.nan
+        u = scan_solve(sys0)
+        assert np.array_equal(np.isfinite(u), np.isfinite(sequential_solve(sys0)))
+        assert np.all(np.isfinite(u[:step + 1])) and not np.any(np.isfinite(u[step + 1:]))
 
 
 class TestRestrictionOperator:
@@ -576,7 +621,8 @@ def test_forward_substitution_does_not_depend_on_the_layout_of_phis():
         assert not view.phis.flags.c_contiguous
         contiguous = LevelSystem(level=0, phis=np.ascontiguousarray(view.phis),
                                  gs=np.ascontiguousarray(view.gs), u_init=view.u_init)
-        assert np.array_equal(sequential_solve(view), sequential_solve(contiguous))
+        for solve in (sequential_solve, scan_solve):
+            assert np.array_equal(solve(view), solve(contiguous))
 
 
 @pytest.mark.parametrize("phis, gs, u_init", [
