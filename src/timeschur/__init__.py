@@ -5,10 +5,11 @@ of the augmented step maps ``[[phi, g], [0, 1]]`` gives the coarse step and
 reduces the block-bidiagonal time system level by level; the coarsest level
 is solved by a doubling scan, and a down-sweep from each inflow state
 reconstructs exactly. Two nonlinear strategies wrap it: a global
-Newton/Picard loop with the direct solver per iteration, and a nonlinear
+Newton loop with the direct solver per iteration, and a nonlinear
 Schur loop on a chosen level's interface values with nonlinear harmonic
-extensions. A benchmark CLI (``timeschur``) runs weak-scaling experiments at
-desk scale.
+extensions. Both start from a coarse grid's solution: its own Newton loop's,
+else its time march's, else the flat guess. A benchmark CLI (``timeschur``)
+runs weak-scaling experiments at desk scale.
 """
 
 from .errors import (

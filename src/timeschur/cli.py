@@ -55,8 +55,6 @@ def _add_run_flags(parser: argparse.ArgumentParser, solves: bool = True,
                            help="sequential | newton-schur | nlschur:<k>")
     group.add_argument("--tol-global", type=float, default=_POLICY.tol_global)
     group.add_argument("--tol-local", type=float, default=_POLICY.tol_local)
-    group.add_argument("--picard-switch", type=float, default=_POLICY.switch_norm,
-                       help="hybrid Picard->Newton switch norm")
     group.add_argument("--max-iters", type=int, default=_POLICY.max_iters)
     if solves:
         group.add_argument("--workers", type=int, default=None,
@@ -84,8 +82,8 @@ def _spec_from_args(args: argparse.Namespace, **overrides) -> bench.ExperimentSp
         problem_params=params,
         scheme=args.scheme,
         t_end=args.t_end,
-        policy=LinearizationPolicy(switch_norm=args.picard_switch, tol_global=args.tol_global,
-                                   tol_local=args.tol_local, max_iters=args.max_iters),
+        policy=LinearizationPolicy(tol_global=args.tol_global, tol_local=args.tol_local,
+                                   max_iters=args.max_iters),
         **{key: flags[key] for key in ("solver", "workers", "reps") if key in flags},
         **overrides,
     )
@@ -153,15 +151,12 @@ def _cmd_solve(args) -> int:
     print(f"levels={partition.counts} workers={spec.run_workers()}")
     if report.avg_iterations_per_step is not None:
         print(f"avg iterations/step: {report.avg_iterations_per_step:.3f} "
-              f"(picard {report.inner_picard}, newton {report.inner_newton})")
+              f"(newton {report.inner_newton})")
     else:
-        print(f"outer iterations: {report.outer_iterations} "
-              f"(picard {report.picard_iterations}, newton {report.newton_iterations})")
+        print(f"outer iterations: {report.outer_iterations}")
         if report.solver.startswith("nlschur"):
-            print(f"inner iterations: {report.inner_picard + report.inner_newton} "
-                  f"(picard {report.inner_picard}, newton {report.inner_newton})")
-        print(f"start: {report.start} (coarse outer iterations {report.coarse_iterations}"
-              f"{', abandoned for the flat start' if report.coarse_abandoned else ''})")
+            print(f"inner iterations: {report.inner_newton}")
+        print(f"start: {report.start} (coarse outer iterations {report.coarse_iterations})")
     if report.residual_final is not None:
         print(f"final residual norm: {report.residual_final:.3e}")
     for level in sorted(report.per_level_max):

@@ -5,16 +5,17 @@ solver, the nonlinear Schur loop at a level k: interface values are the only
 outer unknowns, interior values follow them through nonlinear harmonic
 extensions (independent local solves), and the interface update system is the
 Schur complement of the fine Jacobian at the extended state (implicit function
-theorem), solved by the direct multilevel method over levels k..top. Each
-linearization is Newton's or Picard's, as a hybrid policy picks. At k = 0
-every node is an interface node: nothing is extended, and the Schur complement
-is the block-bidiagonal global linearization. That is ``newton_schur_solve``;
-``nonlinear_schur_newton_solve`` runs the loop at a level k >= 1. Without an
-``initial`` guess both start by nested iteration: the level-0 loop's solution on
-a coarse grid of one level, whose every update is one doubling scan, in the
-theta-method that matches the fine scheme's leading error term, interpolated, if
-its fine residual is below the flat guess's (``u0`` everywhere). If either loop
-fails, the level-k loop runs from that guess.
+theorem), solved by the direct multilevel method over levels k..top. Every
+linearization is Newton's. At k = 0 every node is an interface node: nothing
+is extended, and the Schur complement is the block-bidiagonal global
+linearization. That is ``newton_schur_solve``; ``nonlinear_schur_newton_solve``
+runs the loop at a level k >= 1. Without an ``initial`` guess both start by
+nested iteration on a coarse grid, in the theta-method that matches the fine
+scheme's leading error term: the level-0 loop's solution there, whose every
+update is one doubling scan, or else the coarse grid time-marched (Parareal's
+coarse propagator), interpolated. A start is taken only if its fine residual
+is below the flat guess's (``u0`` everywhere); if neither is, the loop starts
+flat. A failing level-k loop reports its own error.
 
 The partition is the only description of the windows. An extension task
 takes a level and a range of elements of the level above it, and reads their
@@ -57,7 +58,7 @@ import numpy as np
 from .errors import NonconvergenceError, SingularStepError, ValidationError
 from .integrators import Scheme, checked_grid, step_matrices, step_solve, theta_steps
 from .partition import MultilevelPartition, build_explicit
-from .problems import OdeProblem, jacobian_batch, kappa_batch, picard_batch, picard_operator
+from .problems import OdeProblem, jacobian_batch, kappa_batch
 from .runtime import SolverReport, WorkerPool
 from .schur import LevelSystem, cost_model, ml_solve, reduce_level, sweep_down
 
@@ -67,10 +68,8 @@ _COARSE_MIN = 25  # and at least, or the loop starts flat
 
 @dataclass(frozen=True)
 class LinearizationPolicy:
-    """How nonlinear systems are linearized and when iterations stop.
+    """When the Newton iterations stop.
 
-    ``hybrid`` mode uses Picard's frozen-coefficient operator while the
-    residual norm is at or above ``switch_norm`` and Newton below it.
     ``tol_global`` stops outer loops. ``tol_local`` stops the local problems
     of the extensions: a window once every interior step residual is below
     it, and each step of a window that falls back to marching (``_march``)
@@ -78,34 +77,18 @@ class LinearizationPolicy:
     each such step.
     """
 
-    mode: str = "hybrid"  # "newton" | "picard" | "hybrid"
-    switch_norm: float = 1e2
     tol_global: float = 1e-8
     tol_local: float = 1e-10
     max_iters: int = 50
     max_inner: int = 50
 
     def __post_init__(self):
-        if self.mode not in ("newton", "picard", "hybrid"):
-            raise ValidationError(f"unknown linearization mode {self.mode!r}")
         for label in ("tol_global", "tol_local"):
             if not 0 < getattr(self, label) < math.inf:
                 raise ValidationError(f"{label} must be finite and positive")
-        if self.mode == "hybrid" and not self.switch_norm > self.tol_global:
-            raise ValidationError("hybrid switch_norm must exceed tol_global")
         if not all(isinstance(b, numbers.Integral) and b >= 1
                    for b in (self.max_iters, self.max_inner)):
             raise ValidationError("iteration budgets must be integers of at least 1")
-
-    def uses_picard(self, residual_norms):
-        """Whether each residual norm (a float or an array) takes Picard's operator."""
-        if self.mode == "hybrid":
-            return residual_norms >= self.switch_norm
-        fixed = self.mode == "picard"
-        return fixed if isinstance(residual_norms, float) else np.full(residual_norms.shape, fixed)
-
-    def pick_mode(self, residual_norm: float) -> str:
-        return "picard" if self.uses_picard(residual_norm) else "newton"
 
 
 def global_residual(
@@ -138,29 +121,27 @@ def linearize_global(
     grid: np.ndarray,
     scheme: Scheme,
     residual: np.ndarray,
-    use_picard: bool = False,
 ) -> LevelSystem:
     """Normalized update system of the global linearization at ``traj``.
 
     Each block row of the raw linearization is left-multiplied by the inverse
     of its diagonal block, yielding the unit-diagonal bidiagonal form the
     multilevel solver consumes; solving it against ``residual``, the stacked
-    one-step residuals of ``global_residual``, gives the Newton (or Picard)
-    update, with a zero initial-value row since ``traj[0]`` is pinned.
+    one-step residuals of ``global_residual``, gives the Newton update, with
+    a zero initial-value row since ``traj[0]`` is pinned.
     """
-    return _linearized_steps(problem, grid, traj, scheme.effective_theta(), use_picard,
-                             -residual, lambda i: "the linearization")
+    return _linearized_steps(problem, grid, traj, scheme.effective_theta(), -residual,
+                             lambda i: "the linearization")
 
 
-def _linearized_steps(problem, ts, us, th, use_picard, column, where, skip=None):
+def _linearized_steps(problem, ts, us, th, column, where, skip=None):
     """Level system of the theta steps along ``(ts, us)``, linearized and normalized.
 
-    ``theta_steps`` at the nodes' Jacobians, or Picard matrices where
-    ``use_picard`` (a flag, or one per node) holds, normalized in place by one
+    ``theta_steps`` at the nodes' Jacobians, normalized in place by one
     batched ``step_solve``; ``where(i)`` names row ``i`` if its step matrix is
     singular. The steps in the mask ``skip`` are left as zero maps.
     """
-    mats = _node_matrices(problem, ts, us, np.broadcast_to(use_picard, len(ts)))
+    mats = jacobian_batch(problem, ts, us)
     m = problem.m_unk
     solved = step_solve(lambda: theta_steps(mats, np.diff(ts), th, column, skip),
                         ts[:-1], ts[1:], where)
@@ -186,12 +167,12 @@ def sequential_nonlinear_solve(
     n = len(grid) - 1
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):  # the steps catch non-finite norms
-        traj, picard, newton = _march(problem, grid, problem.u0, None, th, policy,
-                                      policy.tol_global / np.sqrt(n),
-                                      lambda i: f"time step {i} (t={grid[i]:g})")
+        traj, newton = _march(problem, grid, problem.u0, None, th, policy,
+                              policy.tol_global / np.sqrt(n),
+                              lambda i: f"time step {i} (t={grid[i]:g})")
     _, norm = global_residual(problem, traj, grid, scheme)
-    report = SolverReport(solver="sequential", inner_picard=picard, inner_newton=newton,
-                          avg_iterations_per_step=(picard + newton) / n, residual_history=[norm])
+    report = SolverReport(solver="sequential", inner_newton=newton,
+                          avg_iterations_per_step=newton / n, residual_history=[norm])
     report.wall_seconds = time.perf_counter() - start
     return traj, report
 
@@ -257,37 +238,30 @@ def _solve(problem, partition, k, scheme, policy, initial, workers):
         else:
             w, known = _coarse_start(problem, partition.grids[0], k, scheme, policy, pool,
                                      report, flat)
-        try:
-            w = _schur_loop(problem, partition, k, scheme, policy,
-                            flat if w is None else w, pool, report, known)
-        except (NonconvergenceError, SingularStepError):
-            if report.start != "coarse":
-                raise
-            # Count the flat loop alone; keep the timings of all that ran.
-            report = SolverReport(report.solver, per_level_max=report.per_level_max,
-                                  per_level_sum=report.per_level_sum, coarse_abandoned=True,
-                                  coarse_iterations=report.coarse_iterations)
-            w = _schur_loop(problem, partition, k, scheme, policy, flat, pool, report)
+        w = _schur_loop(problem, partition, k, scheme, policy, flat if w is None else w, pool,
+                        report, known)
     report.wall_seconds = time.perf_counter() - start
     report.cost_estimate = cost_model(partition, m)
     return w, report
 
 
 def _coarse_start(problem, grid, k, scheme, policy, pool, report, flat):
-    """Nested-iteration start: the level-0 loop's solution on a coarse grid, interpolated.
+    """Nested-iteration start on a coarse grid, interpolated: the first of a chain that passes.
 
     The coarse grid's ``nc = min(_COARSE_ELEMENTS, n0 // 2)`` elements are
-    evenly spaced in the fine node index. Its loop runs the theta-method whose
+    evenly spaced in the fine node index. It runs the theta-method whose
     leading global error term ``(1/2 - theta_c) dt_c`` equals the fine
     scheme's ``(1/2 - theta) dt``: ``theta_c = 1/2 + (theta - 1/2) nc / n0``.
-    The coarse grid is one level of its own, so each update is ``ml_solve``'s
-    doubling scan of its top level: no tree is swept, and no pool thread runs. At
-    k >= 1 the start is one serial level-0 region. Returns
-    ``(start, known)``: ``start`` is None, the flat start, for a linear
-    problem, below ``_COARSE_MIN`` elements, when the coarse loop fails and
-    when its fine residual is not below ``flat``'s (a spurious discrete
-    solution); ``known`` holds ``global_residual`` of the start at k = 0,
-    where the loop begins from it unextended, and is empty otherwise.
+    The chain is the level-0 loop on the coarse grid, one level of its own, so
+    that each update is ``ml_solve``'s doubling scan of its top level (no tree
+    is swept, and no pool thread runs); then ``_march`` over the coarse grid
+    at ``tol_local``. A start that raises, or whose fine residual is not below
+    ``flat``'s (a spurious discrete solution), passes to the next. At k >= 1
+    the chain is one serial level-0 region. Returns ``(start, known)``:
+    ``start`` is None, the flat start, for a linear problem, below
+    ``_COARSE_MIN`` elements and when no start passes; ``known`` holds
+    ``global_residual`` of the start at k = 0, where the loop begins from it
+    unextended, and is empty otherwise.
     """
     n0 = len(grid) - 1
     nc = min(_COARSE_ELEMENTS, n0 // 2)
@@ -297,22 +271,27 @@ def _coarse_start(problem, grid, k, scheme, policy, pool, report, flat):
     coarse = build_explicit([nc], grid=grid[nodes])
     matched = Scheme.theta_method(0.5 + (scheme.effective_theta() - 0.5) * nc / n0)
     inner, start = SolverReport(), time.thread_time()
-    try:
-        w = _schur_loop(problem, coarse, 0, matched, policy, np.tile(problem.u0, (nc + 1, 1)),
-                        pool, inner)
-    except (NonconvergenceError, SingularStepError):
-        w = None
-    residual = None
-    if w is not None:
+    flat_norm = global_residual(problem, flat, grid, scheme)[1]
+    chain = (("coarse", lambda: _schur_loop(problem, coarse, 0, matched, policy,
+                                            np.tile(problem.u0, (nc + 1, 1)), pool, inner)),
+             ("marched", lambda: _march(problem, grid[nodes], problem.u0, None,
+                                        matched.effective_theta(), policy, policy.tol_local,
+                                        lambda i: f"step {i} of the coarse march")[0]))
+    for kind, run in chain:
+        try:
+            w = run()
+        except (NonconvergenceError, SingularStepError):
+            continue
         w = np.stack([np.interp(grid, grid[nodes], u) for u in w.T], axis=1)
         residual = global_residual(problem, w, grid, scheme)
-        if not residual[1] < global_residual(problem, flat, grid, scheme)[1]:
-            w = residual = None
+        if residual[1] < flat_norm:
+            break
+    else:
+        kind, w = "flat", None
     if k:  # newton-schur's level 0 holds its multilevel solves' shares alone
         report.add_level(0, [time.thread_time() - start])
-    report.coarse_iterations, report.coarse_abandoned = inner.outer_iterations, w is None
-    report.start = "flat" if w is None else "coarse"
-    return w, [] if k or residual is None else [residual]
+    report.start, report.coarse_iterations = kind, inner.outer_iterations
+    return w, [] if k or w is None else [residual]
 
 
 def _schur_loop(problem, partition, k, scheme, policy, w, pool, report, known=None):
@@ -352,15 +331,11 @@ def _schur_loop(problem, partition, k, scheme, policy, w, pool, report, known=No
             raise NonconvergenceError(where, it, norm, NON_FINITE)
         if it == policy.max_iters:
             raise NonconvergenceError(where, policy.max_iters, norm)
-        mode = policy.pick_mode(norm)
-        report.mode_history.append(mode)
-        report.picard_iterations += mode == "picard"
-        report.newton_iterations += mode == "newton"
         if k:  # the extensions own the windows' interior rows
             res[inside] = 0.0
         rows_start = time.thread_time()  # a one-task map runs in this thread
         ((rows, trees),), _, _ = pool.map(_schur_row_task, [
-            (problem, w, grid, scheme, res, mode == "picard", fine_k)])
+            (problem, w, grid, scheme, res, fine_k)])
         if k:  # newton-schur's serial linearization would grow level 0 with n1
             report.add_level(0, [time.thread_time() - rows_start])
         dz = ml_solve(replace(rows, level=k), partition, pool=pool, report=report)
@@ -402,9 +377,8 @@ def _extend_all(problem, partition, k, z, warm_traj, predicted, th, policy, pool
         (problem, partition, k - 1, 0, partition.counts[k], z[:-1], warm_traj[:-1], th,
          policy, predicted, z[-1])])
     report.add_level(0, [time.thread_time() - start])
-    (values, picard, newton, kappas), = results
-    report.inner_picard += picard
-    report.inner_newton += newton
+    (values, iterations, kappas), = results
+    report.inner_newton += iterations
     return np.concatenate([values, z[-1:]]), kappas
 
 
@@ -417,16 +391,16 @@ def nonlinear_harmonic_extension(
     warm: np.ndarray,
     scheme: Scheme,
     policy: LinearizationPolicy,
-) -> tuple[np.ndarray, int, int]:
+) -> tuple[np.ndarray, int]:
     """Extend one interface value into element ``index`` of level ``level + 1``.
 
     The local problem pins the window's first fine value to the inflow and
     asks each later fine step of the window for a zero residual, to within
     ``tol_local``; it is the same problem at every level. ``warm`` holds
     fine values over the element's window as initial guesses. Returns
-    ``(values, picard, newton)``: ``values`` covers the window's fine nodes
+    ``(values, iterations)``: ``values`` covers the window's fine nodes
     from the left interface (pinned to the inflow) up to, not including, the
-    right one; the counts are inner iterations. This is the one-window call
+    right one; ``iterations`` counts inner iterations. This is the one-window call
     of the extension task that solvers run over many windows.
     """
     th = scheme.effective_theta()
@@ -442,12 +416,12 @@ def nonlinear_harmonic_extension(
     if np.shape(inflow) != (problem.m_unk,):
         raise ValidationError(f"inflow must have shape ({problem.m_unk},)")
     return _extension_task(problem, partition, level, index, index + 1,
-                           np.asarray(inflow, dtype=float)[None, :], warm, th, policy)[:3]
+                           np.asarray(inflow, dtype=float)[None, :], warm, th, policy)[:2]
 
 
 def _extension_task(problem, partition, level, lo, hi, inflows, warm, th, policy,
                     predicted=None, outflow=None):
-    """Extend level-(level+1) elements ``lo..hi-1``; returns ``(values, picard, newton, kappas)``.
+    """Extend level-(level+1) elements ``lo..hi-1``; returns ``(values, iterations, kappas)``.
 
     ``values``, ``warm`` and ``predicted`` cover the run's fine nodes from
     element ``lo``'s left interface up to, not including, element ``hi - 1``'s
@@ -457,8 +431,8 @@ def _extension_task(problem, partition, level, lo, hi, inflows, warm, th, policy
     one ``kappa_batch`` call gives the interior step residuals of every
     window, ``_linearized_steps`` takes their negation as its column, and one
     ``reduce_level`` up-sweep and one zero-inflow ``sweep_down`` give each
-    update, which vanishes at the pinned inflows. Each window picks Picard or
-    Newton by its own residual norm and counts one inner iteration per step.
+    update, which vanishes at the pinned inflows. Each live window counts one
+    inner iteration per step.
     Once every interior row of a window is below ``tol_local`` it is frozen.
     A window whose residual rises above its warm start's and its predicted
     start's, turns non-finite or exhausts ``max_inner`` is marched instead:
@@ -479,7 +453,7 @@ def _extension_task(problem, partition, level, lo, hi, inflows, warm, th, policy
     u = np.concatenate([warm, warm[-1:] if outflow is None else outflow[None]])
     u[starts] = inflows
     live = np.ones(hi - lo, dtype=bool)
-    picard = newton = 0
+    iterations = 0
     bar = -np.inf  # a window's residual may not rise above it
 
     def where(i):  # a step of the run
@@ -506,41 +480,37 @@ def _extension_task(problem, partition, level, lo, hi, inflows, warm, th, policy
                                      | (it == policy.max_inner))
             for j in np.flatnonzero(failed):
                 a, b = bounds[j], bounds[j + 1]
-                u[a:b], p, nw = _march(
+                u[a:b], marched = _march(
                     problem, ts[a:b], inflows[j], warm[a:b], th, policy, policy.tol_local,
                     lambda i: f"nonlinear extension (level {level}, element {lo + j}, "
                               f"t={ts[a + i]:g})")
-                picard += p
-                newton += nw
+                iterations += marched
                 kappas = None  # u moved after them
             live &= ~done & ~failed
             if not live.any():
                 break
-            picks = policy.uses_picard(norms)
-            n_picard = int(np.count_nonzero(picks & live))
-            picard += n_picard
-            newton += int(np.count_nonzero(live)) - n_picard
+            iterations += int(np.count_nonzero(live))
             skip = ~live[owner[:-1]]  # by first node: the frozen windows' steps
             skip[closing] = True
-            steps = _linearized_steps(problem, ts, u, th, picks[owner], -res, where, skip)
+            steps = _linearized_steps(problem, ts, u, th, -res, where, skip)
             v = sweep_down(reduce_level(steps, bounds)[0], bounds, np.zeros((hi - lo, m, 1)))
             nodes = np.flatnonzero(live[owner[:-1]])
             u[nodes] += v[nodes, :, 0]
-    return u[:-1], picard, newton, kappas
+    return u[:-1], iterations, kappas
 
 
 def _march(problem, ts, inflow, warm, th, policy, tol, where):
-    """Time-march the steps of ``ts`` from ``inflow``; returns ``(values, picard, newton)``.
+    """Time-march the steps of ``ts`` from ``inflow``; returns ``(values, iterations)``.
 
     ``values[0]`` is ``inflow``; each later step ``j`` solves its implicit
-    residual for ``values[j]`` to ``tol`` by Picard or Newton iterations, from
+    residual for ``values[j]`` to ``tol`` by Newton iterations, from
     its guess in ``warm``, or from the previous value if ``warm`` is None.
     Budget exhaustion, a non-finite residual and a singular step matrix raise,
     naming step ``j`` as ``where(j)``.
     """
     values = np.empty((len(ts), problem.m_unk))
     values[0] = inflow
-    picard = newton = 0
+    iterations = 0
     for j in range(1, len(ts)):
         t_start, t_end, dt = ts[j - 1], ts[j], ts[j] - ts[j - 1]
         tail = dt * (1.0 - th) * np.asarray(problem.kappa(t_start, values[j - 1]),
@@ -555,38 +525,19 @@ def _march(problem, ts, inflow, warm, th, policy, tol, where):
                 raise NonconvergenceError(where(j), it, norm, NON_FINITE)
             if it == policy.max_inner:
                 raise NonconvergenceError(where(j), it, norm)
-            if policy.uses_picard(norm):
-                mat = picard_operator(problem)(t_end, u)
-                picard += 1
-            else:
-                mat = problem.jacobian(t_end, u)
-                newton += 1
+            iterations += 1
             try:
-                u = u + np.linalg.solve(step_matrices(np.asarray(mat, dtype=float), th * dt), -r)
+                u = u + np.linalg.solve(step_matrices(
+                    np.asarray(problem.jacobian(t_end, u), dtype=float), th * dt), -r)
             except np.linalg.LinAlgError as exc:
                 raise SingularStepError(
                     f"singular step matrix in {where(j)} on element ({t_start:g}, {t_end:g})",
                     float(t_start), float(t_end)) from exc
         values[j] = u
-    return values, picard, newton
+    return values, iterations
 
 
-def _node_matrices(problem, ts, us, picks):
-    """Picard matrices of the rows in ``picks``, Jacobians of the others.
-
-    One batched call per mode in use.
-    """
-    if picks.all():
-        return picard_batch(problem, ts, us)
-    if not picks.any():
-        return jacobian_batch(problem, ts, us)
-    mats = np.empty((len(ts), problem.m_unk, problem.m_unk))
-    mats[picks] = picard_batch(problem, ts[picks], us[picks])
-    mats[~picks] = jacobian_batch(problem, ts[~picks], us[~picks])
-    return mats
-
-
-def _schur_row_task(problem, traj, grid, scheme, residual, use_picard, bounds):
+def _schur_row_task(problem, traj, grid, scheme, residual, bounds):
     """Schur rows: ``linearize_global``'s system reduced over consecutive windows.
 
     Window ``j`` spans nodes ``bounds[j]..bounds[j+1]`` of ``grid``. Returns
@@ -594,7 +545,7 @@ def _schur_row_task(problem, traj, grid, scheme, residual, use_picard, bounds):
     window's steps (``reduce_level``, in this task's thread), the trees for
     ``sweep_down``. One-step windows are their own rows, with ``trees`` None.
     """
-    system = linearize_global(problem, traj, grid, scheme, residual, use_picard)
+    system = linearize_global(problem, traj, grid, scheme, residual)
     if len(bounds) == len(grid):
         return system, None
     trees, rows = reduce_level(system, bounds)

@@ -34,13 +34,6 @@ class OdeProblem:
         Derivative of ``kappa`` with respect to ``u``.
     u0 : array
         Initial value.
-    picard_matrix : callable ``(t, u_bar) -> matrix``, optional
-        Picard's frozen-coefficient operator ``A(u_bar)``, such that
-        ``kappa(t, u) - A(u) @ u`` depends on ``t`` only; enables Picard
-        iterations. A Picard increment solves the frozen linearization
-        against the true residual, so no forcing is needed; a callback that
-        returns a pair ``(A, c)`` fails inside numpy with a ragged-array
-        ``ValueError``.
     is_linear : bool
         True iff ``kappa`` is affine in ``u``.
     vectorized : bool
@@ -52,10 +45,10 @@ class OdeProblem:
     kappa: KappaFn
     jacobian: MatrixFn
     u0: np.ndarray
-    picard_matrix: MatrixFn | None = None
     is_linear: bool = False
     vectorized: bool = False
     name: str = field(default="", compare=False)
+    picard_matrix = None  # not a field, always None: perfbench/tracing.py still reads it
 
     def __post_init__(self):
         u0 = np.atleast_1d(np.asarray(self.u0, dtype=float))
@@ -76,31 +69,15 @@ def kappa_batch(problem: OdeProblem, ts: np.ndarray, us: np.ndarray) -> np.ndarr
     return np.stack([np.asarray(problem.kappa(t, u), dtype=float) for t, u in zip(ts, us)])
 
 
-def _matrix_batch(problem: OdeProblem, fn: MatrixFn, ts: np.ndarray, us: np.ndarray):
-    """``(n, m, m)`` matrices of ``fn``, the Jacobian or the Picard operator, at each row."""
+def jacobian_batch(problem: OdeProblem, ts: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """``(n, m, m)`` Jacobians, one per row."""
     m = problem.m_unk
     if problem.vectorized:
-        out = np.asarray(fn(ts, us), dtype=float)
+        out = np.asarray(problem.jacobian(ts, us), dtype=float)
         if out.shape != (len(ts), m, m):
             out = np.broadcast_to(out, (len(ts), m, m)).copy()
         return out
-    return np.stack([np.asarray(fn(t, u), dtype=float) for t, u in zip(ts, us)])
-
-
-def jacobian_batch(problem: OdeProblem, ts: np.ndarray, us: np.ndarray) -> np.ndarray:
-    return _matrix_batch(problem, problem.jacobian, ts, us)
-
-
-def picard_operator(problem: OdeProblem) -> MatrixFn:
-    """``problem.picard_matrix``; the one error of every solver that finds none."""
-    if problem.picard_matrix is None:
-        raise ValidationError(f"problem {problem.name!r} has no Picard operator; "
-                              "use mode='newton'")
-    return problem.picard_matrix
-
-
-def picard_batch(problem: OdeProblem, ts: np.ndarray, us: np.ndarray) -> np.ndarray:
-    return _matrix_batch(problem, picard_operator(problem), ts, us)
+    return np.stack([np.asarray(problem.jacobian(t, u), dtype=float) for t, u in zip(ts, us)])
 
 
 # Shipped problems ------------------------------------------------------------
@@ -121,7 +98,6 @@ def linear_decay(lam: float) -> OdeProblem:
         kappa=partial(_decay_kappa, lam),
         jacobian=partial(_decay_jacobian, lam),
         u0=np.array([1.0]),
-        picard_matrix=partial(_decay_jacobian, lam),
         is_linear=True,
         vectorized=True,
         name=f"decay(lam={lam})",
@@ -137,10 +113,6 @@ def _riccati_jacobian(t, u):
     return (-2.0 * u)[..., None]
 
 
-def _riccati_picard(t, u):
-    return (-u)[..., None]
-
-
 def forced_riccati() -> OdeProblem:
     """Scalar nonlinear problem whose exact solution is ``sin(t)`` on ``(0, 2*pi]``.
 
@@ -151,7 +123,6 @@ def forced_riccati() -> OdeProblem:
         kappa=_riccati_kappa,
         jacobian=_riccati_jacobian,
         u0=np.array([0.0]),
-        picard_matrix=_riccati_picard,
         is_linear=False,
         vectorized=True,
         name="riccati",
@@ -171,15 +142,6 @@ def _lv_jacobian(alpha, beta, gamma, delta, t, y):
     jac[..., 1, 0] = -delta * v
     jac[..., 1, 1] = -delta * u + gamma
     return jac
-
-
-def _lv_picard(alpha, beta, gamma, delta, t, y):
-    # Diagonal freeze: v fixed in the prey product, u fixed in the predator product.
-    u, v = y[..., 0], y[..., 1]
-    mat = np.zeros(y.shape[:-1] + (2, 2))
-    mat[..., 0, 0] = -alpha + beta * v
-    mat[..., 1, 1] = -delta * u + gamma
-    return mat
 
 
 def lotka_volterra(
@@ -203,7 +165,6 @@ def lotka_volterra(
         kappa=partial(_lv_kappa, *args),
         jacobian=partial(_lv_jacobian, *args),
         u0=np.array([float(u0), float(v0)]),
-        picard_matrix=partial(_lv_picard, *args),
         is_linear=False,
         vectorized=True,
         name="lotka-volterra",
@@ -215,7 +176,7 @@ def _matrix_kappa(a, t, u):
 
 
 def _matrix_jacobian(a, t, u):
-    return a  # _matrix_batch broadcasts it to every row
+    return a  # jacobian_batch broadcasts it to every row
 
 
 def random_stable_linear(m_unk: int, seed: int = 0) -> OdeProblem:
@@ -229,7 +190,6 @@ def random_stable_linear(m_unk: int, seed: int = 0) -> OdeProblem:
         kappa=partial(_matrix_kappa, a),
         jacobian=partial(_matrix_jacobian, a),
         u0=u0,
-        picard_matrix=partial(_matrix_jacobian, a),
         is_linear=True,
         vectorized=True,
         name=f"random-linear(m={m_unk},seed={seed})",

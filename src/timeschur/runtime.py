@@ -132,21 +132,17 @@ class SolverReport:
 
     solver: str = ""
     outer_iterations: int = 0
-    picard_iterations: int = 0
-    newton_iterations: int = 0
-    inner_picard: int = 0
     inner_newton: int = 0
     avg_iterations_per_step: float | None = None
     residual_history: list[float] = field(default_factory=list)
     interior_residual_history: list[float] = field(default_factory=list)
-    mode_history: list[str] = field(default_factory=list)
     per_level_max: dict[int, float] = field(default_factory=dict)
     per_level_sum: dict[int, float] = field(default_factory=dict)
     wall_seconds: float = 0.0
-    start: str = "flat"  # where a Schur loop started: flat, coarse or given
-    coarse_iterations: int = 0  # the coarse-grid start's, outside outer_iterations
-    coarse_abandoned: bool = False  # a coarse start failed and the loop ran from the flat one
+    start: str = "flat"  # where a Schur loop started: coarse, marched, flat or given
+    coarse_iterations: int = 0  # the coarse-grid loop's, outside outer_iterations
     cost_estimate: CostEstimate | None = None
+    inner_picard = 0  # not a field, always 0: perfbench/tracing.py still reads it
 
     def add_level(self, level: int, task_seconds: list[float], workers: int = 1) -> None:
         """Fold one region's task seconds, run on ``workers``, into a level."""

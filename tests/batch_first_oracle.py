@@ -14,7 +14,7 @@ import contextlib
 import numpy as np
 
 from timeschur import SingularStepError
-from timeschur.nonlinear import _node_matrices
+from timeschur.problems import jacobian_batch
 
 ELIMINATE_MAX_M = 6
 ELIMINATE_CHUNK = 8192
@@ -86,9 +86,9 @@ def eliminate(mats, rhs):
     return out
 
 
-def linearized_steps(problem, ts, us, th, use_picard, column, skip=None):
+def linearized_steps(problem, ts, us, th, column, skip=None):
     """``(phis, gs)`` of the normalized theta steps along ``(ts, us)``, batch-first."""
-    mats = _node_matrices(problem, ts, us, np.broadcast_to(use_picard, len(ts)))
+    mats = jacobian_batch(problem, ts, us)
     lhs, rhs = theta_steps(mats, np.diff(ts), th, column)
     m = problem.m_unk
     if skip is not None:

@@ -88,7 +88,7 @@ def test_02_petrov_galerkin_equivalence():
 
 
 def test_03_newton_schur_one_shot_on_linear_problems():
-    policy = LinearizationPolicy(mode="newton")
+    policy = LinearizationPolicy()
     for problem in (linear_decay(1.0), random_stable_linear(3, seed=7)):
         partition = build_explicit([200, 10], t_end=1.0)
         _, rep = newton_schur_solve(problem, partition, BE, policy)

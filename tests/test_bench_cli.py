@@ -132,12 +132,10 @@ class TestWeakScaling:
         # Canned reports with every count distinct: no solve runs, no clock is read.
         def fake_run_solver(spec, partition=None, workers=None):
             if spec.solver == "sequential":
-                report = SolverReport(solver="sequential", inner_picard=7, inner_newton=9,
+                report = SolverReport(solver="sequential", inner_newton=9,
                                       avg_iterations_per_step=0.08)
             else:
-                report = SolverReport(solver=spec.solver, outer_iterations=3,
-                                      picard_iterations=1, newton_iterations=2,
-                                      inner_picard=5, inner_newton=16)
+                report = SolverReport(solver=spec.solver, outer_iterations=3, inner_newton=16)
                 report.per_level_max = report.per_level_sum = {0: 1.0, 1: 2.0}
             report.residual_history = [1e-9]
             return None, report
@@ -145,8 +143,8 @@ class TestWeakScaling:
         monkeypatch.setattr(bench, "run_solver", fake_run_solver)
         spec = ExperimentSpec(problem="lotka-volterra", solver="nlschur:1", workers=1)
         rows = run_weak_scaling(spec, [4], 50)
-        assert [(r["level"], r["outer_iters"], r["picard_iters"], r["newton_iters"])
-                for r in rows] == [(0, 3, 1, 2), (1, 3, 1, 2), ("seq", 0, 7, 9)]
+        assert [(r["level"], r["outer_iters"], r["avg_step_iters"])
+                for r in rows] == [(0, 3, ""), (1, 3, ""), ("seq", 0, "0.08")]
 
     def test_degenerate_single_step_point(self):
         spec = ExperimentSpec(**LV)
@@ -158,7 +156,7 @@ class TestWeakScaling:
             run_weak_scaling(ExperimentSpec(**LV), [4, 2], 10)
 
     def test_solver_failure_becomes_row_and_run_continues(self):
-        spec = ExperimentSpec(**LV, policy=LinearizationPolicy(mode="newton", max_iters=1))
+        spec = ExperimentSpec(**LV, policy=LinearizationPolicy(max_iters=1))
         rows = run_weak_scaling(spec, [2, 4], 25)
         failed = [r for r in rows if r["status"] == "failed"]
         assert len(failed) == 2
@@ -395,8 +393,7 @@ class TestCli:
             assert inner == []
         else:
             assert report.inner_newton > 0
-            assert inner == [f"inner iterations: {report.inner_picard + report.inner_newton} "
-                             f"(picard {report.inner_picard}, newton {report.inner_newton})"]
+            assert inner == [f"inner iterations: {report.inner_newton}"]
 
     def test_solve_with_ratio_builds_hierarchy(self, capsys):
         code = cli.main(["solve", "--problem", "decay", "--lam", "2.0",
@@ -518,14 +515,14 @@ class TestCli:
                          "--gamma", "1", "--delta", "0.2", "--u0", "5", "--v0", "6",
                          "--t-end", "2", "--nsteps", "40", "--scheme", "dg1",
                          "--tol-global", "1e-9", "--tol-local", "1e-11",
-                         "--picard-switch", "50", "--max-iters", "7",
+                         "--max-iters", "7",
                          "--out", str(tmp_path / "f.csv")]) == 0
         (spec,) = specs
         assert spec.problem_params == dict(alpha=2.0, beta=0.3, gamma=1.0, delta=0.2,
                                            u0=5.0, v0=6.0)
         assert (spec.t_end, spec.n0, spec.scheme) == (2.0, 40, "dg1")
-        assert spec.policy == LinearizationPolicy(switch_norm=50.0, tol_global=1e-9,
-                                                  tol_local=1e-11, max_iters=7)
+        assert spec.policy == LinearizationPolicy(tol_global=1e-9, tol_local=1e-11,
+                                                  max_iters=7)
 
     def test_figure_lv_phase_reads_the_lotka_volterra_parameters(self, tmp_path):
         texts = []
@@ -621,7 +618,7 @@ class TestCli:
         assert code == 2
         assert "error: n0 must be at least 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--tol-global", "--tol-local", "--picard-switch"])
+    @pytest.mark.parametrize("flag", ["--tol-global", "--tol-local"])
     def test_nan_tolerance_exits_2(self, flag, capsys):
         code = cli.main(["solve", "--problem", "decay", "--nsteps", "50", "--subdomains", "5",
                         flag, "nan"])
@@ -633,7 +630,7 @@ class TestCli:
         ["three-level", "--nsteps", "40", "--subdomains", "4", "--n2", "2",
          "--compare-two-level"],
     ])
-    @pytest.mark.parametrize("flag", ["--tol-global", "--tol-local", "--picard-switch"])
+    @pytest.mark.parametrize("flag", ["--tol-global", "--tol-local"])
     def test_nan_tolerance_exits_2_before_any_run(self, argv, flag, tmp_path, monkeypatch,
                                                   capsys):
         monkeypatch.chdir(tmp_path)  # where the CSV would go
@@ -645,14 +642,24 @@ class TestCli:
                                       ["figure", "--kind", "lv-phase"]])
     def test_run_flags_default_to_the_default_policy(self, argv):
         args, policy = cli._build_parser().parse_args(argv), LinearizationPolicy()
-        assert (args.tol_global, args.tol_local, args.picard_switch, args.max_iters) == \
-            (policy.tol_global, policy.tol_local, policy.switch_norm, policy.max_iters)
+        assert (args.tol_global, args.tol_local, args.max_iters) == \
+            (policy.tol_global, policy.tol_local, policy.max_iters)
+
+    @pytest.mark.parametrize("argv", [["solve"], ["weak-scaling"], ["three-level"],
+                                      ["figure", "--kind", "lv-phase"]])
+    def test_the_retired_picard_switch_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, "--picard-switch", "50"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --picard-switch 50" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_nonconvergent_extension_exits_3(self, workers, capsys):
+        # No step residual reaches 1e-300: the windows, then their marches, run
+        # out of iterations.
         code = cli.main(["solve", "--problem", "lotka-volterra", "--nsteps", "40",
                         "--subdomains", "4", "--t-end", "30", "--solver", "nlschur:1",
-                        "--workers", workers])
+                        "--tol-local", "1e-300", "--workers", workers])
         assert code == 3
         assert "nonlinear extension (level 0, element" in capsys.readouterr().err
 

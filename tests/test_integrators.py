@@ -24,7 +24,8 @@ from timeschur import (
 )
 from timeschur.integrators import (_ELIMINATE_CHUNK, _eliminate, dg_element_system,
                                    step_solve)
-from timeschur.nonlinear import _linearized_steps, _node_matrices, _schur_row_task
+from timeschur.nonlinear import _linearized_steps, _schur_row_task
+from timeschur.problems import jacobian_batch
 
 import batch_first_oracle as oracle
 from oracles import scheme_label
@@ -309,29 +310,25 @@ class TestEliminationKernel:
 
 
 def _random_field(m, seed, swaps):
-    """Vectorized problem whose Jacobian and Picard matrix vary with every node's value.
+    """Vectorized problem whose Jacobian varies with every node's value.
 
     With ``swaps`` a cyclic shift of weight 40 dominates every Jacobian, so
     the step matrices need row swaps wherever ``th*dt`` is not tiny.
     """
     rng = np.random.default_rng(seed)
-    a, b, c, d = 3.0 * rng.normal(size=(4, m, m))
+    a, b = 3.0 * rng.normal(size=(2, m, m))
     shift = 40.0 * np.roll(np.eye(m), 1, axis=1) if swaps and m > 1 else 0.0
 
     def jacobian(t, u):
         return a + b * u[..., :, None] + shift
 
-    def picard(t, u):
-        return c + d * u[..., None, :]
-
-    return OdeProblem(m_unk=m, kappa=lambda t, u: u, jacobian=jacobian, picard_matrix=picard,
-                      u0=np.zeros(m), vectorized=True, name="random field")
+    return OdeProblem(m_unk=m, kappa=lambda t, u: u, jacobian=jacobian, u0=np.zeros(m),
+                      vectorized=True, name="random field")
 
 
-def _assert_build_matches_oracle(m, th, n, seed, swaps, picks, skips):
+def _assert_build_matches_oracle(m, th, n, seed, swaps, skips):
     """The in-place build's ``phis``/``gs`` against the batch-first oracle's, bitwise.
 
-    ``picks`` is "newton", "picard" or "mixed" (a random mode per node);
     ``skips`` draws a random ``skip`` mask.
     """
     rng = np.random.default_rng(seed)
@@ -339,11 +336,9 @@ def _assert_build_matches_oracle(m, th, n, seed, swaps, picks, skips):
     ts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.5, n))])
     us = rng.normal(size=(n + 1, m))
     column = rng.normal(size=(n, m))
-    use_picard = {"newton": False, "picard": True,
-                  "mixed": rng.uniform(size=n + 1) < 0.5}[picks]
     skip = rng.uniform(size=n) < 0.3 if skips else None
-    system = _linearized_steps(problem, ts, us, th, use_picard, column, None, skip)
-    phis, gs = oracle.linearized_steps(problem, ts, us, th, use_picard, column, skip)
+    system = _linearized_steps(problem, ts, us, th, column, None, skip)
+    phis, gs = oracle.linearized_steps(problem, ts, us, th, column, skip)
     assert np.array_equal(system.phis, phis) and np.array_equal(system.gs, gs)
 
 
@@ -358,20 +353,19 @@ class TestInPlaceBuild:
         n=st.integers(min_value=1, max_value=40),
         seed=st.integers(min_value=0, max_value=10**6),
         swaps=st.booleans(),
-        picks=st.sampled_from(["newton", "picard", "mixed"]),
         skips=st.booleans(),
     )
-    def test_equals_the_batch_first_build(self, m, th, n, seed, swaps, picks, skips):
-        _assert_build_matches_oracle(m, th, n, seed, swaps, picks, skips)
+    def test_equals_the_batch_first_build(self, m, th, n, seed, swaps, skips):
+        _assert_build_matches_oracle(m, th, n, seed, swaps, skips)
 
     @pytest.mark.parametrize("m", [2, 7])
     def test_equals_the_batch_first_build_over_two_chunks(self, m):
-        _assert_build_matches_oracle(m, 1.0, _ELIMINATE_CHUNK + 101, m, True, "mixed", True)
+        _assert_build_matches_oracle(m, 1.0, _ELIMINATE_CHUNK + 101, m, True, True)
 
     def test_shifted_jacobians_need_row_swaps(self):
         # The oracle's first pivot search swaps rows in every block.
         problem = _random_field(3, 0, True)
-        mats = _node_matrices(problem, np.arange(3.0), np.ones((3, 3)), np.zeros(3, bool))
+        mats = jacobian_batch(problem, np.arange(3.0), np.ones((3, 3)))
         lhs, _ = oracle.theta_steps(mats, np.full(2, 0.1), 1.0, np.zeros((2, 3)))
         assert np.all(np.abs(lhs[:, 2, 0]) > np.abs(lhs[:, 0, 0]))
 
@@ -406,7 +400,7 @@ class TestSingularPastTheFirstChunk:
         bounds = np.append(np.arange(0, len(grid) - 1, 100), len(grid) - 1)
         with pytest.raises(SingularStepError) as err:
             _schur_row_task(linear_decay(-4.0), np.zeros((len(grid), 1)), grid,
-                            Scheme.backward_euler(), np.zeros((len(grid) - 1, 1)), False, bounds)
+                            Scheme.backward_euler(), np.zeros((len(grid) - 1, 1)), bounds)
         assert (err.value.t_start, err.value.t_end) == (grid[self.bad], grid[self.bad + 1])
 
 

@@ -1,3 +1,4 @@
+import functools
 import sys
 import time
 from dataclasses import replace
@@ -46,22 +47,20 @@ def benchmark_lv():
 class TestPolicy:
     def test_default_tolerances(self):
         policy = LinearizationPolicy()
-        assert policy.mode == "hybrid"
-        assert policy.switch_norm == 1e2
         assert policy.tol_global == 1e-8
         assert policy.tol_local == 1e-10
 
     @pytest.mark.parametrize("kwargs", [
-        dict(mode="bogus"),
+        dict(max_inner=0),
         dict(tol_global=0.0),
         dict(tol_local=-1e-9),
-        dict(mode="hybrid", switch_norm=1e-9),
+        dict(tol_global=np.inf),
         dict(max_iters=0),
         # NaN compares false both ways; infinite tolerances stop nothing.
         dict(tol_global=np.nan),
         dict(tol_local=np.nan),
         dict(tol_local=np.inf),
-        dict(mode="hybrid", switch_norm=np.nan),
+        dict(max_iters=-1),
         dict(max_iters=2.5),
         dict(max_inner=2.5),
     ])
@@ -69,31 +68,13 @@ class TestPolicy:
         with pytest.raises(ValidationError):
             LinearizationPolicy(**kwargs)
 
-    def test_hybrid_pick(self):
-        policy = LinearizationPolicy(switch_norm=10.0)
-        assert policy.pick_mode(10.0) == "picard"
-        assert policy.pick_mode(9.999) == "newton"
-
-    def test_picard_without_an_operator_is_one_error_for_every_solver(self):
-        prob = cosine_drive()
-        part = build_explicit([40, 4], t_end=1.0)
-        policy = LinearizationPolicy(mode="picard")
-        messages = set()
-        for solve in (lambda: sequential_nonlinear_solve(prob, part.grids[0], BE, policy),
-                      lambda: newton_schur_solve(prob, part, BE, policy),
-                      lambda: nonlinear_schur_newton_solve(prob, part, 1, BE, policy)):
-            with pytest.raises(ValidationError) as err:
-                solve()
-            messages.add(str(err.value))
-        assert messages == {"problem 'cosine-drive' has no Picard operator; use mode='newton'"}
-
 
 class TestSequentialSolve:
     def test_linear_problem_needs_one_newton_per_step(self):
         prob = random_stable_linear(2, seed=1)
         grid = np.linspace(0.0, 1.0, 101)
         _, report = sequential_nonlinear_solve(prob, grid, BE,
-                                               LinearizationPolicy(mode="newton"))
+                                               LinearizationPolicy())
         assert report.avg_iterations_per_step == pytest.approx(1.0)
         assert report.inner_newton == 100
 
@@ -136,7 +117,7 @@ class TestSequentialSolve:
     def test_nonconvergence_names_the_step(self):
         prob = benchmark_lv()
         grid = np.linspace(0.0, 3.0, 11)
-        policy = LinearizationPolicy(mode="newton", max_inner=1)
+        policy = LinearizationPolicy(max_inner=1)
         with pytest.raises(NonconvergenceError) as err:
             sequential_nonlinear_solve(prob, grid, BE, policy)
         assert "time step" in str(err.value)
@@ -201,7 +182,7 @@ class TestNewtonSchur:
     def test_linear_problem_converges_in_one_iteration(self):
         prob = random_stable_linear(3, seed=3)
         part = build_explicit([64, 8], t_end=1.0)
-        policy = LinearizationPolicy(mode="newton")
+        policy = LinearizationPolicy()
         traj, report = newton_schur_solve(prob, part, BE, policy)
         assert report.outer_iterations == 1
         sys0 = build_linear_system(prob, part.grids[0], BE)
@@ -226,18 +207,6 @@ class TestNewtonSchur:
             counts.append(report.outer_iterations)
         assert counts[0] == counts[1] == counts[2]
 
-    def test_hybrid_switch_happens_at_the_threshold(self):
-        prob = benchmark_lv()
-        part = build_explicit([400, 8], t_end=3.0)
-        policy = LinearizationPolicy(mode="hybrid", switch_norm=1e2)
-        far = np.tile([40.0, 160.0], (401, 1))
-        _, report = newton_schur_solve(prob, part, BE, policy, initial=far)
-        assert report.picard_iterations >= 1
-        assert report.mode_history[0] == "picard"
-        assert "newton" in report.mode_history
-        for mode, norm in zip(report.mode_history, report.residual_history):
-            assert mode == ("picard" if norm >= 1e2 else "newton")
-
     def test_requires_two_levels(self):
         prob = forced_riccati()
         with pytest.raises(ValidationError):
@@ -246,7 +215,7 @@ class TestNewtonSchur:
     def test_nonconvergence_raises(self):
         prob = benchmark_lv()
         part = build_explicit([200, 4], t_end=3.0)
-        policy = LinearizationPolicy(mode="newton", max_iters=1)
+        policy = LinearizationPolicy(max_iters=1)
         with pytest.raises(NonconvergenceError):
             newton_schur_solve(prob, part, BE, policy)
 
@@ -262,15 +231,15 @@ class TestHarmonicExtension:
     def test_linear_problem_extends_in_one_pass(self):
         prob = random_stable_linear(2, seed=4)
         part = build_explicit([40, 4], t_end=1.0)
-        policy = LinearizationPolicy(mode="newton")
+        policy = LinearizationPolicy()
         sys0 = build_linear_system(prob, part.grids[0], BE)
         direct = ml_solve(sys0, part)
         bounds = part.subdomain_bounds(0)
         for i in range(4):
             a, b = bounds[i], bounds[i + 1]
             warm = np.tile(prob.u0, (b - a, 1))
-            values, _, _ = nonlinear_harmonic_extension(prob, part, 0, i, direct[a], warm, BE,
-                                                        policy)
+            values, _ = nonlinear_harmonic_extension(prob, part, 0, i, direct[a], warm, BE,
+                                                     policy)
             assert np.allclose(values, direct[a:b], atol=1e-10)
 
     def test_matches_standalone_window_solve(self):
@@ -280,7 +249,7 @@ class TestHarmonicExtension:
         policy = LinearizationPolicy()
         inflow = np.array([0.5])
         warm = np.tile(inflow, (10, 1))
-        values, _, _ = nonlinear_harmonic_extension(prob, part, 0, 2, inflow, warm, BE, policy)
+        values, _ = nonlinear_harmonic_extension(prob, part, 0, 2, inflow, warm, BE, policy)
         window = part.grids[0][20:31]
         standalone = replace(prob, u0=inflow)
         tight = LinearizationPolicy(tol_global=1e-12)
@@ -296,8 +265,8 @@ class TestHarmonicExtension:
         state = np.tile(prob.u0, (61, 1))
         for i in range(6):
             a, b = fine[i], fine[i + 1]
-            state[a:b], _, _ = nonlinear_harmonic_extension(prob, part, 0, i, state[a],
-                                                            state[a:b].copy(), BE, policy)
+            state[a:b], _ = nonlinear_harmonic_extension(prob, part, 0, i, state[a],
+                                                         state[a:b].copy(), BE, policy)
         res, _ = global_residual(prob, state, grid, BE)
         row_norms = np.linalg.norm(res, axis=1)
         interior = np.ones(61, dtype=bool)
@@ -322,26 +291,26 @@ class TestHarmonicExtension:
 def run_against_single_windows(prob, part, level, inflows, warm, policy):
     """Extend the level-(level+1) windows as one run and one at a time, and march each.
 
-    The run gives every window's one-window values, bitwise, and the sums of
-    their counts. Returns the extended run, the per-window ``(picard, newton)``
-    counts of the extensions, the marched windows in one array and the
-    per-window counts of marching.
+    The run gives every window's one-window values, bitwise, and the sum of
+    their counts. Returns the extended run, the per-window inner iterations
+    of the extensions, the marched windows in one array and the per-window
+    iterations of marching.
     """
     fine = part.fine_nodes(level + 1)
     ts = part.grids[0][:fine[-1]]
-    values, picard, newton, _ = _extension_task(prob, part, level, 0, part.counts[level + 1],
-                                                inflows, warm, 1.0, policy)
+    values, iterations, _ = _extension_task(prob, part, level, 0, part.counts[level + 1],
+                                            inflows, warm, 1.0, policy)
     marched = np.empty_like(values)
     counts, marched_counts = [], []
     for i, (a, b) in enumerate(zip(fine, fine[1:])):
-        one, one_picard, one_newton = nonlinear_harmonic_extension(
-            prob, part, level, i, inflows[i], warm[a:b], BE, policy)
+        one, one_count = nonlinear_harmonic_extension(prob, part, level, i, inflows[i],
+                                                      warm[a:b], BE, policy)
         assert np.array_equal(values[a:b], one)
-        counts.append((one_picard, one_newton))
-        marched[a:b], one_picard, one_newton = _march(prob, ts[a:b], inflows[i], warm[a:b], 1.0,
-                                                      policy, policy.tol_local, str)
-        marched_counts.append((one_picard, one_newton))
-    assert (picard, newton) == tuple(map(sum, zip(*counts)))
+        counts.append(one_count)
+        marched[a:b], one_count = _march(prob, ts[a:b], inflows[i], warm[a:b], 1.0, policy,
+                                         policy.tol_local, str)
+        marched_counts.append(one_count)
+    assert iterations == sum(counts)
     return values, counts, marched, marched_counts
 
 
@@ -359,24 +328,23 @@ class TestLockstepExtension:
             # Marching one step at a time gives the same iterates.
             stepwise = [inflows[i]]
             for j in range(a + 1, b):
-                u, _, _ = _march(prob, grid[j - 1:j + 1], stepwise[-1], warm[j - 1:j + 1],
-                                 1.0, policy, policy.tol_local, str)
+                u, _ = _march(prob, grid[j - 1:j + 1], stepwise[-1], warm[j - 1:j + 1], 1.0,
+                              policy, policy.tol_local, str)
                 stepwise.append(u[1])
             assert np.array_equal(marched[a:b], np.stack(stepwise))
         return counts, marched_counts
 
-    def test_lotka_volterra_windows_mixing_picard_and_newton(self):
+    def test_lotka_volterra_windows_with_far_warm_starts(self):
         prob = benchmark_lv()
         part = build_explicit([43, 4], t_end=3.0)  # windows of 10, 10, 10 and 13 steps
         bounds = part.subdomain_bounds(0)
         inflows = np.array([[10.0, 40.0], [30.0, 5.0], [8.0, 20.0], [2.0, 9.0]])
-        # Far guesses put windows 1 and 3 above the Picard switch.
+        # Far guesses send windows 1 and 3 past the inner budget to marching.
         warm = np.concatenate([np.tile(g, (b - a, 1)) for g, a, b in zip(
-            [inflows[0], [400.0, 900.0], inflows[2], [300.0, 200.0]], bounds, bounds[1:])])
-        counts, marched = self._run_against_single_windows(prob, part, inflows, warm,
-                                                           LinearizationPolicy())
-        assert counts[0][0] == 0 and counts[3][0] > 0 and counts[3][1] > 0
-        assert marched[0][0] == 0 and marched[1][0] > 0 and marched[3][0] > 0
+            [inflows[0], [100.0, 200.0], inflows[2], [100.0, 60.0]], bounds, bounds[1:])])
+        policy = LinearizationPolicy()
+        counts, marched = self._run_against_single_windows(prob, part, inflows, warm, policy)
+        assert counts[0] < policy.max_inner < min(counts[1], counts[3])
         assert len(set(marched)) == len(marched)
 
     def test_riccati_windows_with_different_inner_counts(self):
@@ -396,10 +364,10 @@ class TestLockstepExtension:
         grid = part.grids[0]
         fine = part.fine_nodes(1)
         traj, _ = sequential_nonlinear_solve(prob, grid, BE)
-        blocks, rhs = schur_rows(prob, grid, traj, fine, 1.0, False)
+        blocks, rhs = schur_rows(prob, grid, traj, fine, 1.0)
         for i, (a, b) in enumerate(zip(fine, fine[1:])):
             one_blocks, one_rhs = schur_rows(prob, grid[a:b + 1], traj[a:b + 1],
-                                             np.array([0, b - a]), 1.0, False)
+                                             np.array([0, b - a]), 1.0)
             assert np.array_equal(blocks[i], one_blocks[0])
             assert np.array_equal(rhs[i], one_rhs[0])
 
@@ -486,8 +454,7 @@ class TestWindowNewton:
         b, rep_b = nonlinear_schur_newton_solve(make(), flat, 1, BE)
         assert np.array_equal(a, b)
         assert rep_a.residual_history == rep_b.residual_history
-        assert (rep_a.inner_picard, rep_a.inner_newton) == (rep_b.inner_picard,
-                                                            rep_b.inner_newton)
+        assert rep_a.inner_newton == rep_b.inner_newton
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -521,7 +488,7 @@ class TestNonlinearSchurNewton:
     def test_linear_problem_converges_in_one_outer_iteration(self):
         prob = random_stable_linear(2, seed=6)
         part = build_explicit([60, 6], t_end=1.0)
-        policy = LinearizationPolicy(mode="newton")
+        policy = LinearizationPolicy()
         traj, report = nonlinear_schur_newton_solve(prob, part, 1, BE, policy)
         assert report.outer_iterations == 1
         sys0 = build_linear_system(prob, part.grids[0], BE)
@@ -578,8 +545,7 @@ class TestNonlinearSchurNewton:
         b, rep_b = nonlinear_schur_newton_solve(replace(prob, vectorized=False), part, 1, BE)
         assert np.array_equal(a, b)
         assert rep_a.residual_history == rep_b.residual_history
-        assert (rep_a.inner_picard, rep_a.inner_newton) == (rep_b.inner_picard,
-                                                            rep_b.inner_newton)
+        assert rep_a.inner_newton == rep_b.inner_newton
 
     def test_lotka_volterra_benchmark_instance_converges(self):
         prob = benchmark_lv()
@@ -598,9 +564,9 @@ def spy_on_extensions(monkeypatch):
     real = nonlinear._extension_task
 
     def spy(*args):
-        values, picard, newton, kappas = real(*args)
-        iterations.append(picard + newton)
-        return values, picard, newton, kappas
+        values, count, kappas = real(*args)
+        iterations.append(count)
+        return values, count, kappas
 
     monkeypatch.setattr(nonlinear, "_extension_task", spy)
     return iterations
@@ -626,9 +592,9 @@ class TestPredictedStart:
         seq, _ = sequential_nonlinear_solve(prob, grid, BE)
         monkeypatch.setattr(nonlinear, "_march", None)  # no window marches
         policy = LinearizationPolicy()
-        values, _, newton, _ = _extension_task(prob, part, 0, 0, 4, seq[fine[:-1]],
-                                               np.full((40, 2), np.inf), 1.0, policy,
-                                               seq[:-1] * 1.01)
+        values, newton, _ = _extension_task(prob, part, 0, 0, 4, seq[fine[:-1]],
+                                            np.full((40, 2), np.inf), 1.0, policy,
+                                            seq[:-1] * 1.01)
         res, _ = global_residual(prob, values, grid[:-1], BE)
         interior = np.ones(40, dtype=bool)
         interior[fine[:-1]] = False
@@ -642,8 +608,7 @@ class TestPredictedStart:
         two, rep_two = nonlinear_schur_newton_solve(benchmark_lv(), part, k, BE, workers=2)
         assert np.array_equal(one, two)
         assert rep_one.residual_history == rep_two.residual_history
-        assert (rep_one.inner_picard, rep_one.inner_newton) == (rep_two.inner_picard,
-                                                                rep_two.inner_newton)
+        assert rep_one.inner_newton == rep_two.inner_newton
         assert rep_one.residual_final < 1e-8
         return rep_one
 
@@ -653,27 +618,27 @@ class TestPredictedStart:
         # iterations, from a coarse start in the fine scheme 111, and from a
         # 50-element matched start 72 in 3 outer iterations.
         assert report.outer_iterations == 2
-        assert report.inner_picard + report.inner_newton <= 60
+        assert report.inner_newton <= 60
 
     def test_lotka_volterra_three_periods_at_level_two(self):
         report = self._solve_on_one_and_two_workers([4000, 40, 5], 2, 8.0)
         # The warm start's residual bounds the predicted one's; without that
         # bar the solve took 7,244 inner iterations.
-        assert report.inner_picard + report.inner_newton <= 4878
+        assert report.inner_newton <= 4878
 
 
-def schur_rows(problem, ts, us, bounds, th, use_picard):
+def schur_rows(problem, ts, us, bounds, th):
     """``_schur_row_task``'s ``(phis, gs)`` whose column is the negative closing residuals,
     zero elsewhere."""
     scheme = Scheme.theta_method(th)
     res, _ = global_residual(problem, us, ts, scheme)
     closing = np.zeros_like(res)
     closing[bounds[1:] - 1] = res[bounds[1:] - 1]
-    rows, _ = _schur_row_task(problem, us, ts, scheme, closing, use_picard, bounds)
+    rows, _ = _schur_row_task(problem, us, ts, scheme, closing, bounds)
     return rows.phis, rows.gs
 
 
-def schur_rows_reference(problem, ts, us, bounds, th, use_picard):
+def schur_rows_reference(problem, ts, us, bounds, th):
     """Coarse steps of each window by a plain loop over its steps.
 
     Each window chains its normalized steps ``D^{-1} O`` in turn (the closing
@@ -683,8 +648,6 @@ def schur_rows_reference(problem, ts, us, bounds, th, use_picard):
     eye = np.eye(problem.m_unk)
 
     def node_matrix(i):
-        if use_picard:
-            return np.asarray(problem.picard_matrix(ts[i], us[i]), dtype=float)
         return np.asarray(problem.jacobian(ts[i], us[i]), dtype=float)
 
     phis, gs = [], []
@@ -712,21 +675,19 @@ class TestSchurRows:
         lengths=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=6),
         cuts=st.lists(st.booleans(), min_size=5, max_size=5),
         m=st.sampled_from([1, 2]),
-        use_picard=st.booleans(),
         th=st.sampled_from([1.0, 0.5]),
         seed=st.integers(min_value=0, max_value=10**6),
     )
-    def test_matches_chain_loop_for_any_windows(self, lengths, cuts, m, use_picard, th,
-                                                 seed):
-        # Ragged windows, windows of one step, Picard and Newton rows.
+    def test_matches_chain_loop_for_any_windows(self, lengths, cuts, m, th, seed):
+        # Ragged windows and windows of one step.
         rng = np.random.default_rng(seed)
         prob = forced_riccati() if m == 1 else benchmark_lv()
         bounds = np.concatenate([[0], np.cumsum(lengths)])
         ts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.1, bounds[-1]))])
         size = (bounds[-1] + 1, m)
         us = prob.u0 * (1.0 + 0.3 * rng.normal(size=size)) + 0.3 * rng.normal(size=size)
-        phis, gs = schur_rows(prob, ts, us, bounds, th, use_picard)
-        ref_phis, ref_gs = schur_rows_reference(prob, ts, us, bounds, th, use_picard)
+        phis, gs = schur_rows(prob, ts, us, bounds, th)
+        ref_phis, ref_gs = schur_rows_reference(prob, ts, us, bounds, th)
         assert np.max(np.abs(phis - ref_phis)) <= 1e-14 * np.max(np.abs(ref_phis))
         assert np.max(np.abs(gs - ref_gs)) <= 1e-14 * np.max(np.abs(ref_gs))
         # Any grouping of the windows into runs gives the same rows, bitwise.
@@ -735,14 +696,12 @@ class TestSchurRows:
         for i, j in zip(edges[:-1], edges[1:]):
             a, b = bounds[i], bounds[j]
             part_phis, part_gs = schur_rows(prob, ts[a:b + 1], us[a:b + 1],
-                                            bounds[i:j + 1] - a, th, use_picard)
+                                            bounds[i:j + 1] - a, th)
             assert np.array_equal(part_phis, phis[i:j])
             assert np.array_equal(part_gs, gs[i:j])
 
     @pytest.mark.parametrize("scheme", [BE, Scheme.theta_method(0.5)])
-    @pytest.mark.parametrize("use_picard", [False, True])
-    def test_one_step_windows_give_the_global_linearization(self, scheme, use_picard,
-                                                            monkeypatch):
+    def test_one_step_windows_give_the_global_linearization(self, scheme, monkeypatch):
         # newton-schur is the Schur loop at level 0 and rests on this identity.
         monkeypatch.setattr(nonlinear, "reduce_level", None)  # no up-sweep runs
         prob = benchmark_lv()
@@ -750,8 +709,8 @@ class TestSchurRows:
         rng = np.random.default_rng(5)
         traj = prob.u0 * (1.0 + 0.3 * rng.normal(size=(41, 2)))
         res, _ = global_residual(prob, traj, grid, scheme)
-        system = linearize_global(prob, traj, grid, scheme, res, use_picard)
-        rows, _ = _schur_row_task(prob, traj, grid, scheme, res, use_picard, np.arange(41))
+        system = linearize_global(prob, traj, grid, scheme, res)
+        rows, _ = _schur_row_task(prob, traj, grid, scheme, res, np.arange(41))
         assert np.array_equal(rows.phis, system.phis) and np.array_equal(rows.gs, system.gs)
 
     @pytest.mark.parametrize("k, counts", [
@@ -791,7 +750,7 @@ class TestSchurJacobianConsistency:
         part = build_explicit([60, 6], t_end=2 * np.pi)
         # Local solves far below the FD step, so extension noise stays out of
         # the difference quotient.
-        policy = LinearizationPolicy(mode="newton", tol_local=1e-13)
+        policy = LinearizationPolicy(tol_local=1e-13)
         grid = part.grids[0]
         fine = part.fine_nodes(1)
         rng = np.random.default_rng(3)
@@ -802,8 +761,8 @@ class TestSchurJacobianConsistency:
             for i in range(6):
                 a, b = fine[i], fine[i + 1]
                 warm = np.tile(zvals[i], (b - a, 1))
-                state[a:b], _, _ = nonlinear_harmonic_extension(prob, part, 0, i, zvals[i],
-                                                                warm, BE, policy)
+                state[a:b], _ = nonlinear_harmonic_extension(prob, part, 0, i, zvals[i],
+                                                             warm, BE, policy)
             state[-1] = zvals[-1]
             res, _ = global_residual(prob, state, grid, BE)
             return res[fine[1:] - 1].copy(), state
@@ -813,7 +772,7 @@ class TestSchurJacobianConsistency:
         for i in range(6):
             a, b = fine[i], fine[i + 1]
             blks, _ = schur_rows(prob, grid[a:b + 1], np.vstack([state[a:b], z[i + 1]]),
-                                 np.array([0, b - a]), 1.0, use_picard=False)
+                                 np.array([0, b - a]), 1.0)
             blk = blks[0]
             # De-normalize: _schur_row_task returns D^{-1}-scaled blocks.
             dt = grid[b] - grid[b - 1]
@@ -850,8 +809,34 @@ def spy_on_loops(monkeypatch):
     return calls
 
 
+@functools.lru_cache(maxsize=None)
+def marched_lv(counts, t_end):
+    """``sequential_nonlinear_solve`` of the benchmark LV on ``counts``' fine grid, kept."""
+    part = build_explicit(list(counts), t_end=t_end)
+    return sequential_nonlinear_solve(benchmark_lv(), part.grids[0], BE)[0]
+
+
+def fail_coarse(monkeypatch):
+    """Make the coarse loop and the coarse march raise; the fine loop runs as it is."""
+    real_loop, real_march = nonlinear._schur_loop, nonlinear._march
+
+    def loop(problem, partition, *args):
+        if partition.counts[0] == nonlinear._COARSE_ELEMENTS:
+            raise NonconvergenceError("coarse loop", 1, 1.0)
+        return real_loop(problem, partition, *args)
+
+    def march(problem, ts, inflow, warm, *args):
+        if warm is None:  # the coarse march; the extensions' windows have warm values
+            raise SingularStepError("coarse march", 0.0, 1.0)
+        return real_march(problem, ts, inflow, warm, *args)
+
+    monkeypatch.setattr(nonlinear, "_schur_loop", loop)
+    monkeypatch.setattr(nonlinear, "_march", march)
+
+
 class TestNestedStart:
-    """The coarse-grid start of the Schur loop, its report and its fallback."""
+    """The coarse-grid start of the Schur loop, its report and its chain: the coarse
+    loop, then the coarse march, then the flat guess."""
 
     def test_report_records_the_coarse_start(self, monkeypatch):
         prob = benchmark_lv()
@@ -873,9 +858,8 @@ class TestNestedStart:
         _, nls = nonlinear_schur_newton_solve(prob, part, 1, BE)
         assert [c[:2] for c in calls] == [(100, 0), (2000, 0), (100, 0), (2000, 1)]
         for report, (coarse, fine) in ((gns, calls[:2]), (nls, calls[2:])):
-            assert (report.start, report.coarse_abandoned) == ("coarse", False)
-            assert report.coarse_iterations == 7
-            assert report.outer_iterations == len(report.mode_history) == 2
+            assert report.start == "coarse"
+            assert (report.coarse_iterations, report.outer_iterations) == (7, 2)
             assert report.wall_seconds >= coarse[2] + fine[2]
         # One serial level-0 region at k >= 1; newton-schur's level 0 holds
         # its multilevel solves' shares alone.
@@ -884,15 +868,23 @@ class TestNestedStart:
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_a_start_no_better_than_flat_is_dropped(self, k, monkeypatch):
-        # The coarse loop's solution, scaled tenfold: a spurious start whose
-        # fine residual is not below the flat guess's.
+        # The coarse loop's and the coarse march's solutions, scaled tenfold:
+        # spurious starts whose fine residuals are not below the flat guess's.
         prob = benchmark_lv()
         part = build_explicit([400, 8], t_end=3.0)
-        real = nonlinear._schur_loop
+        real, real_march = nonlinear._schur_loop, nonlinear._march
+        marches = []
 
         def spoiled(problem, partition, *args):
             w = real(problem, partition, *args)
             return 10.0 * w if partition.counts[0] < 400 else w
+
+        def spoiled_march(problem, ts, inflow, warm, *args):
+            values, iterations = real_march(problem, ts, inflow, warm, *args)
+            if warm is not None:  # a window of the fine loop's extensions
+                return values, iterations
+            marches.append(len(ts))
+            return 10.0 * values, iterations
 
         def solve(initial=None):
             if k:
@@ -900,8 +892,9 @@ class TestNestedStart:
             return newton_schur_solve(prob, part, BE, initial=initial)
 
         monkeypatch.setattr(nonlinear, "_schur_loop", spoiled)
+        monkeypatch.setattr(nonlinear, "_march", spoiled_march)
         traj, report = solve()
-        assert report.start == "flat" and report.coarse_abandoned
+        assert report.start == "flat" and marches == [101]
         assert report.coarse_iterations > 0
         given, _ = solve(initial=np.tile(prob.u0, (part.counts[0] + 1, 1)))
         assert np.array_equal(traj, given)
@@ -952,11 +945,12 @@ class TestNestedStart:
 
     def test_three_periods_take_at_most_three_fine_iterations(self):
         # From a coarse start in the fine scheme newton-schur took 8 here, and
-        # from a 50-element matched start 4.
+        # from a 50-element matched start 4. Newton's coarse loop spends its
+        # 50 iterations without converging; the march starts the fine loop.
         prob = benchmark_lv()
         part = build_explicit([2000, 20], t_end=8.0)
         traj, report = newton_schur_solve(prob, part, BE)
-        assert report.start == "coarse" and report.residual_final < 1e-8
+        assert report.start == "marched" and report.residual_final < 1e-8
         assert report.outer_iterations <= 3
         seq, _ = sequential_nonlinear_solve(prob, part.grids[0], BE)
         assert np.max(np.abs(traj - seq)) <= 1e-6 * np.max(np.abs(seq))
@@ -971,7 +965,7 @@ class TestNestedStart:
             traj, report = nonlinear_schur_newton_solve(prob, part, k, BE, policy)
         else:
             traj, report = newton_schur_solve(prob, part, BE, policy)
-        assert report.start == "coarse" and report.residual_final < policy.tol_global
+        assert report.start == "marched" and report.residual_final < policy.tol_global
         seq, _ = sequential_nonlinear_solve(prob, part.grids[0], BE, policy)
         assert np.max(np.abs(traj - seq)) <= 1e-6
 
@@ -984,26 +978,52 @@ class TestNestedStart:
             traj, report = nonlinear_schur_newton_solve(prob, part, k, BE)
         else:
             traj, report = newton_schur_solve(prob, part, BE)
-        assert report.start == "coarse" and report.residual_final < 1e-8
+        assert report.start == "marched" and report.residual_final < 1e-8
         seq, _ = sequential_nonlinear_solve(prob, part.grids[0], BE)
         assert np.max(np.abs(traj - seq)) <= 1e-6 * np.max(np.abs(seq))
 
-    def test_failed_coarse_start_falls_back_to_the_flat_start(self):
+    @pytest.mark.parametrize("counts, t_end", [([2000, 20], 14.0), ([2000, 20], 15.0),
+                                               ([2000, 20], 16.0), ([20000, 100], 16.0),
+                                               ([80, 4], 20.0)])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_horizons_only_the_march_reaches_converge(self, counts, t_end, k):
+        # Both solvers failed on the first four, from the coarse loop's start
+        # or else the flat one; on [80, 4] newton-schur reported success
+        # 1.9e36 away from time-marching.
         prob = benchmark_lv()
-        part = build_explicit([80, 4], t_end=10.0)
-        traj, report = nonlinear_schur_newton_solve(prob, part, 1, BE)
-        assert (report.start, report.coarse_abandoned) == ("flat", True)
-        assert report.coarse_iterations > 0 and report.residual_final < 1e-8
-        seq, _ = sequential_nonlinear_solve(prob, part.grids[0], BE)
+        part = build_explicit(counts, t_end=t_end)
+        if k:
+            traj, report = nonlinear_schur_newton_solve(prob, part, k, BE)
+        else:
+            traj, report = newton_schur_solve(prob, part, BE)
+        assert report.start == "marched" and report.residual_final < 1e-8
+        seq = marched_lv(tuple(counts), t_end)
         assert np.max(np.abs(traj - seq)) <= 1e-6 * np.max(np.abs(seq))
-        # The fallback is the flat-start loop as it runs on its own.
+
+    def test_failed_coarse_start_falls_back_to_the_flat_start(self, monkeypatch):
+        # Only when the coarse loop and the coarse march both fail.
+        prob = benchmark_lv()
+        part = build_explicit([400, 8], t_end=3.0)
+        fail_coarse(monkeypatch)
+        traj, report = nonlinear_schur_newton_solve(prob, part, 1, BE)
+        assert report.start == "flat" and report.residual_final < 1e-8
+        # The flat start is the loop as it runs from the flat guess on its own.
         flat, rep_flat = nonlinear_schur_newton_solve(prob, part, 1, BE,
-                                                      initial=np.tile(prob.u0, (81, 1)))
+                                                      initial=np.tile(prob.u0, (401, 1)))
         assert np.array_equal(traj, flat)
         assert report.residual_history == rep_flat.residual_history
         assert report.outer_iterations == rep_flat.outer_iterations
 
     def test_the_user_sees_the_flat_start_error(self, monkeypatch):
+        fail_coarse(monkeypatch)
+        calls = spy_on_loops(monkeypatch)
+        policy = LinearizationPolicy(max_iters=1)
+        with pytest.raises(NonconvergenceError, match="global linearization loop") as err:
+            newton_schur_solve(benchmark_lv(), build_explicit([400, 8], t_end=3.0), BE, policy)
+        # The coarse loop raised; the flat-start loop ran once, and its error is the one seen.
+        assert err.value.iterations == 1 and [c[:2] for c in calls] == [(100, 0), (400, 0)]
+
+    def test_a_failing_fine_loop_is_not_restarted(self, monkeypatch):
         real = nonlinear._schur_loop
         fine_calls = []
 
@@ -1014,9 +1034,25 @@ class TestNestedStart:
             raise NonconvergenceError(f"fine loop {len(fine_calls)}", 1, 1.0)
 
         monkeypatch.setattr(nonlinear, "_schur_loop", failing)
-        with pytest.raises(NonconvergenceError, match="fine loop 2"):
+        with pytest.raises(NonconvergenceError, match="fine loop 1"):
             newton_schur_solve(benchmark_lv(), build_explicit([400, 8], t_end=3.0), BE)
-        assert fine_calls == [0, 1]
+        assert fine_calls == [0]
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_a_start_that_fails_the_guard_is_followed_by_the_march(self, k, monkeypatch):
+        # On [80, 4] Newton's coarse loop converges in 22 iterations to a
+        # start whose fine residual is not below the flat guess's.
+        prob = benchmark_lv()
+        part = build_explicit([80, 4], t_end=10.0)
+        calls = spy_on_loops(monkeypatch)
+        if k:
+            traj, report = nonlinear_schur_newton_solve(prob, part, k, BE)
+        else:
+            traj, report = newton_schur_solve(prob, part, BE)
+        assert [c[:2] for c in calls] == [(40, 0), (80, k)]
+        assert (report.start, report.coarse_iterations) == ("marched", 22)
+        seq, _ = sequential_nonlinear_solve(prob, part.grids[0], BE)
+        assert np.max(np.abs(traj - seq)) <= 1e-6 * np.max(np.abs(seq))
 
     def test_given_initial_and_linear_problems_run_no_coarse_solve(self, monkeypatch):
         calls = spy_on_loops(monkeypatch)
@@ -1027,7 +1063,6 @@ class TestNestedStart:
         _, report = nonlinear_schur_newton_solve(random_stable_linear(2, seed=6),
                                                  build_explicit([600, 6], t_end=1.0), 1, BE)
         assert (report.start, report.coarse_iterations) == ("flat", 0)
-        assert not report.coarse_abandoned
         assert [c[:2] for c in calls] == [(400, 0), (600, 1)]
 
     def test_small_grids_start_flat(self, monkeypatch):
@@ -1113,7 +1148,7 @@ class TestExtensionKappas:
         if not reuse:
             real = nonlinear._extension_task
             monkeypatch.setattr(nonlinear, "_extension_task",
-                                lambda *args: (*real(*args)[:3], None))
+                                lambda *args: (*real(*args)[:2], None))
         calls, kappa = [], benchmark_lv().kappa
         prob = replace(benchmark_lv(), kappa=lambda t, u: calls.append(1) or kappa(t, u))
         traj, report = nonlinear_schur_newton_solve(prob, build_explicit(counts, t_end=3.0),
@@ -1142,11 +1177,11 @@ class TestExtensionKappas:
         seq, _ = sequential_nonlinear_solve(prob, grid, BE)
         # With one inner iteration every window left unconverged is marched after it.
         monkeypatch.setattr(nonlinear, "_march", lambda problem, ts, inflow, warm, *rest: (
-            np.concatenate([inflow[None], warm[1:]]), 0, 0))
+            np.concatenate([inflow[None], warm[1:]]), 0))
         warm = np.tile(prob.u0, (40, 1))
-        values, _, _, kappas = _extension_task(prob, part, 0, 0, 4, seq[fine[:-1]], warm, 1.0,
-                                               LinearizationPolicy(max_inner=max_inner),
-                                               None, seq[-1])
+        values, _, kappas = _extension_task(prob, part, 0, 0, 4, seq[fine[:-1]], warm, 1.0,
+                                            LinearizationPolicy(max_inner=max_inner), None,
+                                            seq[-1])
         if max_inner == 1:
             assert kappas is None
         else:
@@ -1180,8 +1215,8 @@ def test_rejected_inputs_and_singular_marched_steps_are_named(call, error, text)
 def test_extension_takes_nested_lists_as_arrays():
     prob, part = benchmark_lv(), build_explicit([40, 4], t_end=3.0)
     warm = np.tile(prob.u0, (10, 1))
-    values, _, _ = nonlinear_harmonic_extension(prob, part, 0, 1, prob.u0, warm, BE,
-                                                LinearizationPolicy())
-    listed, _, _ = nonlinear_harmonic_extension(prob, part, 0, 1, prob.u0.tolist(),
-                                                warm.tolist(), BE, LinearizationPolicy())
+    values, _ = nonlinear_harmonic_extension(prob, part, 0, 1, prob.u0, warm, BE,
+                                             LinearizationPolicy())
+    listed, _ = nonlinear_harmonic_extension(prob, part, 0, 1, prob.u0.tolist(),
+                                             warm.tolist(), BE, LinearizationPolicy())
     assert np.array_equal(listed, values)

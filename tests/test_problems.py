@@ -17,7 +17,7 @@ from timeschur import (
     sequential_solve,
     zero_operator,
 )
-from timeschur.problems import by_name, kappa_batch, jacobian_batch, picard_batch
+from timeschur.problems import by_name, kappa_batch, jacobian_batch
 
 LV_BENCH = dict(alpha=3.0, beta=0.2, gamma=2.0, delta=0.1, u0=10.0, v0=40.0)
 
@@ -113,21 +113,6 @@ class TestProblemContracts:
             bound = 10.0 * eps * (1.0 + np.linalg.norm(jac))
             assert np.linalg.norm(approx - jac) <= bound
 
-    def test_picard_splitting_is_exact_at_the_freeze_point(self, problem, rng):
-        # kappa(t, u) - A(u) @ u depends on t only: the splitting's remainder
-        # is one forcing c(t) whatever state A is frozen at.
-        if problem.picard_matrix is None:
-            pytest.skip("no Picard operator")
-        for _ in range(25):
-            t = rng.uniform(0.0, 3.0)
-            remainders = []
-            for _ in range(2):
-                u = rng.uniform(0.5, 2.0, size=problem.m_unk)
-                mat = np.asarray(problem.picard_matrix(t, u), dtype=float)
-                assert mat.shape == (problem.m_unk, problem.m_unk)
-                remainders.append(np.asarray(problem.kappa(t, u)) - mat @ u)
-            assert np.allclose(remainders[0], remainders[1], atol=1e-12)
-
     def test_linear_flag_means_state_free_jacobian(self, problem, rng):
         if not problem.is_linear:
             pytest.skip("nonlinear problem")
@@ -144,9 +129,6 @@ class TestProblemContracts:
         assert np.allclose(kappa_batch(problem, ts, us), loop_kappa, atol=1e-15)
         loop_jac = np.stack([problem.jacobian(t, u) for t, u in zip(ts, us)])
         assert np.allclose(jacobian_batch(problem, ts, us), loop_jac, atol=1e-15)
-        if problem.picard_matrix is not None:
-            loop_picard = np.stack([problem.picard_matrix(t, u) for t, u in zip(ts, us)])
-            assert np.allclose(picard_batch(problem, ts, us), loop_picard, atol=1e-15)
 
 
 EXACT = {"decay(lam=1.0)": lambda t: decay_solution(1.0, t), "cosine-drive": sin_solution,
@@ -192,11 +174,11 @@ def test_rejects_an_initial_value_of_the_wrong_shape(u0):
         OdeProblem(m_unk=2, kappa=lambda t, u: u, jacobian=lambda t, u: np.eye(2), u0=u0)
 
 
-@pytest.mark.parametrize("batch", [jacobian_batch, picard_batch])
+@pytest.mark.parametrize("batch", [jacobian_batch])
 def test_one_matrix_from_a_vectorized_callback_is_broadcast_to_every_row(batch):
     mat = np.array([[0.0, 1.0], [-2.0, 0.5]])
     problem = OdeProblem(m_unk=2, kappa=lambda t, u: u @ mat.T, jacobian=lambda t, u: mat,
-                         u0=np.ones(2), picard_matrix=lambda t, u: mat, vectorized=True)
+                         u0=np.ones(2), vectorized=True)
     mats = batch(problem, np.linspace(0.0, 1.0, 4), np.ones((4, 2)))
     assert mats.shape == (4, 2, 2) and mats.flags.writeable  # a copy, not a broadcast view
     assert all(np.array_equal(row, mat) for row in mats)

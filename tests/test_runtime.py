@@ -270,7 +270,6 @@ class TestSolverDeterminism:
             assert np.array_equal(t1, t4)
             assert r1.outer_iterations == r4.outer_iterations
             assert r1.residual_history == r4.residual_history
-            assert r1.mode_history == r4.mode_history
 
     @staticmethod
     def _assert_nlschur_bitwise_equal_across_worker_counts(counts, k, monkeypatch):
@@ -286,9 +285,8 @@ class TestSolverDeterminism:
             assert np.array_equal(t1, t2)
             assert r1.residual_history == r2.residual_history
             assert r1.interior_residual_history == r2.interior_residual_history
-            assert r1.mode_history == r2.mode_history
-            assert (r1.outer_iterations, r1.inner_picard, r1.inner_newton) == \
-                (r2.outer_iterations, r2.inner_picard, r2.inner_newton)
+            assert (r1.outer_iterations, r1.inner_newton) == (r2.outer_iterations,
+                                                              r2.inner_newton)
 
     def test_nlschur_bitwise_equal_across_worker_counts(self, monkeypatch):
         # Ragged last subdomain.

@@ -316,10 +316,10 @@ class TestAssembleSchur:
         assert np.allclose(sequential_solve(coarse), 0.0)
 
     def test_frozen_lotka_volterra_interfaces_match_sequential(self):
-        # Picard-frozen coefficients at the initial state give a genuine
+        # The Jacobian frozen at the initial state gives a genuine
         # time-invariant linear system of size 2.
         lv = lotka_volterra(3.0, 0.2, 2.0, 0.1, 10.0, 40.0)
-        frozen = lv.picard_matrix(0.0, lv.u0)
+        frozen = lv.jacobian(0.0, lv.u0)
         grid = np.linspace(0.0, 3.0, 101)
         dt = grid[1] - grid[0]
         phi = np.linalg.solve(np.eye(2) + dt * frozen, np.eye(2))
